@@ -4,8 +4,11 @@ parameter set, and the constructible graph families.
 
 Adjacency is stored as one Python int bitset per vertex, which keeps the
 common-neighbour count for half a million vertex pairs to a bitwise AND
-plus a popcount.  All family builders verify their own output with
-srg_check against the closed-form parameters before returning.
+plus a popcount.  srg_check counts every pair and is the check for any
+graph.  Every family is a Cayley graph on Z_n^N; its builder translates
+row 0 to get the other rows and certifies strong regularity from the
+connection set alone (translation invariance leaves only the v-1 pairs
+(0, d) to count), against the closed-form parameters, before returning.
 """
 
 from __future__ import annotations
@@ -309,51 +312,61 @@ def _decode_vector(idx, q, dim):
     return tuple(digits)
 
 
-def _difference_graph(field: FiniteField, dim: int, connection_idxs) -> Graph:
-    """Graph on GF(q)^dim with x ~ y iff x - y lies in the connection
-    set, which must be nonzero and closed under negation."""
-    q = field.q
-    v = q**dim
-    conn = sorted(set(connection_idxs))
-    if not conn or conn[0] == 0:
-        raise InputError("difference connection set must be nonzero")
-    decoded = {d: _decode_vector(d, q, dim) for d in conn}
-    conn_set = set(conn)
-    for d, vec in decoded.items():
-        neg = 0
-        for i in reversed(range(dim)):
-            neg = neg * q + field.neg(vec[i])
-        if neg not in conn_set:
-            raise InternalError(f"difference set is not closed under negation at {d}")
-    rows = [0] * v
-    if field.p == 2:
-        for u in range(v):
-            acc = 0
-            for d in conn:
-                acc |= 1 << (u ^ d)
-            rows[u] = acc
-    else:
-        powers = [q**i for i in range(dim)]
-        for u in range(v):
-            uvec = _decode_vector(u, q, dim)
-            acc = 0
-            for d in conn:
-                dvec = decoded[d]
-                w = 0
-                for i in range(dim):
-                    w += field.add(uvec[i], dvec[i]) * powers[i]
-                acc |= 1 << w
-            rows[u] = acc
-    return Graph._from_rows(v, rows)
+def _cayley_rows(n: int, dim: int, connection) -> list[int]:
+    """Rows of the Cayley digraph on Z_n^dim (vertex index = base-n
+    digits, low digit first) with x -> x + s for s in the connection set.
+
+    Row 0 is the connection set itself; every other row is a translate
+    of an earlier one by a unit vector e_i, applied to the whole bitset
+    at once: a bit whose digit i is below n-1 moves up by n^i, one whose
+    digit i is n-1 wraps down by (n-1)n^i.  GF(p^s)^d is Z_p^(sd) under
+    this indexing, since field indices are base-p digits added digitwise.
+    """
+    v = n**dim
+    full = (1 << v) - 1
+    rows = [sum(1 << s for s in set(connection))]
+    for i in range(dim):
+        step = n**i
+        wrap = step * (n - 1)
+        high = (((1 << step) - 1) << wrap) * (full // ((1 << (step * n)) - 1))
+        low = full ^ high
+        for _ in range(n - 1):
+            rows.extend(((r & low) << step) | ((r & high) >> wrap) for r in rows[-step:])
+    return rows
 
 
-def _checked(graph: Graph, expected: SrgParams, what: str) -> Graph:
-    got = srg_check(graph)
+def _cayley_certificate(rows):
+    """srg_check of an undirected Cayley graph given by its _cayley_rows,
+    from the v-1 counts |S & (S + d)| of the pairs (0, d) alone."""
+    v = len(rows)
+    row0 = rows[0]
+    k = row0.bit_count()
+    if k == 0 or k == v - 1:
+        return None
+    lam, mu = set(), set()
+    for d in range(1, v):
+        (lam if (row0 >> d) & 1 else mu).add((row0 & rows[d]).bit_count())
+    if len(lam) != 1 or len(mu) != 1:
+        return None
+    return SrgParams(v, k, lam.pop(), mu.pop())
+
+
+def _cayley_graph(n: int, dim: int, connection, expected: SrgParams, what: str) -> Graph:
+    """Undirected Cayley graph on Z_n^dim, certified against the
+    closed-form parameters; the connection set must exclude 0 and be
+    closed under negation (row s holds 0 iff -s is in the set)."""
+    rows = _cayley_rows(n, dim, connection)
+    if rows[0] & 1 or not all(rows[s] & 1 for s in connection):
+        raise InternalError(f"{what}: connection set is not symmetric and nonzero")
+    # Every translation x -> x - a is an automorphism and maps the pair
+    # (a, a + d) to (0, d), so the pairs (0, d) meet every common-neighbour
+    # count of the graph: the certificate is exact, not a sample.
+    got = _cayley_certificate(rows)
     if got != expected:
         raise InternalError(
-            f"{what}: srg_check found {got and got.as_tuple()}, expected {expected.as_tuple()}"
+            f"{what}: certificate found {got and got.as_tuple()}, expected {expected.as_tuple()}"
         )
-    return graph
+    return Graph._from_rows(len(rows), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +434,8 @@ def paley_graph(field: FiniteField) -> Graph:
     q = field.q
     if q % 4 != 1:
         raise InputError(f"Paley graph needs q = 1 mod 4, got {q}")
-    graph = _difference_graph(field, 1, field.nth_powers(2))
-    t = (q - 1) // 4
-    return _checked(graph, conference_params(t), f"Paley graph on {q} vertices")
+    squares, params = field.nth_powers(2), conference_params((q - 1) // 4)
+    return _cayley_graph(field.p, field.s, squares, params, f"Paley graph on {q} vertices")
 
 
 def paley_tournament(field: FiniteField) -> DirectedGraph:
@@ -433,15 +445,13 @@ def paley_tournament(field: FiniteField) -> DirectedGraph:
     if q % 4 != 3:
         raise InputError(f"Paley tournament needs q = 3 mod 4, got {q}")
     squares = field.nth_powers(2)
-    rows = [0] * q
-    for x in range(q):
-        for d in squares:
-            rows[x] |= 1 << field.add(x, d)
-    digraph = DirectedGraph.__new__(DirectedGraph)
-    digraph.v = q
-    digraph.rows = rows
-    if not digraph.is_tournament():
+    rows = _cayley_rows(field.p, field.s, squares)
+    # one arc per pair iff the residues S and their negatives -S
+    # partition the nonzero elements; row s holds 0 iff -s is in S
+    if 2 * len(squares) != q - 1 or any(rows[s] & 1 for s in squares):
         raise InternalError(f"Paley digraph on {q} vertices is not a tournament")
+    digraph = DirectedGraph(q)
+    digraph.rows = rows
     return digraph
 
 
@@ -454,14 +464,8 @@ def clique_union(p: int, t: int, s: int, cap: int = GRAPH_CAP) -> Graph:
     v = p ** (t + s)
     if v > cap:
         raise CapError(f"graph size {v} exceeds the cap {cap}")
-    size = p**t
-    rows = [0] * v
-    for block in range(p**s):
-        base = block * size
-        mask = ((1 << size) - 1) << base
-        for u in range(base, base + size):
-            rows[u] = mask ^ (1 << u)
-    return _checked(Graph._from_rows(v, rows), clique_union_params(p, t, s), "clique union")
+    # blocks are the cosets of the subgroup Z_p^t of the low t digits
+    return _cayley_graph(p, t + s, range(1, p**t), clique_union_params(p, t, s), "clique union")
 
 
 def grid_graph(q: int, cap: int = GRAPH_CAP) -> Graph:
@@ -471,17 +475,9 @@ def grid_graph(q: int, cap: int = GRAPH_CAP) -> Graph:
     v = q * q
     if v > cap:
         raise CapError(f"graph size {v} exceeds the cap {cap}")
-    rows = [0] * v
-    row_masks = [(((1 << q) - 1) << (r * q)) for r in range(q)]
-    col_masks = [0] * q
-    for c in range(q):
-        for r in range(q):
-            col_masks[c] |= 1 << (r * q + c)
-    for r in range(q):
-        for c in range(q):
-            u = r * q + c
-            rows[u] = (row_masks[r] | col_masks[c]) ^ (1 << u)
-    return _checked(Graph._from_rows(v, rows), grid_params(q), f"{q}x{q} grid")
+    # cell r*q + c is (c, r) in Z_q^2; q need not be a prime power
+    conn = [*range(1, q), *range(q, v, q)]
+    return _cayley_graph(q, 2, conn, grid_params(q), f"{q}x{q} grid")
 
 
 def vanlint_schrijver(p: int, c: int, t: int, cap: int = GRAPH_CAP) -> Graph:
@@ -507,12 +503,9 @@ def vanlint_schrijver(p: int, c: int, t: int, cap: int = GRAPH_CAP) -> Graph:
     if v > cap:
         raise CapError(f"graph size {v} exceeds the cap {cap}")
     field = make_field(p, (c - 1) * t, cap=cap)
-    powers = field.nth_powers(c)
-    minus_one = field.neg(1)
-    if minus_one not in powers:
-        raise InternalError(f"-1 is not a {c}-th power in GF({v}); graph would be directed")
-    graph = _difference_graph(field, 1, powers)
-    return _checked(graph, vls_params(p, c, t), f"cyclotomic graph ({p}, {c}, {t})")
+    return _cayley_graph(
+        p, field.s, field.nth_powers(c), vls_params(p, c, t), f"cyclotomic graph ({p}, {c}, {t})"
+    )
 
 
 def _anisotropic_pair_form(field: FiniteField):
@@ -543,7 +536,8 @@ def _anisotropic_pair_form(field: FiniteField):
     return form
 
 
-def _polar_graph(q: int, e: int, eps: int, cap: int) -> Graph:
+def _polar_connection(q: int, e: int, eps: int, cap: int):
+    """The field and the nonzero zeros of the quadratic form on 2e-vectors."""
     pp = is_prime_power(q)
     if pp is None:
         raise InputError(f"{q} is not a prime power")
@@ -568,9 +562,7 @@ def _polar_graph(q: int, e: int, eps: int, cap: int) -> Graph:
         for idx in range(1, v)
         if quadratic_form(_decode_vector(idx, q, dim)) == 0
     ]
-    graph = _difference_graph(field, dim, conn)
-    sign = "+" if eps == 1 else "-"
-    return _checked(graph, polar_params(q, e, eps), f"affine polar graph ({q}, {e}, {sign})")
+    return field, conn
 
 
 def affine_polar(q: int, e: int, eps: int, cap: int = GRAPH_CAP) -> Graph:
@@ -584,7 +576,11 @@ def affine_polar(q: int, e: int, eps: int, cap: int = GRAPH_CAP) -> Graph:
         raise InputError("need e >= 2")
     if q == 2 and eps == 1:
         raise InputError("(q, eps) = (2, +) is excluded; use the complement builder")
-    return _polar_graph(q, e, eps, cap)
+    field, conn = _polar_connection(q, e, eps, cap)
+    sign = "+" if eps == 1 else "-"
+    return _cayley_graph(
+        field.p, field.s * 2 * e, conn, polar_params(q, e, eps), f"affine polar graph ({q}, {e}, {sign})"
+    )
 
 
 def affine_polar_plus_complement(e: int, cap: int = GRAPH_CAP) -> Graph:
@@ -593,9 +589,9 @@ def affine_polar_plus_complement(e: int, cap: int = GRAPH_CAP) -> Graph:
         raise InputError("need e >= 2")
     if 2 ** (2 * e) > cap:
         raise CapError(f"graph size {2 ** (2 * e)} exceeds the cap {cap}")
-    inner = _polar_graph(2, e, 1, cap)
-    graph = complement(inner)
-    return _checked(graph, polar_plus_complement_params(e), f"polar complement (e={e})")
+    _, zeros = _polar_connection(2, e, 1, cap)
+    conn = set(range(1, 4**e)).difference(zeros)
+    return _cayley_graph(2, 2 * e, conn, polar_plus_complement_params(e), f"polar complement (e={e})")
 
 
 def bilinear_forms_graph(q: int, e: int, cap: int = GRAPH_CAP) -> Graph:
@@ -622,8 +618,9 @@ def bilinear_forms_graph(q: int, e: int, cap: int = GRAPH_CAP) -> Graph:
         return True
 
     conn = [idx for idx in range(1, v) if rank_one(_decode_vector(idx, q, dim))]
-    graph = _difference_graph(field, dim, conn)
-    return _checked(graph, bilinear_params(q, e), f"bilinear forms graph ({q}, {e})")
+    return _cayley_graph(
+        field.p, field.s * dim, conn, bilinear_params(q, e), f"bilinear forms graph ({q}, {e})"
+    )
 
 
 def _alternating_rank(field: FiniteField, coords):
@@ -672,8 +669,9 @@ def alternating_forms_graph(q: int, cap: int = GRAPH_CAP) -> Graph:
         for idx in range(1, v)
         if _alternating_rank(field, _decode_vector(idx, q, 10)) == 2
     ]
-    graph = _difference_graph(field, 10, conn)
-    return _checked(graph, alternating_params(q), f"alternating forms graph (q={q})")
+    return _cayley_graph(
+        field.p, field.s * 10, conn, alternating_params(q), f"alternating forms graph (q={q})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -702,9 +700,13 @@ def graph_from_json_dict(data):
         v, edges = data["v"], data["edges"]
     except KeyError as missing:
         raise InputError(f"missing field {missing} in graph document") from None
-    if data.get("directed"):
-        return DirectedGraph(v, [tuple(e) for e in edges])
-    return Graph(v, [tuple(e) for e in edges])
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InputError(f'"v" must be an integer, got {v!r}')
+    cls = DirectedGraph if data.get("directed") else Graph
+    try:
+        return cls(v, [tuple(e) for e in edges])
+    except (TypeError, ValueError):
+        raise InputError("every edge must be a pair of integer vertex indices") from None
 
 
 def graph_loads(text: str):
@@ -726,7 +728,10 @@ def graph_from_edge_list(text: str) -> Graph:
             continue
         parts = line.split()
         if declared is None and not edges and parts[0] == "v" and len(parts) == 2:
-            declared = int(parts[1])
+            try:
+                declared = int(parts[1])
+            except ValueError:
+                raise InputError(f"line {lineno}: expected 'v N' with an integer N") from None
             continue
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected two vertex indices")

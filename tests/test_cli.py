@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from mvgroups import algebra, cli, core
 
 
@@ -157,6 +159,25 @@ def test_build_graph_edge_list_input(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "build", "graph", "complement", str(path))
     assert code == 0
     assert len(json.loads(out)["edges"]) == 5
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "v abc\n0 1\n",
+        '{"format": "graph-v1", "v": 3, "edges": [[0]]}',
+        '{"format": "graph-v1", "v": "3", "edges": [[0, 1]]}',
+        '{"format": "graph-v1", "v": true, "edges": []}',
+    ],
+    ids=["edge-list-v-abc", "one-element-edge", "string-v", "bool-v"],
+)
+def test_complement_malformed_graph_is_exit_3(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code = cli.main(["build", "graph", "complement", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_build_graph_cap_exit_4(capsys):

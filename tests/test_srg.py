@@ -4,7 +4,7 @@ order-3 group of a parameter set, and the graph families."""
 import pytest
 
 from mvgroups import algebra, core, srg
-from mvgroups.errors import CapError, InputError
+from mvgroups.errors import CapError, InputError, InternalError
 
 from conftest import (
     cycle_graph,
@@ -382,3 +382,236 @@ def test_sporadic_parameter_coincidences_by_counting():
     # constructible family graphs; confirmed on the graphs themselves
     assert srg.srg_check(srg.bilinear_forms_graph(2, 4)).as_tuple() == (256, 45, 16, 6)
     assert srg.srg_check(srg.affine_polar(5, 2, 1)).as_tuple() == (625, 144, 43, 30)
+
+
+# ---------------------------------------------------------------------------
+# Every builder against its defining predicate, over all pairs
+
+
+def _vectors(q, dim):
+    return [tuple((x // q**i) % q for i in range(dim)) for x in range(q**dim)]
+
+
+def _predicate_rows(v, adjacent):
+    """Rows with bit y of row x set iff adjacent(x, y), for every pair x != y."""
+    return [sum(1 << y for y in range(v) if y != x and adjacent(x, y)) for x in range(v)]
+
+
+def _difference_rows(field, dim, defining):
+    """x ~ y iff defining(y - x) on GF(q)^dim, the difference taken
+    coordinatewise with field.sub for every pair and the predicate
+    evaluated once per difference."""
+    vecs = _vectors(field.q, dim)
+    memo = {}
+
+    def adjacent(x, y):
+        d = tuple(map(field.sub, vecs[y], vecs[x]))
+        if d not in memo:
+            memo[d] = defining(d)
+        return memo[d]
+
+    return _predicate_rows(len(vecs), adjacent)
+
+
+def _is_square(field, a):
+    return a != 0 and field.pow(a, (field.q - 1) // 2) == 1
+
+
+def _anisotropic(field):
+    """x^2 - a y^2 (a the least non-square) for odd q, x^2 + xy + b y^2
+    (b the least with t^2 + t + b irreducible) for even q."""
+    mul, add = field.mul, field.add
+    if field.p != 2:
+        a = next(a for a in range(1, field.q) if not _is_square(field, a))
+        return lambda x, y: field.sub(mul(x, x), mul(a, mul(y, y)))
+    b = next(b for b in range(field.q) if all(add(add(mul(t, t), t), b) for t in range(field.q)))
+    return lambda x, y: add(add(mul(x, x), mul(x, y)), mul(b, mul(y, y)))
+
+
+def _quadratic_form(field, e, eps):
+    aniso = _anisotropic(field) if eps == -1 else None
+
+    def form(d):
+        total = 0
+        for i in range(e if aniso is None else e - 1):
+            total = field.add(total, field.mul(d[2 * i], d[2 * i + 1]))
+        return total if aniso is None else field.add(total, aniso(d[-2], d[-1]))
+
+    return form
+
+
+def _rank_one_matrices(field, e):
+    """All 2 x e rank-one matrices u w^T, rows concatenated."""
+    nonzero = [vec for vec in _vectors(field.q, e) if any(vec)]
+    return {
+        tuple(field.mul(u0, x) for x in w) + tuple(field.mul(u1, x) for x in w)
+        for u0, u1 in _vectors(field.q, 2)[1:]
+        for w in nonzero
+    }
+
+
+def _rank_two_alternating(field):
+    """Strictly upper entries (row-major) of every nonzero u ^ w on GF(q)^5."""
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    vecs = _vectors(field.q, 5)
+    wedges = {
+        tuple(field.sub(field.mul(u[i], w[j]), field.mul(u[j], w[i])) for i, j in pairs)
+        for u in vecs
+        for w in vecs
+    }
+    return wedges - {(0,) * 10}
+
+
+def _field(q):
+    return algebra.make_field(*algebra.is_prime_power(q))
+
+
+def _definition_cases():
+    def polar(q, e, eps):
+        field = _field(q)
+        form = _quadratic_form(field, e, eps)
+        defined = lambda: _difference_rows(field, 2 * e, lambda d: any(d) and form(d) == 0)
+        build = lambda: srg.affine_polar(q, e, eps)
+        return pytest.param(build, defined, srg.polar_params(q, e, eps), id=f"polar{(q, e, eps)}")
+
+    def plus_complement(e):
+        field = _field(2)
+        form = _quadratic_form(field, e, 1)
+        defined = lambda: _difference_rows(field, 2 * e, lambda d: form(d) != 0)
+        return pytest.param(
+            lambda: srg.affine_polar_plus_complement(e), defined, srg.polar_plus_complement_params(e),
+            id=f"polar-plus-comp({e})",
+        )
+
+    def bilinear(q, e):
+        field = _field(q)
+        rank_one = _rank_one_matrices(field, e)
+        defined = lambda: _difference_rows(field, 2 * e, rank_one.__contains__)
+        build = lambda: srg.bilinear_forms_graph(q, e)
+        return pytest.param(build, defined, srg.bilinear_params(q, e), id=f"bilinear{(q, e)}")
+
+    def cliques(p, t, s):
+        size = p**t
+        defined = lambda: _predicate_rows(p ** (t + s), lambda x, y: x // size == y // size)
+        build = lambda: srg.clique_union(p, t, s)
+        return pytest.param(build, defined, srg.clique_union_params(p, t, s), id=f"cliques{(p, t, s)}")
+
+    def grid(q):
+        defined = lambda: _predicate_rows(q * q, lambda x, y: x // q == y // q or x % q == y % q)
+        return pytest.param(lambda: srg.grid_graph(q), defined, srg.grid_params(q), id=f"grid({q})")
+
+    return [
+        cliques(2, 2, 1), cliques(3, 1, 2), cliques(2, 3, 3),
+        grid(3), grid(4), grid(6),
+        polar(2, 2, -1), polar(2, 3, -1), polar(3, 2, 1), polar(3, 2, -1),
+        polar(4, 2, 1), polar(4, 2, -1),
+        plus_complement(2), plus_complement(3),
+        bilinear(2, 3), bilinear(2, 4),
+    ]
+
+
+@pytest.mark.parametrize("build,defined,params", _definition_cases())
+def test_builder_equals_definition(build, defined, params):
+    graph = build()
+    assert graph.rows == defined()
+    assert srg.srg_check(graph) == params
+
+
+def test_alternating_forms_graph_equals_definition():
+    # v = 1024 is too many pairs for the all-pairs oracle; the rows are
+    # built by adding each rank-2 difference coordinatewise instead
+    field = _field(2)
+    graph = srg.alternating_forms_graph(2)
+    vecs = _vectors(2, 10)
+    index = {vec: x for x, vec in enumerate(vecs)}
+    rank_two = _rank_two_alternating(field)
+    rows = [sum(1 << index[tuple(map(field.add, vx, d))] for d in rank_two) for vx in vecs]
+    assert graph.rows == rows
+    assert srg.srg_check(graph) == srg.alternating_params(2)
+
+
+def _dimension_one_case(name, q, build, power, params):
+    return pytest.param(q, build, power, params, id=name)
+
+
+@pytest.mark.parametrize(
+    "q,build,power,params",
+    [
+        *(
+            _dimension_one_case(f"paley({q})", q, srg.paley_graph, 2, srg.conference_params((q - 1) // 4))
+            for q in (13, 25, 49, 81)
+        ),
+        _dimension_one_case(
+            "vls(2,5,1)", 16, lambda f: srg.vanlint_schrijver(2, 5, 1), 5, srg.vls_params(2, 5, 1)
+        ),
+        _dimension_one_case(
+            "vls(11,3,1)", 121, lambda f: srg.vanlint_schrijver(11, 3, 1), 3, srg.vls_params(11, 3, 1)
+        ),
+    ],
+)
+def test_dimension_one_builders_equal_cayley_graph(q, build, power, params):
+    field = _field(q)
+    powers = {field.pow(x, power) for x in range(1, q)}
+    oracle = srg.cayley_graph(algebra.additive_group(field), powers)
+    graph = build(field)
+    assert graph.rows == oracle.rows
+    assert srg.srg_check(graph) == params
+
+
+@pytest.mark.parametrize("q", [7, 11, 27, 343])
+def test_paley_tournament_equals_definition(q):
+    field = _field(q)
+    digraph = srg.paley_tournament(field)
+    assert digraph.rows == _predicate_rows(q, lambda x, y: _is_square(field, field.sub(y, x)))
+    assert digraph.is_tournament()
+
+
+# ---------------------------------------------------------------------------
+# The builders' connection-set certificate
+
+
+@pytest.mark.parametrize(
+    "n,dim,connection,expected",
+    [
+        (7, 1, {1, 2, 5, 6}, None),  # circulant C7(1, 2): lambda is 2 or 1
+        (2, 3, {1, 2, 4}, None),  # the 3-cube: lambda = 0 throughout, mu is 2 or 0
+        (5, 1, {1, 4}, (5, 2, 0, 1)),
+        (3, 2, {1, 2, 3, 6}, (9, 4, 1, 2)),  # the 3x3 grid
+        (2, 2, {1, 2, 3}, None),  # complete
+    ],
+)
+def test_cayley_certificate_agrees_with_srg_check(n, dim, connection, expected):
+    rows = srg._cayley_rows(n, dim, connection)
+    graph = srg.Graph._from_rows(len(rows), rows)
+    assert graph == srg.cayley_graph(algebra.make_elementary_abelian(n, dim), connection)
+    found = srg._cayley_certificate(rows)
+    assert (found and found.as_tuple()) == expected
+    assert srg.srg_check(graph) == found
+
+
+def test_cayley_certificate_grid_matches_builder():
+    assert srg._cayley_certificate(srg.grid_graph(3).rows) == srg.srg_check(srg.grid_graph(3))
+
+
+def test_builders_reject_a_wrong_closed_form(monkeypatch):
+    monkeypatch.setattr(srg, "conference_params", lambda t: srg.SrgParams(13, 6, 2, 3))
+    with pytest.raises(InternalError, match="certificate found \\(17, 8, 3, 4\\)"):
+        srg.paley_graph(algebra.make_field(17, 1))
+    monkeypatch.setattr(srg, "grid_params", lambda q: srg.SrgParams(9, 4, 1, 2))
+    with pytest.raises(InternalError, match="4x4 grid"):
+        srg.grid_graph(4)
+
+
+@pytest.mark.parametrize("residues", [{1, 2, 6}, {1, 2}])
+def test_paley_tournament_rejects_a_non_tournament(monkeypatch, residues):
+    # {1, 2, 6} meets its negatives in {1, 6}; {1, 2} misses half the pairs
+    monkeypatch.setattr(algebra.FiniteField, "nth_powers", lambda self, n: frozenset(residues))
+    with pytest.raises(InternalError, match="not a tournament"):
+        srg.paley_tournament(algebra.make_field(7, 1))
+
+
+def test_cayley_graph_rejects_an_asymmetric_connection_set():
+    with pytest.raises(InternalError, match="not symmetric"):
+        srg._cayley_graph(7, 1, {1, 2, 4}, srg.SrgParams(5, 2, 0, 1), "residues mod 7")
+    with pytest.raises(InternalError, match="not symmetric"):
+        srg._cayley_graph(5, 1, {0, 1, 4}, srg.SrgParams(5, 2, 0, 1), "with the identity")
