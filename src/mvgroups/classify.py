@@ -16,10 +16,9 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
-from .algebra import is_prime, is_prime_power, mult_order
+from .algebra import is_prime_power, mult_order
 from .core import (
     SWAP_STAR,
     SYMMETRIC_STAR,
@@ -29,7 +28,7 @@ from .core import (
     verify_axioms,
     verify_involutive,
 )
-from .errors import InputError
+from .errors import CapError, InputError
 from .srg import (
     VLS_EXCLUSIONS,
     SrgParams,
@@ -44,6 +43,11 @@ from .srg import (
     polar_plus_complement_params,
     vls_params,
 )
+
+ENUMERATE_CAP = 10**7
+
+# Entries of the prime-power table built by _prime_power_table.
+PRIME, PROPER_POWER = 1, 2
 
 FAMILIES = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "TABLE")
 
@@ -144,23 +148,40 @@ def _vls_admissible(p, c, t) -> bool:
     return vls_params(p, c, t).mu > 0
 
 
-def _primes(limit):
-    return [n for n in range(2, limit + 1) if is_prime(n)]
+def _prime_power_table(limit: int) -> bytearray:
+    """Sieve of Eratosthenes up to limit >= 1: entry n is PRIME for a
+    prime, PROPER_POWER for p**d with d >= 2, and 0 otherwise."""
+    table = bytearray([PRIME]) * (limit + 1)
+    table[0] = table[1] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if table[p] != PRIME:
+            continue
+        table[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+        power = p * p
+        while power <= limit:
+            table[power] = PROPER_POWER
+            power *= p
+    return table
 
 
-def _prime_powers(limit):
-    return [n for n in range(2, limit + 1) if is_prime_power(n) is not None]
-
-
-def enumerate_families(v_max: int) -> list[FamilyDescriptor]:
+def enumerate_families(v_max: int, cap: int = ENUMERATE_CAP) -> list[FamilyDescriptor]:
     """Every attainable descriptor with v <= v_max, in the lower-valency
     orientation, sorted by (params, family, witness).  Parameter sets
-    hit by several families are all emitted; see collisions()."""
+    hit by several families are all emitted; see collisions().
+
+    One prime-power table up to v_max, one byte per integer, serves
+    every family, so v_max is checked against cap before it is built."""
     if v_max < 4:
         raise InputError("v_max must be at least 4")
+    if v_max > cap:
+        raise CapError(f"v_max {v_max} exceeds the cap {cap}")
+    table = _prime_power_table(v_max)
+    root = isqrt(v_max)
+    primes = [n for n in range(2, root + 1) if table[n] == PRIME]
+    prime_powers = [n for n in range(2, root + 1) if table[n]]
     found: list[FamilyDescriptor] = []
 
-    for p in _primes(isqrt(v_max)):
+    for p in primes:
         total = 2
         while p**total <= v_max:
             for t in range(1, total):
@@ -170,19 +191,19 @@ def enumerate_families(v_max: int) -> list[FamilyDescriptor]:
                 )
             total += 1
 
-    for q in _prime_powers(isqrt(v_max)):
+    for q in prime_powers:
         found.append(_descriptor("II", grid_params(q), (("q", q),)))
 
-    t = 1
-    while 4 * t + 1 <= v_max:
-        if is_prime_power(4 * t + 1) is not None:
+    for v in range(5, v_max + 1, 4):
+        if table[v]:
+            t = v // 4
             found.append(_descriptor("III", conference_params(t), (("t", t),)))
-        t += 1
 
-    for c in _primes(v_max.bit_length() + 1):
-        if c == 2:
+    # c <= v_max.bit_length() + 1 <= v_max, so the table covers it.
+    for c in range(3, v_max.bit_length() + 2):
+        if table[c] != PRIME:
             continue
-        for p in _primes(isqrt(v_max)):
+        for p in primes:
             if p ** (c - 1) > v_max:
                 break
             t = 1
@@ -193,13 +214,13 @@ def enumerate_families(v_max: int) -> list[FamilyDescriptor]:
                     )
                 t += 1
 
-    for q in _prime_powers(isqrt(v_max)):
+    for q in prime_powers:
         e = 3
         while q ** (2 * e) <= v_max:
             found.append(_descriptor("V", bilinear_params(q, e), (("q", q), ("e", e))))
             e += 1
 
-    for q in _prime_powers(isqrt(v_max)):
+    for q in prime_powers:
         e = 2
         while q ** (2 * e) <= v_max:
             for eps, sign in ((1, "+"), (-1, "-")):
@@ -215,7 +236,7 @@ def enumerate_families(v_max: int) -> list[FamilyDescriptor]:
         found.append(_descriptor("VII", polar_plus_complement_params(e), (("e", e),)))
         e += 1
 
-    for q in _prime_powers(isqrt(v_max)):
+    for q in prime_powers:
         if q**10 <= v_max:
             found.append(_descriptor("VIII", alternating_params(q), (("q", q),)))
         if q**16 <= v_max:
@@ -282,8 +303,9 @@ def match_params(v: int, k: int, lam: int, mu: int) -> list[FamilyDescriptor]:
             if conference_params(t).as_tuple() == target:
                 out.append(FamilyDescriptor("III", target, (("t", t),)))
 
-        for c in _primes(d + 1):
-            if c == 2 or d % (c - 1):
+        table = _prime_power_table(d + 1)
+        for c in range(3, d + 2):
+            if table[c] != PRIME or d % (c - 1):
                 continue
             t = d // (c - 1)
             if _vls_admissible(p, c, t) and vls_params(p, c, t).as_tuple() == target:
@@ -453,11 +475,3 @@ def catalogue_csv(descriptors) -> str:
         v, k, lam, mu = desc.params
         writer.writerow([v, k, lam, mu, desc.family, desc.witness_str()])
     return buf.getvalue()
-
-
-def swap_ratio(g: MultivaluedGroup) -> Fraction:
-    """Reduced a/n of a swap-star order-3 group (helper for reports)."""
-    sig = signature(g)
-    if sig.kind != SWAP_STAR:
-        raise InputError("not a swap-star group")
-    return sig.ratios[0]

@@ -311,8 +311,9 @@ def _cmd_classify(args) -> int:
     return 0 if verdict.coset else 1
 
 
-def _cmd_enumerate(args) -> int:
-    descriptors = classify.enumerate_families(args.vmax)
+def _cmd_enumerate(args, cap) -> int:
+    cap = cap if cap is not None else classify.ENUMERATE_CAP
+    descriptors = classify.enumerate_families(args.vmax, cap=cap)
     chunks = []
     if args.json:
         data = {
@@ -375,7 +376,7 @@ def main(argv=None) -> int:
         if args.command == "classify":
             return _cmd_classify(args)
         if args.command == "enumerate":
-            return _cmd_enumerate(args)
+            return _cmd_enumerate(args, args.cap)
         raise InputError(f"unknown command {args.command!r}")
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,11 +2,12 @@
 order-3 coset decision."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from mvgroups import classify, core, srg
-from mvgroups.errors import InputError
+from mvgroups import algebra, classify, core, srg
+from mvgroups.errors import CapError, InputError
 
 from conftest import naive_prime_power, swap_coset_oracle
 
@@ -306,3 +307,103 @@ def test_round_trip_catalogue_4096():
         verdict = classify.classify_order3(g)
         assert verdict.coset, (desc, verdict.reason)
         assert desc.family in [m.family for m in verdict.matches], desc
+
+
+def _trial_division_catalogue(v_max):
+    """enumerate_families as it was written with trial division, kept
+    only as the oracle for the sieve."""
+
+    def primes(limit):
+        return [n for n in range(2, limit + 1) if algebra.is_prime(n)]
+
+    def prime_powers(limit):
+        return [n for n in range(2, limit + 1) if algebra.is_prime_power(n) is not None]
+
+    desc = classify._descriptor
+    found = []
+    for p in primes(isqrt(v_max)):
+        total = 2
+        while p**total <= v_max:
+            for t in range(1, total):
+                s = total - t
+                found.append(desc("I", srg.clique_union_params(p, t, s), (("p", p), ("t", t), ("s", s))))
+            total += 1
+    for q in prime_powers(isqrt(v_max)):
+        found.append(desc("II", srg.grid_params(q), (("q", q),)))
+    t = 1
+    while 4 * t + 1 <= v_max:
+        if algebra.is_prime_power(4 * t + 1) is not None:
+            found.append(desc("III", srg.conference_params(t), (("t", t),)))
+        t += 1
+    for c in primes(v_max.bit_length() + 1):
+        if c == 2:
+            continue
+        for p in primes(isqrt(v_max)):
+            if p ** (c - 1) > v_max:
+                break
+            t = 1
+            while p ** ((c - 1) * t) <= v_max:
+                if classify._vls_admissible(p, c, t):
+                    found.append(desc("IV", srg.vls_params(p, c, t), (("p", p), ("c", c), ("t", t))))
+                t += 1
+    for q in prime_powers(isqrt(v_max)):
+        e = 3
+        while q ** (2 * e) <= v_max:
+            found.append(desc("V", srg.bilinear_params(q, e), (("q", q), ("e", e))))
+            e += 1
+    for q in prime_powers(isqrt(v_max)):
+        e = 2
+        while q ** (2 * e) <= v_max:
+            for eps, sign in ((1, "+"), (-1, "-")):
+                if (q, eps) != (2, 1):
+                    found.append(desc("VI", srg.polar_params(q, e, eps), (("q", q), ("e", e), ("eps", sign))))
+            e += 1
+    e = 2
+    while 2 ** (2 * e) <= v_max:
+        found.append(desc("VII", srg.polar_plus_complement_params(e), (("e", e),)))
+        e += 1
+    for q in prime_powers(isqrt(v_max)):
+        if q**10 <= v_max:
+            found.append(desc("VIII", srg.alternating_params(q), (("q", q),)))
+        if q**16 <= v_max:
+            found.append(desc("IX", srg.halfspin_params(q), (("q", q),)))
+    for row, (v, k, lam, mu) in enumerate(classify.SPORADIC_TABLE, start=1):
+        if v <= v_max:
+            found.append(desc("TABLE", srg.SrgParams(v, k, lam, mu), (("row", row),)))
+    found.sort(key=lambda d: (d.params, classify.FAMILIES.index(d.family), d.witness_str()))
+    return found
+
+
+def test_prime_power_table_matches_trial_division():
+    table = classify._prime_power_table(10**5)
+    assert len(table) == 10**5 + 1 and table[0] == table[1] == 0
+    for n in range(2, 10**5 + 1):
+        pp = algebra.is_prime_power(n)
+        if pp is None:
+            assert table[n] == 0, n
+        else:
+            assert table[n] == (classify.PRIME if pp[1] == 1 else classify.PROPER_POWER), n
+
+
+@pytest.mark.parametrize("v_max", [4, 5, 8, 9, 13, 16, 25, 27, 32, 49, 64, 1024, 4096, 4097, 10**5])
+def test_enumerate_matches_trial_division_reference(v_max):
+    assert classify.enumerate_families(v_max) == _trial_division_catalogue(v_max)
+
+
+def test_enumerate_makes_no_trial_division_call(monkeypatch):
+    expected = classify.enumerate_families(10**4)
+
+    def forbidden(*args):
+        raise AssertionError("trial division called")
+
+    for module in (algebra, classify, srg):
+        for name in ("is_prime", "is_prime_power"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert classify.enumerate_families(10**4) == expected
+
+
+def test_enumerate_cap():
+    with pytest.raises(CapError):
+        classify.enumerate_families(2000, cap=1000)
+    assert classify.enumerate_families(2000, cap=2000) == classify.enumerate_families(2000)

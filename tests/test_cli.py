@@ -1,12 +1,13 @@
 """Command dispatch, file formats, exit codes, and determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from mvgroups import algebra, cli, core
+from mvgroups import algebra, classify, cli, core
 
 
 def run_cli(capsys, *argv, stdin_text=None, monkeypatch=None):
@@ -261,6 +262,41 @@ def test_enumerate_vmax_too_small(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--vmax", "3")
     assert code == 3
     assert "v_max" in err
+
+
+# sha256 of the seed program's enumerate output: the catalogue must stay
+# byte-identical whatever the enumeration does inside.
+ENUMERATE_DIGESTS = {
+    ("100",): "dc9dd9bf9b9beaa20b774c2330470fb0f0916762a503fe0549c0e0c7039e4b55",
+    ("100", "--collisions"): "3060bbc24033eba81d2896c62ec90d20b50f4711aa6f79bf5532b541ac634245",
+    ("1000000", "--csv", "--collisions"): "7904735452d5f552c8992955354c06163c19d1f8c0b2ba5473a8905507113f82",
+    ("1000000", "--json"): "ae0ddd5f593a28cfafcdc308c5fdb5b93c486a15df68e1a09b78513a2258b74a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ENUMERATE_DIGESTS), ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_enumerate_output_digest(capsys, argv):
+    code, out, _ = run_cli(capsys, "enumerate", "--vmax", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ENUMERATE_DIGESTS[argv]
+
+
+def test_enumerate_cap(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "enumerate", "--vmax", "2000", "--cap", "1000")
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run_cli(capsys, "enumerate", "--vmax", "2000", "--cap", "2000")[0] == 0
+
+    def unreachable(limit):
+        raise AssertionError(f"sieve of {limit} allocated")
+
+    # The default cap rejects before the sieve is allocated and admits
+    # v_max up to and including itself.
+    monkeypatch.setattr(classify, "_prime_power_table", unreachable)
+    code, _, err = run_cli(capsys, "enumerate", "--vmax", str(classify.ENUMERATE_CAP + 1))
+    assert code == 4 and "cap" in err
+    with pytest.raises(AssertionError, match="sieve"):
+        classify.enumerate_families(classify.ENUMERATE_CAP)
 
 
 def test_build_graph_vls_cli(capsys):
