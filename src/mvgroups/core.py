@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import AxiomError, InputError
 
@@ -96,10 +95,14 @@ class MultivaluedGroup:
 
         rows = []
         for x, plane in enumerate(table):
+            if not isinstance(plane, (list, tuple)):
+                raise InputError(f"table row block {x} is not a list")
             if len(plane) != order:
                 raise InputError(f"table row block {x} has length {len(plane)}, expected {order}")
             plane_rows = []
             for y, row in enumerate(plane):
+                if not isinstance(row, (list, tuple)):
+                    raise InputError(f"table row ({x},{y}) is not a list")
                 if len(row) != order:
                     raise InputError(f"table row ({x},{y}) has length {len(row)}, expected {order}")
                 total = 0
@@ -113,6 +116,8 @@ class MultivaluedGroup:
             rows.append(tuple(plane_rows))
 
         star = tuple(star)
+        if any(isinstance(s, bool) or not isinstance(s, int) for s in star):
+            raise InputError("star entries must be integer element indices")
         if sorted(star) != list(range(order)):
             raise InputError("star is not a permutation of the element indices")
         for x in range(order):
@@ -515,36 +520,65 @@ def signature(g: MultivaluedGroup) -> Signature:
 
 
 def are_isomorphic(g1: MultivaluedGroup, g2: MultivaluedGroup):
-    """Return an identity-preserving bijection with equal multiplicity
-    ratios m/n on every triple, or None if none exists.
+    """Return the lexicographically first identity-preserving bijection
+    with equal multiplicity ratios m/n on every triple, or None if none
+    exists.
 
-    Involutive order-3 pairs are first screened by signature equality;
-    the general case searches all identity-preserving bijections.
+    The search maps the nonidentity elements of g1 in index order to
+    unused elements of g2 in increasing index order, and extends a
+    partial map only while every triple of mapped elements agrees.  A
+    failing partial map fails every completion, so the first complete
+    map is the first bijection in lexicographic order that passes the
+    full check.  The triple (e, e, e) is never compared: row e*e sums
+    to n on both sides, so it agrees once the rest of that row does.
     """
     if g1.order != g2.order:
         return None
-    if g1.order == 3:
-        if verify_involutive(g1).involutive and verify_involutive(g2).involutive:
-            if signature(g1) != signature(g2):
-                return None
     o, n1, n2 = g1.order, g1.n, g2.n
     t1, t2 = g1.table, g2.table
-    rest1 = [i for i in range(o) if i != g1.identity]
-    rest2 = [i for i in range(o) if i != g2.identity]
-    indices = range(o)
-    for image in permutations(rest2):
-        f = [0] * o
-        f[g1.identity] = g2.identity
-        for src, dst in zip(rest1, image):
-            f[src] = dst
-        if all(
-            t1[x][y][z] * n2 == t2[f[x]][f[y]][f[z]] * n1
-            for x in indices
-            for y in indices
-            for z in indices
-        ):
-            return tuple(f)
-    return None
+    e1, e2 = g1.identity, g2.identity
+    rest = [a for a in range(o) if a != e1]
+    f = [None] * o
+    f[e1] = e2
+    mapped = [e1]  # f is defined exactly here
+    free = [b != e2 for b in range(o)]
+
+    def agrees(a):
+        # every mapped triple with a in some position; a is in mapped
+        fa = f[a]
+        ta, ua = t1[a], t2[fa]
+        for x in mapped:
+            fx = f[x]
+            tax, uax = ta[x], ua[fx]
+            txa, uxa = t1[x][a], t2[fx][fa]
+            tx, ux = t1[x], t2[fx]
+            for y in mapped:
+                fy = f[y]
+                if (
+                    tax[y] * n2 != uax[fy] * n1
+                    or txa[y] * n2 != uxa[fy] * n1
+                    or tx[y][a] * n2 != ux[fy][fa] * n1
+                ):
+                    return False
+        return True
+
+    def extend(depth):
+        if depth == len(rest):
+            return True
+        a = rest[depth]
+        mapped.append(a)
+        for b in range(o):
+            if free[b]:
+                f[a] = b
+                if agrees(a):
+                    free[b] = False
+                    if extend(depth + 1):
+                        return True
+                    free[b] = True
+        mapped.pop()
+        return False
+
+    return tuple(f) if extend(0) else None
 
 
 def to_json_dict(g: MultivaluedGroup) -> dict:
@@ -575,9 +609,9 @@ def from_json_dict(data) -> MultivaluedGroup:
         table = data["table"]
     except KeyError as missing:
         raise InputError(f"missing field {missing} in multivalued-group document") from None
-    if not isinstance(elements, list):
-        raise InputError('"elements" must be a list of names')
-    if not isinstance(n, int) or not isinstance(identity, int):
+    if not isinstance(elements, list) or not isinstance(star, list) or not isinstance(table, list):
+        raise InputError('"elements", "star" and "table" must be lists')
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, identity)):
         raise InputError('"n" and "identity" must be integers')
     if len(table) != len(elements) or len(star) != len(elements):
         raise InputError("table/star dimensions do not match the element list")

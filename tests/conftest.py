@@ -134,6 +134,19 @@ def ratio_isomorphism_holds(g1, g2, f) -> bool:
     return True
 
 
+def relabel(g, perm, factor=1):
+    """The group with element x renamed perm[x] and every entry scaled."""
+    o = g.order
+    table = [[[0] * o for _ in range(o)] for _ in range(o)]
+    star = [0] * o
+    for x in range(o):
+        star[perm[x]] = perm[g.star[x]]
+        for y in range(o):
+            for z in range(o):
+                table[perm[x]][perm[y]][perm[z]] = g.table[x][y][z] * factor
+    return core.MultivaluedGroup(g.n * factor, perm[g.identity], star, table)
+
+
 # ---------------------------------------------------------------------------
 # Number-theoretic oracles
 
@@ -201,6 +214,14 @@ def unit_multiplier_action(field: algebra.FiniteField):
     return group, algebra.close_action(
         group, [algebra.multiplier_automorphism(field, field.generator)]
     )
+
+
+def multiplier_coset(p, d):
+    """Coset group of Z_p under the multipliers of order d: order (p-1)/d + 1."""
+    field = algebra.make_field(p, 1)
+    group = algebra.additive_group(field)
+    u = field.pow(field.generator, (p - 1) // d)
+    return algebra.coset_group(group, algebra.close_action(group, [algebra.multiplier_automorphism(field, u)]))
 
 
 def invertible_matrices(p: int, d: int):

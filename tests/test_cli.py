@@ -9,6 +9,8 @@ import pytest
 
 from mvgroups import algebra, classify, cli, core
 
+from conftest import multiplier_coset, relabel
+
 
 def run_cli(capsys, *argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
@@ -316,3 +318,65 @@ def test_build_srg_degenerate_params_exit_3(capsys):
     code, _, err = run_cli(capsys, "build", "srg", "6", "3", "2", "0")
     assert code == 3
     assert "complement" in err
+
+
+def test_iso_relabelled_order9_output(capsys, tmp_path):
+    # The search returns the lexicographically first ratio isomorphism;
+    # this pair has several, so the exact mapping is pinned.
+    g = multiplier_coset(17, 2)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(core.dumps(g))
+    b.write_text(core.dumps(relabel(g, [4, 7, 0, 2, 8, 1, 6, 3, 5], 2)))
+    code, out, _ = run_cli(capsys, "iso", str(a), str(b))
+    assert code == 0
+    assert out == "isomorphic: e->e, x1->x0, x2->x8, x3->x6, x4->x5, x5->x3, x6->x1, x7->x2, x8->x7\n"
+    code, out, _ = run_cli(capsys, "iso", str(a), str(b), "--json")
+    assert code == 0
+    assert out == '{"isomorphic": true, "bijection": [4, 0, 8, 6, 5, 3, 1, 2, 7]}\n'
+
+
+_TRIVIAL_MVG = {"format": "mvg-v1", "n": 1, "elements": ["e"], "identity": 0, "star": [0], "table": [[[1]]]}
+_XK1_MVG = core.to_json_dict(core.build_xk(1))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(_XK1_MVG, table=5),
+        dict(_XK1_MVG, star=5),
+        dict(_TRIVIAL_MVG, table=[5]),
+        dict(_TRIVIAL_MVG, table=[[5]]),
+        dict(_XK1_MVG, star=[0, "2", 1]),
+        dict(_TRIVIAL_MVG, n=True),
+    ],
+    ids=["table-int", "star-int", "plane-int", "row-int", "star-string-entry", "bool-n"],
+)
+@pytest.mark.parametrize("command", ["verify", "iso"])
+def test_malformed_mvg_is_exit_3(capsys, tmp_path, doc, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] + ([str(path)] if command == "iso" else [])
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{f}"],
+        ["iso", "{f}", "{f}"],
+        ["classify", "--file", "{f}"],
+        ["build", "graph", "complement", "{f}"],
+        ["build", "coset", "--group", "{f}", "--action", "{f}"],
+    ],
+    ids=lambda argv: argv[0] if argv[0] != "build" else "-".join(argv[:2]),
+)
+def test_non_utf8_file_is_exit_3(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"format": "mvg-v1", "elements": ["\xe9"]}'.encode("latin-1"))
+    code = cli.main([arg.format(f=path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,14 +1,16 @@
 """Multiplicity tables, axiom verification, order-3 builders,
 signatures, and isomorphism."""
 
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from mvgroups import core
 from mvgroups.errors import AxiomError, InputError
 
-from conftest import assoc_by_expansion, ratio_isomorphism_holds
+from conftest import assoc_by_expansion, multiplier_coset, ratio_isomorphism_holds, relabel
 
 
 def cyclic3_table():
@@ -391,3 +393,169 @@ def test_signature_tiebreak_on_equal_diagonal_ratios():
     assert core.signature(g1).ratios == (Fraction(1, 8), Fraction(1, 8), Fraction(1, 2))
     f = core.are_isomorphic(g1, g2)
     assert f == (0, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# are_isomorphic against an exhaustive reference search
+
+
+def permutation_search(g1, g2):
+    """Reference search: every identity-preserving bijection in
+    lexicographic order, after the order-3 signature screen."""
+    if g1.order != g2.order:
+        return None
+    if g1.order == 3:
+        if core.verify_involutive(g1).involutive and core.verify_involutive(g2).involutive:
+            if core.signature(g1) != core.signature(g2):
+                return None
+    o, n1, n2 = g1.order, g1.n, g2.n
+    t1, t2 = g1.table, g2.table
+    rest1 = [i for i in range(o) if i != g1.identity]
+    rest2 = [i for i in range(o) if i != g2.identity]
+    indices = range(o)
+    for image in permutations(rest2):
+        f = [0] * o
+        f[g1.identity] = g2.identity
+        for src, dst in zip(rest1, image):
+            f[src] = dst
+        if all(
+            t1[x][y][z] * n2 == t2[f[x]][f[y]][f[z]] * n1
+            for x in indices
+            for y in indices
+            for z in indices
+        ):
+            return tuple(f)
+    return None
+
+
+def one_valued(elements, mul):
+    """An ordinary finite group as a 1-valued table."""
+    index = {a: i for i, a in enumerate(elements)}
+    o = len(elements)
+    prod = [[index[mul(a, b)] for b in elements] for a in elements]
+    identity = next(i for i in range(o) if prod[i] == list(range(o)))
+    table = [[[int(z == prod[x][y]) for z in range(o)] for y in range(o)] for x in range(o)]
+    star = [prod[x].index(identity) for x in range(o)]
+    return core.MultivaluedGroup(1, identity, star, table)
+
+
+def hamilton(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def isomorphism_pool():
+    """Groups of order <= 8: coset groups of Z_p, order-3 builders, and
+    ordinary groups as 1-valued tables."""
+    units = [tuple(s if i == j else 0 for i in range(4)) for j in range(4) for s in (1, -1)]
+    xk1 = core.build_xk(1)
+    pool = {
+        "Z8": one_valued(range(8), lambda a, b: (a + b) % 8),
+        "Q8": one_valued(units, hamilton),
+        "Z4": one_valued(range(4), lambda a, b: (a + b) % 4),
+        "Z2^2": one_valued(range(4), lambda a, b: a ^ b),
+        "petersen": core.build_type1(6, 2, 1, 0),
+        "type1(6,1,1,2)": core.build_type1(6, 1, 1, 2),
+        "type1(8,1,1,2)": core.build_type1(8, 1, 1, 2),
+        "xk(1)": xk1,
+        # a declared star the table does not bear out: the table still
+        # matches xk(1) under the identity map
+        "xk(1) identity star": core.MultivaluedGroup(3, 0, (0, 1, 2), xk1.table),
+    }
+    for p, d in ((7, 2), (13, 4), (19, 6), (13, 3), (17, 4), (11, 2), (31, 6), (41, 8),
+                 (13, 2), (19, 3)):
+        pool[f"Z{p}/{d}"] = multiplier_coset(p, d)
+    # Two entries of m[1][6] swapped: under the identity map only the
+    # triples (1, 6, z) disagree.
+    g = pool["Z13/2"]
+    table = [[list(row) for row in plane] for plane in g.table]
+    table[1][6][4], table[1][6][5] = table[1][6][5], table[1][6][4]
+    pool["Z13/2 swapped"] = core.MultivaluedGroup(g.n, g.identity, g.star, table)
+    return pool
+
+
+POOL = isomorphism_pool()
+
+
+def test_are_isomorphic_matches_permutation_search_on_relabellings():
+    rng = random.Random(4)
+    for name, g in POOL.items():
+        for _ in range(2):
+            perm = rng.sample(range(g.order), g.order)
+            h = relabel(g, perm, rng.choice((1, 2, 3)))
+            f = core.are_isomorphic(g, h)
+            assert f is not None and ratio_isomorphism_holds(g, h, f), name
+            assert f == permutation_search(g, h), name
+
+
+def test_are_isomorphic_matches_permutation_search_on_equal_orders():
+    # one direction per pair: a negative costs the permutation search
+    # every bijection, about 0.1 s at order 8
+    for a, b in combinations(sorted(POOL), 2):
+        g, h = POOL[a], POOL[b]
+        if g.order == h.order:
+            assert core.are_isomorphic(g, h) == permutation_search(g, h), (a, b)
+    assert core.are_isomorphic(POOL["Z8"], POOL["Q8"]) is None
+    assert core.are_isomorphic(POOL["xk(1) identity star"], POOL["xk(1)"]) == (0, 1, 2)
+
+
+def test_are_isomorphic_order11_negative():
+    # Swapping two rows of one plane keeps every row, column and diagonal
+    # multiset; the permutation search tried all 10! bijections here.
+    # The coset group is commutative and the swapped table is not, which
+    # proves that no isomorphism exists.
+    g = multiplier_coset(31, 3)
+    table = [[list(row) for row in plane] for plane in g.table]
+    table[1][2], table[1][3] = table[1][3], table[1][2]
+    h = core.MultivaluedGroup(g.n, g.identity, g.star, table)
+    assert g.order == 11
+
+    def commutative(k):
+        return all(k.table[x][y] == k.table[y][x] for x in range(k.order) for y in range(k.order))
+
+    assert commutative(g) and not commutative(h)
+    assert core.are_isomorphic(g, h) is None
+    assert core.are_isomorphic(h, g) is None
+
+
+def test_are_isomorphic_order15_relabelled():
+    g = multiplier_coset(43, 3)
+    assert g.order == 15
+    rng = random.Random(15)
+    h = relabel(g, rng.sample(range(15), 15), 2)
+    f = core.are_isomorphic(g, h)
+    assert f is not None and ratio_isomorphism_holds(g, h, f)
+    back = core.are_isomorphic(h, g)
+    assert back is not None and ratio_isomorphism_holds(h, g, back)
+
+
+def test_are_isomorphic_agrees_with_signature_on_order3():
+    # For involutive order-3 groups the signature decides isomorphism,
+    # so the search needs no separate signature screen.
+    groups = []
+    for n in range(1, 9):
+        for m1 in range(1, n + 1):
+            for m2 in range(1, n + 1):
+                for a in range(n):
+                    try:
+                        groups.append(core.build_type1(n, m1, m2, a))
+                    except (AxiomError, InputError):
+                        pass
+        for a in range(n // 2 + 1):
+            try:
+                groups.append(core.build_type2(n, a))
+            except (AxiomError, InputError):
+                pass
+    assert len(groups) > 100
+    signatures = [core.signature(g) for g in groups]
+    for g, sg in zip(groups, signatures):
+        for h, sh in zip(groups, signatures):
+            f = core.are_isomorphic(g, h)
+            assert (f is not None) == (sg == sh)
+            assert f is None or ratio_isomorphism_holds(g, h, f)
