@@ -44,12 +44,12 @@ def _load_mvg(path: str) -> core.MultivaluedGroup:
     return core.loads(_read(path))
 
 
-def _load_graph(path: str):
+def _load_graph(path: str, cap: int):
     text = _read(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return srg.graph_loads(text)
-    return srg.graph_from_edge_list(text)
+        return srg.graph_loads(text, cap)
+    return srg.graph_from_edge_list(text, cap)
 
 
 def _json_line(data) -> str:
@@ -195,7 +195,7 @@ def _build_graph(args, cap: int):
     if name == "complement":
         if len(raw) != 1:
             raise InputError("expected complement FILE")
-        graph = _load_graph(raw[0])
+        graph = _load_graph(raw[0], cap)
         if isinstance(graph, srg.DirectedGraph):
             raise InputError("complement is defined for undirected graphs only")
         return srg.complement(graph)

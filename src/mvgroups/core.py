@@ -358,9 +358,13 @@ def check_reciprocity(g: MultivaluedGroup) -> bool:
     Requires an involutive group (the identity is stated in terms of the
     diagonal multiplicities m(x)).
     """
-    inv = verify_involutive(g)
-    if not inv.involutive:
+    if not verify_involutive(g).involutive:
         raise InputError("reciprocity is only defined for involutive groups")
+    return _reciprocity_holds(g)
+
+
+def _reciprocity_holds(g: MultivaluedGroup) -> bool:
+    """check_reciprocity for a group already known to be involutive."""
     t, star, o = g.table, g.star, g.order
     diag = [g.m(x) for x in range(o)]
     for x in range(o):
@@ -376,11 +380,11 @@ def verify_all(g: MultivaluedGroup) -> AxiomReport:
 
     Reciprocity is only evaluated when the group is involutive (its
     statement needs the diagonal multiplicities); otherwise the flag is
-    left None.
+    left None.  verify_involutive runs once.
     """
     report = verify_axioms(g).merge(verify_involutive(g))
     if report.involutive:
-        holds = check_reciprocity(g)
+        holds = _reciprocity_holds(g)
         report.reciprocity_holds = holds
         if not holds:
             report.counterexamples.append(("reciprocity", ()))

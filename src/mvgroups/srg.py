@@ -2,13 +2,16 @@
 intersection-number algebra, the order-3 multivalued group attached to a
 parameter set, and the constructible graph families.
 
-Adjacency is stored as one Python int bitset per vertex, which keeps the
-common-neighbour count for half a million vertex pairs to a bitwise AND
-plus a popcount.  srg_check counts every pair and is the check for any
-graph.  Every family is a Cayley graph on Z_n^N; its builder translates
-row 0 to get the other rows and certifies strong regularity from the
-connection set alone (translation invariance leaves only the v-1 pairs
-(0, d) to count), against the closed-form parameters, before returning.
+Adjacency is stored as one Python int bitset per vertex.  srg_check
+counts the common neighbours of every vertex pair and is the check for
+any graph.  With numpy it packs blocks of rows into 64-bit words and
+counts a whole pair of blocks at once (AND, popcount, sum over the
+words), exactly and in a fixed amount of scratch memory; without numpy
+it takes one bitwise AND plus a popcount per pair.  Every family is a
+Cayley graph on Z_n^N; its builder translates row 0 to get the other
+rows and certifies strong regularity from the connection set alone
+(translation invariance leaves only the v-1 pairs (0, d) to count),
+against the closed-form parameters, before returning.
 """
 
 from __future__ import annotations
@@ -20,6 +23,13 @@ from math import isqrt, lcm
 from .algebra import FiniteField, FiniteGroup, is_prime, is_prime_power, make_field, mult_order
 from .core import MultivaluedGroup, verify_axioms, verify_involutive
 from .errors import CapError, InputError, InternalError
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is an optional accelerator
+    _np = None
+if _np is not None and not hasattr(_np, "bitwise_count"):  # numpy < 2.0
+    _np = None
 
 GRAPH_CAP = 4096
 GRAPH_FORMAT = "graph-v1"
@@ -159,6 +169,12 @@ class SrgParams:
         return (self.v, self.k, self.lam, self.mu)
 
 
+# srg_check's numpy kernel holds at most this many bytes of scratch at
+# once: the words of two blocks of rows and the per-pair counts of one
+# pair of blocks.
+_SCRATCH_BYTES = 512 * 1024
+
+
 def srg_check(graph: Graph):
     """Count common neighbours of every pair; return the (v,k,lambda,mu)
     certificate if they are constant on the equal/adjacent/non-adjacent
@@ -172,6 +188,14 @@ def srg_check(graph: Graph):
         return None
     if k == 0 or k == v - 1:
         return None
+    found = _pair_counts_bitset(rows) if _np is None else _pair_counts_blocked(rows)
+    return None if found is None else SrgParams(v, k, *found)
+
+
+def _pair_counts_bitset(rows):
+    """(lambda, mu) from one AND and popcount per pair x < y, or None at
+    the first pair that disagrees."""
+    v = len(rows)
     lam = mu = None
     for x in range(v):
         rx = rows[x]
@@ -187,7 +211,89 @@ def srg_check(graph: Graph):
                     mu = common
                 elif mu != common:
                     return None
-    return SrgParams(v, k, lam, mu)
+    return lam, mu
+
+
+def _block_rows(v: int, words: int) -> int:
+    """Rows per block so that one call's scratch fits _SCRATCH_BYTES.
+
+    Per pair of rows: one word ANDed (8 bytes) and popcounted (1 byte),
+    plus 13 bytes of counts and masks.  Per row, 8 * words bytes for each
+    packed copy: three while the AND runs (block i as bytes and
+    transposed, block j transposed), when numpy also buffers the two
+    broadcast inputs (bufsize elements of 8 bytes each), and five while
+    block j is packed.  Only past about 800,000 vertices does a single
+    row outgrow the budget; b is then 1.
+    """
+    buffers = 2 * 8 * _np.getbufsize()
+    b = min(v, isqrt(_SCRATCH_BYTES // 22))
+    while b > 1:
+        pairs = 22 * b * b
+        row = 8 * words * b
+        if max(pairs + 3 * row + buffers, pairs + 5 * row) <= _SCRATCH_BYTES:
+            break
+        b -= 1
+    return b
+
+
+def _pair_counts_blocked(rows):
+    """(lambda, mu) as _pair_counts_bitset gives them, counted a pair of
+    vertex blocks (i, j >= i) at a time.
+
+    A block is b rows packed into W = ceil(v/64) little-endian 64-bit
+    words and transposed to (W, b).  The common-neighbour counts of the
+    block pair are the sums over the W words of popcount(row x & row y).
+    The bits of block j's vertices in the rows of block i say which pairs
+    are adjacent; on a diagonal block only x < y counts.  Every scratch
+    view is contiguous, so that numpy buffers no output.
+    """
+    np = _np
+    v = len(rows)
+    words = (v + 63) // 64
+    nbytes = 8 * words
+    b = _block_rows(v, words)
+    anded = np.empty(b * b, np.uint64)
+    popcounts = np.empty(b * b, np.uint8)
+    common = np.empty(b * b, np.int32)
+    upper = np.triu(np.ones((b, b), bool), 1)
+
+    def packed(lo):
+        data = b"".join(row.to_bytes(nbytes, "little") for row in rows[lo : lo + b])
+        return np.frombuffer(data, "<u8").reshape(-1, words)
+
+    found = [None, None]  # lambda, mu
+    for lo_i in range(0, v, b):
+        rows_i = packed(lo_i)
+        bits_i = rows_i.view(np.uint8)
+        cols_i = rows_i.T.copy()
+        ni = len(rows_i)
+        for lo_j in range(lo_i, v, b):
+            cols_j = cols_i if lo_j == lo_i else packed(lo_j).T.copy()
+            nj = cols_j.shape[1]
+            anded_ij = anded[: ni * nj].reshape(ni, nj)
+            popcounts_ij = popcounts[: ni * nj].reshape(ni, nj)
+            counts = common[: ni * nj].reshape(ni, nj)
+            counts.fill(0)
+            for word_i, word_j in zip(cols_i, cols_j):
+                np.bitwise_and(word_i[:, None], word_j[None, :], out=anded_ij)
+                counts += np.bitwise_count(anded_ij, out=popcounts_ij)
+            first = lo_j // 8
+            shift = lo_j - 8 * first
+            adjacent = np.unpackbits(
+                bits_i[:, first : (lo_j + nj + 7) // 8], axis=1, bitorder="little"
+            )[:, shift : shift + nj].view(bool)
+            non_adjacent = ~adjacent
+            if lo_j == lo_i:
+                adjacent &= upper[:ni, :nj]
+                non_adjacent &= upper[:ni, :nj]
+            for which, mask in enumerate((adjacent, non_adjacent)):
+                low = int(counts.min(initial=v, where=mask))
+                if low == v:  # no pair of this kind in the block pair
+                    continue
+                if low != counts.max(initial=0, where=mask) or found[which] not in (None, low):
+                    return None
+                found[which] = low
+    return tuple(found)
 
 
 def complement(graph: Graph) -> Graph:
@@ -428,6 +534,12 @@ def halfspin_params(q: int) -> SrgParams:
 # Family builders
 
 
+def _check_graph_size(v: int, cap: int) -> None:
+    """Refuse a vertex count above the cap before any row is allocated."""
+    if v > cap:
+        raise CapError(f"graph size {v} exceeds the cap {cap}")
+
+
 def paley_graph(field: FiniteField) -> Graph:
     """Quadratic-residue difference graph; needs q = 1 mod 4 so that -1
     is a square and adjacency is symmetric."""
@@ -462,8 +574,7 @@ def clique_union(p: int, t: int, s: int, cap: int = GRAPH_CAP) -> Graph:
     if t < 1 or s < 1:
         raise InputError("need t >= 1 and s >= 1")
     v = p ** (t + s)
-    if v > cap:
-        raise CapError(f"graph size {v} exceeds the cap {cap}")
+    _check_graph_size(v, cap)
     # blocks are the cosets of the subgroup Z_p^t of the low t digits
     return _cayley_graph(p, t + s, range(1, p**t), clique_union_params(p, t, s), "clique union")
 
@@ -473,8 +584,7 @@ def grid_graph(q: int, cap: int = GRAPH_CAP) -> Graph:
     if q < 2:
         raise InputError("grid needs q >= 2")
     v = q * q
-    if v > cap:
-        raise CapError(f"graph size {v} exceeds the cap {cap}")
+    _check_graph_size(v, cap)
     # cell r*q + c is (c, r) in Z_q^2; q need not be a prime power
     conn = [*range(1, q), *range(q, v, q)]
     return _cayley_graph(q, 2, conn, grid_params(q), f"{q}x{q} grid")
@@ -500,8 +610,7 @@ def vanlint_schrijver(p: int, c: int, t: int, cap: int = GRAPH_CAP) -> Graph:
     if (p, c, t) in VLS_EXCLUSIONS:
         raise InputError(f"tuple ({p}, {c}, {t}) is excluded (duplicates another family)")
     v = p ** ((c - 1) * t)
-    if v > cap:
-        raise CapError(f"graph size {v} exceeds the cap {cap}")
+    _check_graph_size(v, cap)
     field = make_field(p, (c - 1) * t, cap=cap)
     return _cayley_graph(
         p, field.s, field.nth_powers(c), vls_params(p, c, t), f"cyclotomic graph ({p}, {c}, {t})"
@@ -542,8 +651,7 @@ def _polar_connection(q: int, e: int, eps: int, cap: int):
     if pp is None:
         raise InputError(f"{q} is not a prime power")
     v = q ** (2 * e)
-    if v > cap:
-        raise CapError(f"graph size {v} exceeds the cap {cap}")
+    _check_graph_size(v, cap)
     field = make_field(*pp, cap=max(q, 2))
     dim = 2 * e
     hyperbolic_planes = e if eps == 1 else e - 1
@@ -587,8 +695,7 @@ def affine_polar_plus_complement(e: int, cap: int = GRAPH_CAP) -> Graph:
     """Complement of the hyperbolic binary polar graph over GF(2)."""
     if e < 2:
         raise InputError("need e >= 2")
-    if 2 ** (2 * e) > cap:
-        raise CapError(f"graph size {2 ** (2 * e)} exceeds the cap {cap}")
+    _check_graph_size(2 ** (2 * e), cap)
     _, zeros = _polar_connection(2, e, 1, cap)
     conn = set(range(1, 4**e)).difference(zeros)
     return _cayley_graph(2, 2 * e, conn, polar_plus_complement_params(e), f"polar complement (e={e})")
@@ -602,8 +709,7 @@ def bilinear_forms_graph(q: int, e: int, cap: int = GRAPH_CAP) -> Graph:
     if pp is None:
         raise InputError(f"{q} is not a prime power")
     v = q ** (2 * e)
-    if v > cap:
-        raise CapError(f"graph size {v} exceeds the cap {cap}")
+    _check_graph_size(v, cap)
     field = make_field(*pp, cap=max(q, 2))
     dim = 2 * e
 
@@ -661,8 +767,7 @@ def alternating_forms_graph(q: int, cap: int = GRAPH_CAP) -> Graph:
     if pp is None:
         raise InputError(f"{q} is not a prime power")
     v = q**10
-    if v > cap:
-        raise CapError(f"graph size {v} exceeds the cap {cap}")
+    _check_graph_size(v, cap)
     field = make_field(*pp, cap=max(q, 2))
     conn = [
         idx
@@ -693,7 +798,7 @@ def graph_dumps(graph) -> str:
     return json.dumps(graph_to_json_dict(graph)) + "\n"
 
 
-def graph_from_json_dict(data):
+def graph_from_json_dict(data, cap: int = GRAPH_CAP):
     if not isinstance(data, dict) or data.get("format") != GRAPH_FORMAT:
         raise InputError(f'expected "format": "{GRAPH_FORMAT}"')
     try:
@@ -702,6 +807,7 @@ def graph_from_json_dict(data):
         raise InputError(f"missing field {missing} in graph document") from None
     if isinstance(v, bool) or not isinstance(v, int):
         raise InputError(f'"v" must be an integer, got {v!r}')
+    _check_graph_size(v, cap)
     cls = DirectedGraph if data.get("directed") else Graph
     try:
         return cls(v, [tuple(e) for e in edges])
@@ -709,14 +815,14 @@ def graph_from_json_dict(data):
         raise InputError("every edge must be a pair of integer vertex indices") from None
 
 
-def graph_loads(text: str):
+def graph_loads(text: str, cap: int = GRAPH_CAP):
     try:
-        return graph_from_json_dict(json.loads(text))
+        return graph_from_json_dict(json.loads(text), cap)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from None
 
 
-def graph_from_edge_list(text: str) -> Graph:
+def graph_from_edge_list(text: str, cap: int = GRAPH_CAP) -> Graph:
     """Plain-text reader: one 'u w' pair per line, '#' comments allowed;
     an optional leading line 'v N' fixes the vertex count (otherwise the
     largest index + 1 is used)."""
@@ -742,4 +848,5 @@ def graph_from_edge_list(text: str) -> Graph:
         edges.append((u, w))
     if declared is None:
         declared = max((max(u, w) for u, w in edges), default=0) + 1
+    _check_graph_size(declared, cap)
     return Graph(declared, edges)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mvgroups import algebra, classify, cli, core
+from mvgroups import algebra, classify, cli, core, srg
 
 from conftest import multiplier_coset, relabel
 
@@ -181,6 +181,42 @@ def test_complement_malformed_graph_is_exit_3(capsys, tmp_path, text):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"format": "graph-v1", "v": 4097, "edges": []}',
+        '{"format": "graph-v1", "v": 4097, "edges": [], "directed": true}',
+        "v 4097\n0 1\n",
+        "0 1\n2 4096\n",
+    ],
+    ids=["graph-v1", "graph-v1-directed", "edge-list-v", "edge-list-max-index"],
+)
+def test_complement_graph_file_over_the_cap_is_exit_4(capsys, tmp_path, text):
+    # one vertex over srg.GRAPH_CAP is refused before any row is allocated
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    code = cli.main(["build", "graph", "complement", str(path)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == f"error: graph size {srg.GRAPH_CAP + 1} exceeds the cap {srg.GRAPH_CAP}\n"
+
+
+@pytest.mark.parametrize("text", ['{"format": "graph-v1", "v": 6, "edges": [[0, 1]]}', "v 6\n0 1\n", "0 1\n4 5\n"])
+def test_complement_graph_file_honours_cap_flag(capsys, tmp_path, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "build", "graph", "complement", str(path), "--cap", "5")
+    assert code == 4 and err == "error: graph size 6 exceeds the cap 5\n"
+    code, out, _ = run_cli(capsys, "build", "graph", "complement", str(path), "--cap", "6")
+    assert code == 0 and json.loads(out)["v"] == 6
+
+
+def test_graph_readers_take_a_raised_cap():
+    cap = srg.GRAPH_CAP + 1
+    assert srg.graph_loads('{"format": "graph-v1", "v": 4097, "edges": [[0, 4096]]}', cap).v == cap
+    assert srg.graph_from_edge_list("0 4096\n", cap).v == cap
 
 
 def test_build_graph_cap_exit_4(capsys):

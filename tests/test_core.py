@@ -147,6 +147,27 @@ def test_reciprocity_requires_involutive():
         core.check_reciprocity(relabeled)
 
 
+def test_verify_all_runs_verify_involutive_once(monkeypatch, petersen_group):
+    calls = []
+    real = core.verify_involutive
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(core, "verify_involutive", counting)
+    xk1 = core.build_xk(1)
+    not_involutive = core.MultivaluedGroup(3, 0, (0, 1, 2), xk1.table)
+    for g, reciprocity in ((petersen_group, True), (xk1, True), (not_involutive, None)):
+        calls.clear()
+        report = core.verify_all(g)
+        assert len(calls) == 1
+        assert report.reciprocity_holds is reciprocity
+        assert report.involutive is (reciprocity is not None)
+    with pytest.raises(InputError):
+        core.check_reciprocity(not_involutive)
+
+
 def test_build_type1_petersen(petersen_group):
     assert petersen_group.n == 6
     assert petersen_group.star == (0, 1, 2)

@@ -1,6 +1,14 @@
 """Strong regularity by counting, the intersection-number algebra, the
 order-3 group of a parameter set, and the graph families."""
 
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
 from mvgroups import algebra, core, srg
@@ -9,6 +17,7 @@ from mvgroups.errors import CapError, InputError, InternalError
 from conftest import (
     cycle_graph,
     naive_srg_params,
+    petersen_graph,
     residue_action,
     walk_count_structure_constants,
 )
@@ -615,3 +624,219 @@ def test_cayley_graph_rejects_an_asymmetric_connection_set():
         srg._cayley_graph(7, 1, {1, 2, 4}, srg.SrgParams(5, 2, 0, 1), "residues mod 7")
     with pytest.raises(InternalError, match="not symmetric"):
         srg._cayley_graph(5, 1, {0, 1, 4}, srg.SrgParams(5, 2, 0, 1), "with the identity")
+
+
+# ---------------------------------------------------------------------------
+# srg_check's numpy kernel against the per-pair bitset loop
+
+needs_numpy = pytest.mark.skipif(srg._np is None, reason="the blocked kernel needs numpy >= 2.0")
+
+
+def _bitset_check(graph):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(srg, "_np", None)
+        return srg.srg_check(graph)
+
+
+def _agree(graph):
+    """srg_check's answer, after checking that the loop gives the same."""
+    found = srg.srg_check(graph)
+    assert found == _bitset_check(graph)
+    return found
+
+
+def _shuffled(graph, seed):
+    perm = list(range(graph.v))
+    random.Random(seed).shuffle(perm)
+    return srg.Graph(graph.v, [(perm[u], perm[w]) for u, w in graph.edges()])
+
+
+def _circulant(v, jumps):
+    return srg.Graph(v, {(x, (x + d) % v) for x in range(v) for d in jumps})
+
+
+def _union(*graphs):
+    """Disjoint union, each graph's vertices after the previous ones."""
+    edges, lo = [], 0
+    for graph in graphs:
+        edges += [(lo + u, lo + w) for u, w in graph.edges()]
+        lo += graph.v
+    return srg.Graph(lo, edges)
+
+
+def _clique(n):
+    return srg.Graph(n, combinations(range(n), 2))
+
+
+def _triangular(n):
+    pairs = list(combinations(range(n), 2))
+    return srg.Graph(
+        len(pairs),
+        [(i, j) for i, j in combinations(range(len(pairs)), 2) if len(set(pairs[i]) & set(pairs[j])) == 1],
+    )
+
+
+_PRISM = srg.Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+_K33 = srg.Graph(6, [(x, y) for x in range(3) for y in range(3, 6)])
+
+_SMALL_BUILDS = {
+    "paley 5": lambda: srg.paley_graph(algebra.make_field(5, 1)),
+    "paley 9": lambda: srg.paley_graph(algebra.make_field(3, 2)),
+    "paley 29": lambda: srg.paley_graph(algebra.make_field(29, 1)),
+    "paley 125": lambda: srg.paley_graph(algebra.make_field(5, 3)),
+    "cliques 2 1 1": lambda: srg.clique_union(2, 1, 1),
+    "cliques 3 1 2": lambda: srg.clique_union(3, 1, 2),
+    "cliques 2 3 4": lambda: srg.clique_union(2, 3, 4),
+    "cliques 3 3 2": lambda: srg.clique_union(3, 3, 2),
+    "grid 2": lambda: srg.grid_graph(2),
+    "grid 7": lambda: srg.grid_graph(7),
+    "grid 12": lambda: srg.grid_graph(12),
+    "vls 2 3 1": lambda: srg.vanlint_schrijver(2, 3, 1),
+    "vls 2 5 1": lambda: srg.vanlint_schrijver(2, 5, 1),
+    "vls 2 3 4": lambda: srg.vanlint_schrijver(2, 3, 4),
+    "polar 2 2 -": lambda: srg.affine_polar(2, 2, -1),
+    "polar 3 2 +": lambda: srg.affine_polar(3, 2, 1),
+    "polar 2 3 -": lambda: srg.affine_polar(2, 3, -1),
+    "polar-plus-comp 2": lambda: srg.affine_polar_plus_complement(2),
+    "polar-plus-comp 3": lambda: srg.affine_polar_plus_complement(3),
+    "bilinear 2 3": lambda: srg.bilinear_forms_graph(2, 3),
+    "bilinear 2 4": lambda: srg.bilinear_forms_graph(2, 4),
+    "alternating 2": lambda: srg.alternating_forms_graph(2),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("name", list(_SMALL_BUILDS))
+def test_kernel_agrees_with_bitset_loop_on_every_builder(name):
+    graph = _SMALL_BUILDS[name]()
+    found = _agree(graph)
+    assert found is not None and found.v == graph.v
+    assert _agree(srg.complement(graph)) == srg.complement_params(found)
+
+
+@needs_numpy
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kernel_agrees_on_shuffled_rook_and_triangular_graphs(seed):
+    for graph, expected in (
+        (srg.grid_graph(9), (81, 16, 7, 2)),
+        (srg.grid_graph(13), (169, 24, 11, 2)),
+        (_triangular(10), (45, 16, 8, 4)),
+        (_triangular(18), (153, 32, 16, 4)),
+    ):
+        shuffled = _shuffled(graph, seed)
+        assert shuffled != graph
+        assert _agree(shuffled).as_tuple() == expected
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "graph",
+    [
+        cycle_graph(6),
+        _PRISM,
+        _circulant(8, [1, 4]),
+        srg.cayley_graph(algebra.make_elementary_abelian(2, 3), [1, 2, 4]),
+        _circulant(7, [1, 2]),
+        _circulant(130, [1, 5, 64]),
+        _union(cycle_graph(3), cycle_graph(4)),
+    ],
+    ids=["C6", "prism", "Wagner", "3-cube", "C7(1,2)", "C130(1,5,64)", "C3+C4"],
+)
+def test_kernel_agrees_on_regular_non_srgs(graph):
+    assert _agree(graph) is None
+
+
+def _block_edge_sizes():
+    b = srg._block_rows(10**6, 3) if srg._np is not None else 150
+    return [2, 5, 63, 64, 65, 127, 129, b, b + 1]
+
+
+@needs_numpy
+@pytest.mark.parametrize("v", _block_edge_sizes())
+def test_kernel_agrees_at_word_and_block_edges(v):
+    if v > 129:  # the default block size for 3 words, and one row more
+        b = srg._block_rows(10**6, 3)
+        assert srg._block_rows(v, 3) == b and v in (b, b + 1)
+    graphs = [_circulant(v, [1]), _circulant(v, [d for d in (1, 2, v // 3) if 0 < d < v])]
+    for size in (s for s in range(2, v) if v % s == 0):
+        cliques = _union(*[_clique(size)] * (v // size))
+        graphs += [cliques, srg.complement(cliques), _shuffled(cliques, v)]
+    for graph in graphs:
+        _agree(graph)
+
+
+# Regular graphs that fail strong regularity in one place only.  Each
+# starts with 4-cliques (lambda 2, mu 0) or triangles (lambda 1, mu 0);
+# the last vertices hold the odd part out.
+_LOCAL_FAILURES = {
+    # a hexagon on the last six vertices: adjacent pairs share 0
+    # neighbours and pairs at distance 2 share 1, so lambda and mu both
+    # break, in the last diagonal block only (always x < y there)
+    "hexagon last": _union(*[_clique(3)] * 6, cycle_graph(6)),
+    # K3,3 on the last six: lambda 0 and mu 3 are constant inside its
+    # block, but the 4-cliques before it give lambda 2 and mu 0
+    "K33 last": _union(*[_clique(4)] * 3, _K33),
+    # the same, the odd part first
+    "K33 first": _union(_K33, *[_clique(4)] * 3),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("rows_per_block", [1, 6, 7, 8, 13, None])
+@pytest.mark.parametrize("name", list(_LOCAL_FAILURES))
+def test_kernel_finds_a_failure_in_any_block_pair(monkeypatch, name, rows_per_block):
+    graph = _LOCAL_FAILURES[name]
+    assert len({graph.degree(u) for u in range(graph.v)}) == 1
+    if rows_per_block is not None:
+        monkeypatch.setattr(srg, "_block_rows", lambda v, words: rows_per_block)
+    assert srg.srg_check(graph) is None
+    assert _bitset_check(graph) is None
+
+
+@needs_numpy
+@pytest.mark.parametrize("rows_per_block", [1, 3, 6, 7, 8, 13])
+def test_kernel_agrees_for_any_block_size(monkeypatch, rows_per_block):
+    monkeypatch.setattr(srg, "_block_rows", lambda v, words: rows_per_block)
+    for graph in (
+        petersen_graph(),
+        _shuffled(srg.grid_graph(5), 7),
+        _union(*[_clique(4)] * 5),
+        srg.complement(_union(*[_clique(4)] * 5)),
+        _shuffled(_triangular(9), 1),
+        _union(*[_clique(3)] * 6, cycle_graph(6)),
+        _circulant(70, [1, 9, 20]),
+    ):
+        _agree(graph)
+    assert srg.srg_check(petersen_graph()).as_tuple() == (10, 3, 0, 1)
+
+
+@needs_numpy
+def test_kernel_scratch_stays_bounded_and_ignores_labels():
+    graph = srg.affine_polar(2, 5, -1)
+    tracemalloc.start()
+    try:
+        found = srg.srg_check(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == srg.polar_params(2, 5, -1)
+    # a full packed copy would be 128 KiB and a v x v count array 4 MiB
+    assert peak < 1 << 20
+    assert peak <= srg._SCRATCH_BYTES
+    assert srg.srg_check(_shuffled(graph, 5)) == found
+
+
+def test_kernel_falls_back_to_the_loop_without_bitwise_count():
+    # numpy < 2.0 has no bitwise_count: the import guard must take the loop
+    code = (
+        "import sys, types\n"
+        "sys.modules['numpy'] = types.ModuleType('numpy')\n"
+        "from mvgroups import srg\n"
+        "assert srg._np is None\n"
+        "print(srg.srg_check(srg.grid_graph(5)).as_tuple())\n"
+    )
+    src = str(Path(srg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "(25, 8, 3, 2)\n"
