@@ -13,13 +13,17 @@ from __future__ import annotations
 
 import json
 import random
-from array import array
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import gcd, isqrt
 
-from .core import MultivaluedGroup, verify_axioms, verify_involutive
+from .core import MultivaluedGroup, validate
 from .errors import CapError, InputError, InternalError
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is an optional accelerator
+    _np = None
 
 GROUP_CAP = 4096
 ACTION_CAP = 20000
@@ -28,10 +32,10 @@ FIELD_CAP = 4096
 GRP_FORMAT = "grp-v1"
 ACT_FORMAT = "act-v1"
 
-# Exhaustive structure checks (associativity, homomorphism property) are
-# run up to this size; larger objects get a seeded random sample.
-_EXHAUSTIVE_LIMIT = 256
-_SAMPLE_SIZE = 4096
+# Group laws and automorphisms are proved exactly from a generating set
+# (Light's test), with a full scan for the witness when the proof fails.
+# The vectorised checks work on blocks of at most this many table entries.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -309,65 +313,41 @@ def make_field(p: int, s: int, cap: int = FIELD_CAP) -> FiniteField:
 # Finite groups
 
 
-def _sample_triples(size, count, seed):
-    rng = random.Random(seed)
-    return [(rng.randrange(size), rng.randrange(size), rng.randrange(size)) for _ in range(count)]
-
-
 class FiniteGroup:
     """Finite group as an explicit multiplication table on 0..size-1.
 
-    The identity and inverse tables are derived from the table at
-    construction; the group laws are checked exhaustively for sizes up
-    to 256 and on a seeded random sample above that.
+    The table is stored once, in op: a numpy array of the smallest
+    unsigned integer type that holds size - 1 when numpy is available,
+    else a tuple of tuples.  The identity and inverse tables are derived
+    from it at construction, and associativity is proved exactly at any
+    size by Light's test (Clifford and Preston, The Algebraic Theory of
+    Semigroups I, 1.2): the a with (xa)y = x(ay) for all x, y are closed
+    under products, so it suffices to check every a in a generating set.
+    The set is kept in generators: the least element outside the closure
+    of the identity under right multiplication by the set so far, added
+    until that closure is everything, at most log2(size) of them for a
+    group.  The proof costs O(size**2 * len(generators)); when it fails,
+    a full scan reports the lexicographically first failing triple.
     """
 
-    __slots__ = ("size", "op", "identity", "inv")
+    __slots__ = ("size", "op", "identity", "inv", "generators")
 
     def __init__(self, op):
         size = len(op)
         if size < 1:
             raise InputError("a group needs at least one element")
-        rows = []
-        for x, row in enumerate(op):
-            if len(row) != size:
-                raise InputError(f"op row {x} has length {len(row)}, expected {size}")
-            for val in row:
-                if not 0 <= val < size:
-                    raise InputError(f"op entry {val} out of range in row {x}")
-            rows.append(tuple(row) if size <= _EXHAUSTIVE_LIMIT else array("i", row))
         self.size = size
-        self.op = tuple(rows) if size <= _EXHAUSTIVE_LIMIT else rows
-
-        identity = None
-        for e in range(size):
-            if all(self.op[e][x] == x and self.op[x][e] == x for x in range(size)):
-                identity = e
-                break
-        if identity is None:
-            raise InputError("multiplication table has no identity element")
-        self.identity = identity
-
-        inv = [None] * size
-        for x in range(size):
-            for y in range(size):
-                if self.op[x][y] == identity and self.op[y][x] == identity:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
-                raise InputError(f"element {x} has no inverse")
-        self.inv = tuple(inv)
-
-        if size <= _EXHAUSTIVE_LIMIT:
-            triples = product(range(size), repeat=3)
-        else:
-            triples = _sample_triples(size, _SAMPLE_SIZE, seed=size)
-        for a, b, c in triples:
-            if self.op[self.op[a][b]][c] != self.op[a][self.op[b][c]]:
-                raise InputError(f"multiplication table is not associative at {(a, b, c)}")
+        self.op = op = _group_table(op, size)
+        self.identity = identity = _identity(op)
+        self.inv = _inverses(op, identity)
+        self.generators = _generating_set(op, identity)
+        if self.generators is None or not all(_middle_associative(op, a) for a in self.generators):
+            triple = _first_nonassociative_triple(op)
+            raise InputError(f"multiplication table is not associative at {triple}")
 
     def mul(self, a: int, b: int) -> int:
-        return self.op[a][b]
+        op = self.op
+        return op[a][b] if type(op) is tuple else op.item(a, b)
 
     def inverse(self, a: int) -> int:
         return self.inv[a]
@@ -378,6 +358,143 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup(size={self.size})"
+
+
+def _group_table(op, size):
+    """op as the stored table, after checking that it is a list of size
+    rows of size integers in range (bool is not an integer here).  Types
+    are checked before any numpy conversion, which would coerce "1" and
+    1.0; each error names the first bad row or entry in row order."""
+    if all(type(row) in (list, tuple) and len(row) == size for row in op) and set(
+        map(type, chain.from_iterable(op))
+    ) == {int}:
+        if _np is None:
+            if all(min(row) >= 0 and max(row) < size for row in op):
+                return tuple(map(tuple, op))
+        else:
+            # converted in blocks, so that no int64 copy of the whole table exists
+            table = _np.empty((size, size), dtype=_np.min_scalar_type(size - 1))
+            block = max(1, _BLOCK_ENTRIES // size)
+            try:
+                for start in range(0, size, block):
+                    rows = _np.array(op[start : start + block], dtype=_np.int64)
+                    if rows.min() < 0 or rows.max() >= size:
+                        break
+                    table[start : start + block] = rows
+                else:
+                    return table
+            except OverflowError:  # beyond int64, so out of range
+                pass
+    for x, row in enumerate(op):
+        if type(row) not in (list, tuple):
+            raise InputError(f"op row {x} is not a list")
+        if len(row) != size:
+            raise InputError(f"op row {x} has length {len(row)}, expected {size}")
+        for val in row:
+            if type(val) is not int:
+                raise InputError(f"op entry {val!r} in row {x} is not an integer")
+            if not 0 <= val < size:
+                raise InputError(f"op entry {val} out of range in row {x}")
+    raise InternalError("group table rejected without a reason")
+
+
+def _identity(op):
+    """The least two-sided identity."""
+    size = len(op)
+    if _np is not None:
+        ar = _np.arange(size)
+        # e * 0 = 0 leaves few candidates to compare in full
+        for e in _np.flatnonzero(op[:, 0] == 0).tolist():
+            if _np.array_equal(op[e], ar) and _np.array_equal(op[:, e], ar):
+                return e
+    else:
+        for e in range(size):
+            if all(op[e][x] == x and op[x][e] == x for x in range(size)):
+                return e
+    raise InputError("multiplication table has no identity element")
+
+
+def _inverses(op, identity):
+    """inv[x], the least y with xy = yx = identity; the first x without
+    one is reported."""
+    size = len(op)
+    if _np is not None:
+        inv = []
+        block = max(1, _BLOCK_ENTRIES // size)
+        for start in range(0, size, block):
+            xs = slice(start, start + block)
+            both = (op[xs] == identity) & (op[:, xs].T == identity)
+            has = both.any(axis=1)
+            if not has.all():
+                raise InputError(f"element {start + int(_np.argmin(has))} has no inverse")
+            inv += both.argmax(axis=1).tolist()
+        return tuple(inv)
+    inv = []
+    for x in range(size):
+        y = next((y for y in range(size) if op[x][y] == identity and op[y][x] == identity), None)
+        if y is None:
+            raise InputError(f"element {x} has no inverse")
+        inv.append(y)
+    return tuple(inv)
+
+
+def _generating_set(op, identity):
+    """The greedy generating set of the class docstring, or None once it
+    outgrows log2(size): then the table is no group."""
+    size = len(op)
+    gens = []
+    columns = []  # columns[i][c] = c * gens[i]
+    covered = [x == identity for x in range(size)]
+    while not all(covered):
+        if len(gens) == size.bit_length() - 1:
+            return None
+        a = covered.index(False)
+        gens.append(a)
+        columns.append(op[:, a].tolist() if _np is not None else [row[a] for row in op])
+        covered = [x == identity for x in range(size)]
+        stack = [identity]
+        while stack:
+            c = stack.pop()
+            for column in columns:
+                d = column[c]
+                if not covered[d]:
+                    covered[d] = True
+                    stack.append(d)
+    return tuple(gens)
+
+
+def _middle_associative(op, a) -> bool:
+    """(x*a)*y == x*(a*y) for all x and y."""
+    size = len(op)
+    if _np is not None:
+        times_a, a_times = op[:, a], op[a]
+        block = max(1, _BLOCK_ENTRIES // size)
+        return all(
+            _np.array_equal(op[times_a[start : start + block]], op[start : start + block][:, a_times])
+            for start in range(0, size, block)
+        )
+    a_times = op[a]
+    return all(list(op[row[a]]) == [row[v] for v in a_times] for row in op)
+
+
+def _first_nonassociative_triple(op):
+    """The lexicographically first (a, b, c) with (ab)c != a(bc)."""
+    size = len(op)
+    for a in range(size):
+        row = op[a]
+        if _np is not None:
+            block = max(1, _BLOCK_ENTRIES // size)
+            for start in range(0, size, block):
+                diff = op[row[start : start + block]] != row[op[start : start + block]]
+                if diff.any():
+                    b, c = divmod(int(diff.argmax()), size)
+                    return (a, start + b, c)
+        else:
+            for b in range(size):
+                left, right = op[row[b]], [row[v] for v in op[b]]
+                if list(left) != right:
+                    return (a, b, next(c for c in range(size) if left[c] != right[c]))
+    raise InternalError("Light's test failed on an associative table")
 
 
 def cyclic_group(m: int, cap: int = GROUP_CAP) -> FiniteGroup:
@@ -443,19 +560,37 @@ class Automorphism:
 
 
 def _automorphism_failure(group: FiniteGroup, perm):
+    """Why perm is not an automorphism of group, or None.
+
+    For a permutation f fixing the identity, f(xg) = f(x)f(g) for every
+    x and every g in group.generators proves it multiplicative, in
+    O(size * len(generators)): the g for which it holds contain the
+    identity and are closed under products.  When that fails, a full
+    scan names the lexicographically first pair.
+    """
     size = group.size
     if len(perm) != size or sorted(perm) != list(range(size)):
         return "not a permutation of the element indices"
     if perm[group.identity] != group.identity:
         return "does not fix the identity"
-    if size <= _EXHAUSTIVE_LIMIT:
-        pairs = product(range(size), repeat=2)
+    op, gens = group.op, list(group.generators)
+    if _np is not None:
+        f = _np.asarray(perm, dtype=_np.intp)
+        if _np.array_equal(f[op[:, gens]], op[f[:, None], f[gens]]):
+            return None
+        block = max(1, _BLOCK_ENTRIES // size)
+        for start in range(0, size, block):
+            diff = f[op[start : start + block]] != op[_np.ix_(f[start : start + block], f)]
+            if diff.any():
+                a, b = divmod(int(diff.argmax()), size)
+                return f"not multiplicative at ({start + a}, {b})"
     else:
-        pairs = ((a, b) for a, b, _ in _sample_triples(size, _SAMPLE_SIZE, seed=size + 1))
-    for a, b in pairs:
-        if perm[group.mul(a, b)] != group.mul(perm[a], perm[b]):
-            return f"not multiplicative at ({a}, {b})"
-    return None
+        if all(perm[op[x][g]] == op[perm[x]][perm[g]] for x in range(size) for g in gens):
+            return None
+        for a, b in product(range(size), repeat=2):
+            if perm[op[a][b]] != op[perm[a]][perm[b]]:
+                return f"not multiplicative at ({a}, {b})"
+    raise InternalError("the generator test failed on a multiplicative map")
 
 
 def identity_automorphism(group: FiniteGroup) -> Automorphism:
@@ -591,7 +726,7 @@ def coset_group(
         result = MultivaluedGroup(n, part.orbit_of[group.identity], star, table)
     except InputError as exc:
         raise InternalError(f"coset table failed validation: {exc}") from exc
-    report = verify_axioms(result).merge(verify_involutive(result))
+    report = validate(result)
     if not report.ok:
         raise InternalError(
             f"coset construction produced an invalid group; witnesses: {report.counterexamples[:3]}"
@@ -604,28 +739,45 @@ def coset_group(
 
 
 def group_to_json_dict(group: FiniteGroup) -> dict:
-    return {"format": GRP_FORMAT, "size": group.size, "op": [list(r) for r in group.op]}
+    return {"format": GRP_FORMAT, "size": group.size, "op": [list(map(int, r)) for r in group.op]}
 
 
 def group_from_json_dict(data) -> FiniteGroup:
+    """The group of a grp-v1 document.  FiniteGroup checks the rows and
+    their entries; the document's own fields are checked here."""
     if not isinstance(data, dict) or data.get("format") != GRP_FORMAT:
         raise InputError(f'expected "format": "{GRP_FORMAT}"')
     try:
         size, op = data["size"], data["op"]
     except KeyError as missing:
         raise InputError(f"missing field {missing} in group document") from None
+    if type(size) is not int:
+        raise InputError('"size" must be an integer')
+    if not isinstance(op, list):
+        raise InputError('"op" must be a list of rows')
     if len(op) != size:
         raise InputError("op table size does not match the declared size")
     return FiniteGroup(op)
 
 
 def generators_from_json_dict(data) -> list[Automorphism]:
+    """The generators of an act-v1 document, each a list of integer
+    element indices; whether they are automorphisms is close_action's
+    check."""
     if not isinstance(data, dict) or data.get("format") != ACT_FORMAT:
         raise InputError(f'expected "format": "{ACT_FORMAT}"')
     try:
         gens = data["generators"]
     except KeyError as missing:
         raise InputError(f"missing field {missing} in action document") from None
+    if not isinstance(gens, list):
+        raise InputError('"generators" must be a list of permutations')
+    for i, perm in enumerate(gens):
+        if not isinstance(perm, list):
+            raise InputError(f"generator {i} is not a list")
+        for val in perm:
+            if type(val) is not int:
+                raise InputError(f"generator {i} entry {val!r} is not an integer")
     return [Automorphism(tuple(perm)) for perm in gens]
 
 

@@ -25,8 +25,7 @@ from .core import (
     MultivaluedGroup,
     Signature,
     signature,
-    verify_axioms,
-    verify_involutive,
+    validate,
 )
 from .errors import CapError, InputError
 from .srg import (
@@ -394,13 +393,13 @@ def classify_order3(g: MultivaluedGroup) -> Verdict:
     """
     if g.order != 3:
         raise InputError("classification requires a group of order 3")
-    report = verify_axioms(g).merge(verify_involutive(g))
+    report = validate(g)
     if not report.ok:
         raise InputError(
             f"classification requires a verified involutive group; witnesses: "
             f"{report.counterexamples[:3]}"
         )
-    sig = signature(g)
+    sig = signature(g, report)
 
     if sig.kind == SWAP_STAR:
         ratio = sig.ratios[0]

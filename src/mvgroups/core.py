@@ -28,9 +28,16 @@ except ImportError:  # pragma: no cover - numpy is an optional accelerator
 
 MVG_FORMAT = "mvg-v1"
 
-# Past this order the associativity scan uses vectorised integer matrix
-# products when numpy is available; below it plain loops are faster.
+# Past this order the associativity proof and scan use vectorised integer
+# arithmetic when numpy is available; below it plain loops are faster.
 _NUMPY_ORDER_THRESHOLD = 6
+
+# The prime of the rank certificate in _assoc_generators.
+_SPAN_PRIME = 2**26 - 5
+
+# _middle_associative_array works on blocks of at most this many int64
+# entries per temporary.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class Multiset:
@@ -175,7 +182,9 @@ class AxiomReport:
 
     Flags left as None were not examined by the producing check.  A flag
     is False exactly when at least one counterexample carrying its axiom
-    name is listed.
+    name is listed.  assoc_generators records how associativity was
+    decided: the generating set that proved it, or None when the full
+    scan did (or associativity was not examined).
     """
 
     associative: bool | None = None
@@ -184,6 +193,7 @@ class AxiomReport:
     involutive: bool | None = None
     reciprocity_holds: bool | None = None
     counterexamples: list[tuple[str, tuple]] = field(default_factory=list)
+    assoc_generators: tuple[int, ...] | None = None
 
     @property
     def ok(self) -> bool:
@@ -206,6 +216,9 @@ class AxiomReport:
                 other.reciprocity_holds
                 if other.reciprocity_holds is not None
                 else self.reciprocity_holds
+            ),
+            assoc_generators=(
+                other.assoc_generators if other.associative is not None else self.assoc_generators
             ),
         )
         merged.counterexamples = list(self.counterexamples) + list(other.counterexamples)
@@ -247,7 +260,12 @@ def _one_valued_products(g):
 
 
 def _assoc_failures(g):
-    """All quadruples (x,y,z,t) where the two triple products disagree."""
+    """All quadruples (x,y,z,t) where the two triple products disagree.
+
+    This full scan lists every witness.  verify_axioms runs it only when
+    _assoc_generators cannot prove the law, and it is the oracle the
+    proof is tested against.
+    """
     o, n, t = g.order, g.n, g.table
     fails = []
     if n == 1:
@@ -289,13 +307,218 @@ def _assoc_failures(g):
     return fails
 
 
+def _assoc_generators(g):
+    """Prove associativity exactly from a generating set, or return None.
+
+    The table holds the structure constants of the bilinear product
+    e_x e_y = sum_z m[x][y][z] e_z on Q^o, which is associative exactly
+    when the multiset product is.  By Light's argument (Clifford and
+    Preston, The Algebraic Theory of Semigroups I, 1.2) the a with
+    (xa)y = x(ay) for all x, y form a subspace closed under the product.
+    It holds e when the identity axiom does, which the caller checks
+    first.  So the law holds once every a in a set S passes and the
+    left-normed words e s1 ... sk in S span Q^o.
+
+    S grows greedily: the least a != e whose e_a is not yet in the span,
+    at most o.bit_length() of them.  The span is certified by rank o
+    modulo _SPAN_PRIME; full rank mod a prime implies full rank over Q,
+    and every vector computed is the reduction of a combination of
+    integer words, so the proof is exact.  Testing one a costs
+    2 * o**3 * s products, s the largest support of a row x*a or a*y,
+    against o**5 for the full scan.
+
+    Returns S, or None when no such S exists within the bound or some a
+    in S fails; the caller then runs the full scan.
+    """
+    o, n = g.order, g.n
+    if (
+        _np is not None
+        and o > _NUMPY_ORDER_THRESHOLD
+        and o * n * n < 2**62
+        and o * (_SPAN_PRIME - 1) ** 2 < 2**63
+    ):
+        t = _np.asarray(g.table, dtype=_np.int64)
+        span = _ArraySpan(t, g.identity)
+        middle_associative = _middle_associative_array
+    else:
+        t = g.table
+        span = _ListSpan(t, g.identity)
+        middle_associative = _middle_associative_lists
+    gens = []
+    done = 0  # span.vectors[:done] have been multiplied by every generator
+    while span.rank < o:
+        if len(gens) == o.bit_length():
+            return None
+        a = next(a for a in range(o) if a != g.identity and not span.holds_unit(a))
+        gens.append(a)
+        for v in span.vectors[:done]:
+            span.insert(span.times(v, a))
+        while done < len(span.vectors) and span.rank < o:
+            for s in gens:
+                span.insert(span.times(span.vectors[done], s))
+            done += 1
+    if all(middle_associative(t, a) for a in gens):
+        return tuple(gens)
+    return None
+
+
+class _ListSpan:
+    """A subspace of F_P^o (P = _SPAN_PRIME) in reduced row echelon form,
+    grown from e_identity, with right multiplication by e_a taken from
+    the table.  Python ints throughout."""
+
+    def __init__(self, table, identity):
+        self.table = table
+        self.rows = []  # rows[i] is 1 at pivots[i] and 0 at every other pivot
+        self.pivots = []
+        self.vectors = []  # every vector inserted, in order; they span the space
+        self.insert(self._unit(identity))
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _unit(self, a):
+        v = [0] * len(self.table)
+        v[a] = 1
+        return v
+
+    def _reduce(self, v):
+        for c, row in zip(self.pivots, self.rows):
+            f = v[c]
+            if f:
+                v = [(x - f * r) % _SPAN_PRIME for x, r in zip(v, row)]
+        return v
+
+    def insert(self, v) -> None:
+        v = self._reduce(v)
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            return
+        inv = pow(v[c], -1, _SPAN_PRIME)
+        v = [x * inv % _SPAN_PRIME for x in v]
+        for i, row in enumerate(self.rows):
+            f = row[c]
+            if f:
+                self.rows[i] = [(x - f * y) % _SPAN_PRIME for x, y in zip(row, v)]
+        self.rows.append(v)
+        self.pivots.append(c)
+        self.vectors.append(v)
+
+    def holds_unit(self, a) -> bool:
+        return not any(self._reduce(self._unit(a)))
+
+    def times(self, v, a):
+        """v * e_a."""
+        out = [0] * len(self.table)
+        for w, c in enumerate(v):
+            if c:
+                out = [x + c * y for x, y in zip(out, self.table[w][a])]
+        return [x % _SPAN_PRIME for x in out]
+
+
+class _ArraySpan:
+    """_ListSpan over int64 arrays.  Entries stay below P, so a dot
+    product of length o is exact while o * (P - 1)**2 < 2**63."""
+
+    def __init__(self, table, identity):
+        o = table.shape[0]
+        self.right = table % _SPAN_PRIME
+        self.rows = _np.zeros((o, o), dtype=_np.int64)
+        self.pivots = []
+        self.vectors = []
+        self.insert(self._unit(identity))
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _unit(self, a):
+        v = _np.zeros(self.rows.shape[1], dtype=_np.int64)
+        v[a] = 1
+        return v
+
+    def _reduce(self, v):
+        r = len(self.pivots)
+        if r:
+            v = (v - v[self.pivots] @ self.rows[:r]) % _SPAN_PRIME
+        return v
+
+    def insert(self, v) -> None:
+        v = self._reduce(v)
+        nonzero = _np.flatnonzero(v)
+        if not nonzero.size:
+            return
+        c = int(nonzero[0])
+        v = v * pow(int(v[c]), -1, _SPAN_PRIME) % _SPAN_PRIME
+        r = len(self.pivots)
+        self.rows[:r] = (self.rows[:r] - _np.outer(self.rows[:r, c], v)) % _SPAN_PRIME
+        self.rows[r] = v
+        self.pivots.append(c)
+        self.vectors.append(v)
+
+    def holds_unit(self, a) -> bool:
+        return not self._reduce(self._unit(a)).any()
+
+    def times(self, v, a):
+        return v @ self.right[:, a, :] % _SPAN_PRIME
+
+
+def _middle_associative_lists(t, a):
+    """(x*a)*y == x*(a*y) as n^2-multisets for every x and y."""
+    o = len(t)
+    ta = t[a]
+    right = [[(w, c) for w, c in enumerate(ta[y]) if c] for y in range(o)]
+    for x in range(o):
+        tx = t[x]
+        left = [(w, c) for w, c in enumerate(tx[a]) if c]
+        for y in range(o):
+            lhs = [0] * o
+            for w, c in left:
+                lhs = [s + c * m for s, m in zip(lhs, t[w][y])]
+            rhs = [0] * o
+            for w, c in right[y]:
+                rhs = [s + c * m for s, m in zip(rhs, tx[w])]
+            if lhs != rhs:
+                return False
+    return True
+
+
+def _middle_associative_array(t, a):
+    """_middle_associative_lists on the int64 table, in blocks of x."""
+    o = t.shape[0]
+    left_at, left_coef = _row_supports(t[:, a, :])
+    right_at, right_coef = _row_supports(t[a])
+    block = max(1, _BLOCK_ENTRIES // (o * o))
+    for start in range(0, o, block):
+        xs = slice(start, start + block)
+        tx = t[xs]
+        lhs = sum(left_coef[xs, j, None, None] * t[left_at[xs, j]] for j in range(left_at.shape[1]))
+        rhs = sum(right_coef[None, :, j, None] * tx[:, right_at[:, j]] for j in range(right_at.shape[1]))
+        if not _np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
+def _row_supports(m):
+    """Column indices of the nonzero entries of each row of m, and those
+    entries, padded to a common width with zero coefficients."""
+    width = max(1, int(_np.count_nonzero(m, axis=1).max()))
+    at = _np.argsort(m == 0, axis=1, kind="stable")[:, :width]
+    return at, _np.take_along_axis(m, at, axis=1)
+
+
 def verify_axioms(g: MultivaluedGroup) -> AxiomReport:
     """Check associativity, the identity axiom, and the inverse axiom.
 
     Associativity is the convolution identity
     ``sum_w m[x][y][w]*m[w][z][t] == sum_w m[y][z][w]*m[x][w][t]``
     for all quadruples, i.e. equality of the two n^2-multiset triple
-    products.  Every failing witness is listed in the report.
+    products.  When the identity axiom holds it is first proved exactly
+    from a generating set (_assoc_generators), and the report keeps
+    that set in assoc_generators.  Otherwise, or when that proof does
+    not go through, the full scan decides it and every failing witness
+    is listed in the report.
     """
     report = AxiomReport()
     e, o, n, t = g.identity, g.order, g.n, g.table
@@ -317,7 +540,11 @@ def verify_axioms(g: MultivaluedGroup) -> AxiomReport:
             inverse_fails.append(("inverse", (x,)))
     report.has_inverses = not inverse_fails
 
-    assoc_fails = [("associative", quad) for quad in _assoc_failures(g)]
+    report.assoc_generators = None if identity_fails else _assoc_generators(g)
+    if report.assoc_generators is None:
+        assoc_fails = [("associative", quad) for quad in _assoc_failures(g)]
+    else:
+        assoc_fails = []
     report.associative = not assoc_fails
 
     report.counterexamples = identity_fails + inverse_fails + assoc_fails
@@ -375,6 +602,13 @@ def _reciprocity_holds(g: MultivaluedGroup) -> bool:
     return True
 
 
+def validate(g: MultivaluedGroup) -> AxiomReport:
+    """The axioms and involutivity in one report: the check that the
+    builders, the coset construction and the classifier run before
+    trusting a table."""
+    return verify_axioms(g).merge(verify_involutive(g))
+
+
 def verify_all(g: MultivaluedGroup) -> AxiomReport:
     """Run every verification and merge the reports.
 
@@ -382,7 +616,7 @@ def verify_all(g: MultivaluedGroup) -> AxiomReport:
     statement needs the diagonal multiplicities); otherwise the flag is
     left None.  verify_involutive runs once.
     """
-    report = verify_axioms(g).merge(verify_involutive(g))
+    report = validate(g)
     if report.involutive:
         holds = _reciprocity_holds(g)
         report.reciprocity_holds = holds
@@ -392,7 +626,7 @@ def verify_all(g: MultivaluedGroup) -> AxiomReport:
 
 
 def _require_valid(g: MultivaluedGroup, context: str) -> MultivaluedGroup:
-    report = verify_axioms(g).merge(verify_involutive(g))
+    report = validate(g)
     if not report.ok:
         witness = report.counterexamples[0] if report.counterexamples else None
         raise AxiomError(
@@ -493,16 +727,20 @@ def scale(g: MultivaluedGroup, factor: int) -> MultivaluedGroup:
     return MultivaluedGroup(g.n * factor, g.identity, g.star, table, names=g.names)
 
 
-def signature(g: MultivaluedGroup) -> Signature:
+def signature(g: MultivaluedGroup, report: AxiomReport | None = None) -> Signature:
     """Reduced-ratio invariant deciding isomorphism for involutive order-3 groups.
 
     For a symmetric star the two nonidentity elements are ordered so the
     larger diagonal ratio m/n comes first, ties broken by the larger
-    a/n; the result is then independent of the labelling.
+    a/n; the result is then independent of the labelling.  A caller
+    that has already run validate(g) passes that report, and
+    involutivity is read from it instead of being checked again.
     """
     if g.order != 3:
         raise InputError("signatures are defined for groups of order 3 only")
-    if not verify_involutive(g).involutive:
+    if report is None or report.involutive is None:
+        report = verify_involutive(g)
+    if not report.involutive:
         raise InputError("signatures are defined for involutive groups only")
     e, n, t = g.identity, g.n, g.table
     x, y = (i for i in range(3) if i != e)

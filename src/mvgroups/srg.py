@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .algebra import FiniteField, FiniteGroup, is_prime, is_prime_power, make_field, mult_order
-from .core import MultivaluedGroup, verify_axioms, verify_involutive
+from .core import MultivaluedGroup, validate
 from .errors import CapError, InputError, InternalError
 
 try:
@@ -377,7 +377,7 @@ def mvgroup_from_params(p: SrgParams) -> MultivaluedGroup:
         g = MultivaluedGroup(n, 0, (0, 1, 2), table, names=("x0", "x1", "x2"))
     except InputError as exc:
         raise InternalError(f"parameter table failed validation: {exc}") from exc
-    report = verify_axioms(g).merge(verify_involutive(g))
+    report = validate(g)
     if not report.ok:
         raise InternalError(
             f"parameters {p.as_tuple()} produced an invalid group; "

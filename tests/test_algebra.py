@@ -1,11 +1,12 @@
 """Finite fields, table groups, action closures, orbits, and the coset
 construction."""
 
+import json
 import random
 
 import pytest
 
-from mvgroups import algebra, core
+from mvgroups import algebra, cli, core
 from mvgroups.errors import CapError, InputError
 
 from conftest import coset_multiplicities_for_reps, residue_action, s3_group
@@ -348,8 +349,154 @@ def test_order3_coset_tables_match_canonical_builders():
     assert seen >= 10
 
 
-def test_sampled_validation_above_exhaustive_limit():
+def test_exact_validation_above_256_elements():
     big = algebra.make_elementary_abelian(2, 9)
     assert big.size == 512
     assert big.mul(3, 5) == 6
     assert big.inverse(17) == 17
+
+
+def old_sampled_triples(size, seed):
+    """The 4096 seeded triples that group and automorphism checks used to
+    sample above 256 elements, to show what only an exact check catches."""
+    rng = random.Random(seed)
+    return [(rng.randrange(size), rng.randrange(size), rng.randrange(size)) for _ in range(4096)]
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["numpy", "plain"])
+def test_nonassociative_table_off_the_old_sample_exits_3(request, capsys, tmp_path, plain):
+    size = 257
+    op = [[(i + j) % size for j in range(size)] for i in range(size)]
+    op[1][1], op[1][2] = op[1][2], op[1][1]  # keeps the identity and every inverse
+    assert all(op[op[a][b]][c] == op[a][op[b][c]] for a, b, c in old_sampled_triples(size, size))
+    gpath, apath = tmp_path / "grp.json", tmp_path / "act.json"
+    gpath.write_text(json.dumps({"format": "grp-v1", "size": size, "op": op}))
+    apath.write_text(json.dumps({"format": "act-v1", "generators": []}))
+    if plain:
+        request.getfixturevalue("no_numpy")
+    code = cli.main(["build", "coset", "--group", str(gpath), "--action", str(apath)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    # after the swap (1*1)*2 = 3*2 = 5, but 1*(1*2) = 1*2 = 2
+    assert captured.err == "error: multiplication table is not associative at (1, 1, 2)\n"
+
+
+@pytest.fixture(scope="module")
+def z1265():
+    return algebra.cyclic_group(1265)
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["numpy", "plain"])
+def test_non_automorphism_off_the_old_sample_is_rejected(request, z1265, plain):
+    size = 1265
+    perm = list(range(size))
+    perm[389], perm[1258] = 1258, 389  # no sampled pair has 389 or 1258 as a, b or a + b
+    assert all(
+        perm[(a + b) % size] == (perm[a] + perm[b]) % size for a, b, _ in old_sampled_triples(size, size + 1)
+    )
+    group = z1265
+    if plain:
+        request.getfixturevalue("no_numpy")
+        group = algebra.FiniteGroup([list(map(int, row)) for row in z1265.op])
+    # the first failure: 1 + 388 = 389 maps to 1258, but 1 + 388 stays 389
+    with pytest.raises(InputError, match=r"is not an automorphism: not multiplicative at \(1, 388\)$"):
+        algebra.close_action(group, [perm])
+
+
+def brute_force_group_error(op):
+    """The message FiniteGroup must raise for op, or None, by the
+    definitions: the first two-sided identity, the first element without
+    a two-sided inverse, the first non-associative triple."""
+    size = len(op)
+    e = next((e for e in range(size) if all(op[e][x] == x == op[x][e] for x in range(size))), None)
+    if e is None:
+        return "multiplication table has no identity element"
+    for x in range(size):
+        if not any(op[x][y] == e == op[y][x] for y in range(size)):
+            return f"element {x} has no inverse"
+    for a in range(size):
+        for b in range(size):
+            for c in range(size):
+                if op[op[a][b]][c] != op[a][op[b][c]]:
+                    return f"multiplication table is not associative at {(a, b, c)}"
+    return None
+
+
+def small_group_tables():
+    s3, _ = s3_group()
+    return [
+        algebra.cyclic_group(12),
+        algebra.make_elementary_abelian(2, 4),
+        algebra.make_elementary_abelian(3, 2),
+        s3,
+        algebra.cyclic_group(1),
+        algebra.cyclic_group(2),
+    ]
+
+
+def group_outcome(op):
+    try:
+        group = algebra.FiniteGroup(op)
+    except InputError as exc:
+        return str(exc)
+    return group.generators
+
+
+def test_group_proof_agrees_with_brute_force(request, monkeypatch):
+    # on valid tables and seeded single-entry mutations of them, with
+    # numpy and without it
+    rng = random.Random(6)
+    cases = []
+    for group in small_group_tables():
+        op = [list(map(int, row)) for row in group.op]
+        cases.append(op)
+        for _ in range(6 if group.size > 1 else 0):
+            bad = [list(row) for row in op]
+            x, y = rng.randrange(group.size), rng.randrange(group.size)
+            bad[x][y] = rng.choice([v for v in range(group.size) if v != op[x][y]])
+            cases.append(bad)
+    with_numpy = [group_outcome(op) for op in cases]
+    for op, outcome in zip(cases, with_numpy):
+        expected = brute_force_group_error(op)
+        if expected is None:
+            assert isinstance(outcome, tuple) and len(outcome) <= len(op).bit_length() - 1
+        else:
+            assert outcome == expected
+    assert sum(isinstance(o, str) and "associative" in o for o in with_numpy) >= 10
+    assert sum(isinstance(o, str) and "inverse" in o for o in with_numpy) >= 3
+    monkeypatch.setattr(algebra, "_BLOCK_ENTRIES", 7)  # blocks of one or a few rows
+    assert [group_outcome(op) for op in cases] == with_numpy
+    request.getfixturevalue("no_numpy")
+    assert [group_outcome(op) for op in cases] == with_numpy
+
+
+def test_automorphism_proof_agrees_with_brute_force(request, monkeypatch):
+    rng = random.Random(7)
+    cases = []
+    for group in small_group_tables():
+        size = group.size
+        autos = algebra.close_action(group, []).elements
+        if size > 2:
+            perm = list(range(size))
+            for _ in range(8):
+                i, j = rng.sample(range(size), 2)
+                perm[i], perm[j] = perm[j], perm[i]
+                cases.append((group, tuple(perm)))
+        cases += [(group, auto.perm) for auto in autos]
+
+    def brute_force(group, perm):
+        if perm[group.identity] != group.identity:
+            return "does not fix the identity"
+        for a in range(group.size):
+            for b in range(group.size):
+                if perm[group.mul(a, b)] != group.mul(perm[a], perm[b]):
+                    return f"not multiplicative at ({a}, {b})"
+        return None
+
+    with_numpy = [algebra._automorphism_failure(group, perm) for group, perm in cases]
+    assert with_numpy == [brute_force(group, perm) for group, perm in cases]
+    assert sum(f is None for f in with_numpy) >= 6
+    monkeypatch.setattr(algebra, "_BLOCK_ENTRIES", 7)
+    assert [algebra._automorphism_failure(group, perm) for group, perm in cases] == with_numpy
+    request.getfixturevalue("no_numpy")
+    assert [algebra._automorphism_failure(group, perm) for group, perm in cases] == with_numpy

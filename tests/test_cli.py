@@ -416,3 +416,47 @@ def test_non_utf8_file_is_exit_3(capsys, tmp_path, argv):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_Z2_GRP = {"format": "grp-v1", "size": 2, "op": [[0, 1], [1, 0]]}
+_SWAP_ACT = {"format": "act-v1", "generators": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "group, action",
+    [
+        (dict(_Z2_GRP, op=[[0, "1"], [1, 0]]), _SWAP_ACT),
+        (dict(_Z2_GRP, op=5), _SWAP_ACT),
+        (dict(_Z2_GRP, op=[[0, 1.0], [1, 0]]), _SWAP_ACT),
+        (dict(_Z2_GRP, op=[[False, True], [True, False]]), _SWAP_ACT),
+        (dict(_Z2_GRP, op=[5, [1, 0]]), _SWAP_ACT),
+        (dict(_Z2_GRP, op=[[0, 1], [1, 2**70]]), _SWAP_ACT),
+        (dict(_Z2_GRP, size="2"), _SWAP_ACT),
+        (_Z2_GRP, dict(_SWAP_ACT, generators=5)),
+        (_Z2_GRP, dict(_SWAP_ACT, generators=[5])),
+        (_Z2_GRP, dict(_SWAP_ACT, generators=[[0, True]])),
+        (_Z2_GRP, dict(_SWAP_ACT, generators=[[0, "1"]])),
+    ],
+    ids=[
+        "op-string-entry",
+        "op-int",
+        "op-float-entry",
+        "op-bool-entries",
+        "op-row-int",
+        "op-huge-entry",
+        "size-string",
+        "generators-int",
+        "generator-int",
+        "generator-bool-entry",
+        "generator-string-entry",
+    ],
+)
+def test_malformed_group_or_action_is_exit_3(capsys, tmp_path, group, action):
+    gpath, apath = tmp_path / "grp.json", tmp_path / "act.json"
+    gpath.write_text(json.dumps(group))
+    apath.write_text(json.dumps(action))
+    code = cli.main(["build", "coset", "--group", str(gpath), "--action", str(apath)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -7,10 +7,16 @@ from itertools import combinations, permutations
 
 import pytest
 
-from mvgroups import core
+from mvgroups import algebra, cli, core
 from mvgroups.errors import AxiomError, InputError
 
-from conftest import assoc_by_expansion, multiplier_coset, ratio_isomorphism_holds, relabel
+from conftest import (
+    assoc_by_expansion,
+    coset_axiom_matrix,
+    multiplier_coset,
+    ratio_isomorphism_holds,
+    relabel,
+)
 
 
 def cyclic3_table():
@@ -379,30 +385,138 @@ def test_loads_rejects_bad_json():
         core.loads("{not json")
 
 
-def test_assoc_paths_agree_on_larger_tables(monkeypatch):
+def test_assoc_paths_agree_on_larger_tables(request):
     # the vectorised associativity scan and the plain-loop scan must
     # flag exactly the same witnesses
-    from mvgroups import algebra
-
     f = algebra.make_field(31, 1)
     group = algebra.additive_group(f)
     action = algebra.close_action(group, [algebra.multiplier_automorphism(f, 5)])
     g = algebra.coset_group(group, action)
     assert g.order == 11 and g.n == 3
-    fast = core._assoc_failures(g)
-    monkeypatch.setattr(core, "_np", None)
-    slow = core._assoc_failures(g)
-    assert fast == slow == []
 
     table = [[list(row) for row in plane] for plane in g.table]
     # redistribute one row, keeping the row sum
     table[1][2] = [0] * g.order
     table[1][2][0] = g.n
     broken = core.MultivaluedGroup(g.n, g.identity, g.star, table)
-    slow_fails = core._assoc_failures(broken)
-    monkeypatch.undo()
+    fast = core._assoc_failures(g)
     fast_fails = core._assoc_failures(broken)
+    request.getfixturevalue("no_numpy")
+    slow = core._assoc_failures(g)
+    slow_fails = core._assoc_failures(broken)
+    assert fast == slow == []
     assert slow_fails == fast_fails != []
+
+
+def permutation_group_table(degree):
+    """The symmetric group on `degree` letters as a 1-valued table; its
+    algebra is not commutative, so no single element generates it."""
+    elems = sorted(permutations(range(degree)))
+    index = {p: i for i, p in enumerate(elems)}
+    o = len(elems)
+    table = [[[0] * o for _ in range(o)] for _ in range(o)]
+    star = [0] * o
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            k = index[tuple(a[b[t]] for t in range(degree))]
+            table[i][j][k] = 1
+            if k == 0:
+                star[i] = j
+    return core.MultivaluedGroup(1, 0, star, table)
+
+
+def assoc_test_tables():
+    """Every kind of table the tests build: coset groups of the axiom
+    matrix, the order-3 builders, 1-valued groups up to order 24."""
+    tables = [(label, algebra.coset_group(group, action)) for label, group, action in coset_axiom_matrix()]
+    tables += [
+        ("petersen", core.build_type1(6, 2, 1, 0)),
+        ("type1 no y in x*x", core.build_type1(4, 2, 1, 2)),
+        ("x3", core.build_xk(3)),
+        ("cyclic3", core.MultivaluedGroup(1, 0, (0, 2, 1), cyclic3_table())),
+        ("S3", permutation_group_table(3)),
+        ("S4", permutation_group_table(4)),
+        ("Z31 order-3 multipliers", multiplier_coset(31, 3)),
+    ]
+    return tables
+
+
+def single_entry_mutation(g, rng):
+    """Move one unit of multiplicity inside one product m[x][y], which
+    keeps every row sum."""
+    table = [[list(row) for row in plane] for plane in g.table]
+    row = table[rng.randrange(g.order)][rng.randrange(g.order)]
+    src = rng.choice([z for z in range(g.order) if row[z]])
+    dst = rng.choice([z for z in range(g.order) if z != src])
+    row[src] -= 1
+    row[dst] += 1
+    return core.MultivaluedGroup(g.n, g.identity, g.star, table)
+
+
+def assoc_outcome(g):
+    report = core.verify_axioms(g)
+    witnesses = [w for axiom, w in report.counterexamples if axiom == "associative"]
+    return report.associative, report.assoc_generators, witnesses
+
+
+def test_generator_proof_agrees_with_full_scan(request, monkeypatch):
+    # The proof from a generating set, with the full scan behind it,
+    # must give the full scan's verdict and witness list on every table
+    # and on seeded mutations of them, with numpy and without it.
+    rng = random.Random(6)
+    tables = assoc_test_tables()
+    cases = list(tables)
+    for label, g in tables:
+        if g.order > 1:
+            cases += [(f"{label} mutated {i}", single_entry_mutation(g, rng)) for i in range(3)]
+    with_numpy = {}
+    for label, g in cases:
+        associative, gens, witnesses = with_numpy[label] = assoc_outcome(g)
+        scan = core._assoc_failures(g)
+        assert witnesses == scan, label
+        assert associative == (scan == []), label
+        if gens is not None:
+            assert scan == [] and g.identity not in gens, label
+    # Every valid table but two is proved without the scan, some from two
+    # generators.  In those two Schur rings e_x * e_x lies in span(e, e_x),
+    # so it takes o - 2 basis generators to span, past the bound.
+    unproved = {label for label, _ in tables if with_numpy[label][1] is None}
+    assert unproved == {"GF(16) fifth powers", "GF(64) ninth powers"}
+    assert max(len(with_numpy[label][1]) for label, _ in tables if label not in unproved) >= 2
+    assert sum(not associative for associative, _, _ in with_numpy.values()) >= len(cases) // 4
+
+    # one x per block in the vectorised check
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
+    assert {label: assoc_outcome(g) for label, g in cases} == with_numpy
+
+    # the plain loops, on every table they can scan in well under a second
+    request.getfixturevalue("no_numpy")
+    for label, g in cases:
+        if g.order <= 12 or with_numpy[label][1] is not None:
+            assert assoc_outcome(g) == with_numpy[label], label
+
+
+def test_generator_proof_needs_the_identity_axiom():
+    # Element 1 passes Light's test and its words span Q^3, but e is not
+    # an identity, so e need not be middle-associative and the table is
+    # not associative.  verify_axioms skips the proof and scans.
+    table = [[[0, 0, 1], [0, 0, 1], [0, 1, 0]], [[0, 1, 0], [0, 0, 1], [0, 1, 0]], [[0, 0, 1], [0, 1, 0], [0, 0, 1]]]
+    g = core.MultivaluedGroup(1, 0, (0, 1, 2), table)
+    assert core._assoc_generators(g) == (1,)
+    report = core.verify_axioms(g)
+    assert report.has_identity is False
+    assert report.associative is False and report.assoc_generators is None
+    assert [w for axiom, w in report.counterexamples if axiom == "associative"] == core._assoc_failures(g) != []
+
+
+def test_validate_reports_the_proof_but_verify_output_omits_it(petersen_group, capsys, tmp_path):
+    report = core.validate(petersen_group)
+    assert report.ok and report.assoc_generators == (1,)
+    path = tmp_path / "petersen.json"
+    path.write_text(core.dumps(petersen_group))
+    for extra in ([], ["--json"]):
+        assert cli.main(["verify", str(path), *extra]) == 0
+        assert "generators" not in capsys.readouterr().out
 
 
 def test_signature_tiebreak_on_equal_diagonal_ratios():
