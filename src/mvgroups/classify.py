@@ -9,6 +9,11 @@ invert to a parameter set (v, k, lambda, mu) realised by one of the
 nine closed-form families or the fixed table of sporadic parameter
 sets.  mu = 0 sets do not determine v, so everything is keyed on the
 full quadruple.
+
+Every catalogue row has v = p**d for a prime p, and _family_rows(p, d)
+is the one encoding of the families: enumerate_families walks the
+prime powers up to v_max and asks it for each, and match_params
+factors v and keeps its rows with equal parameters.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 
 from .algebra import is_prime_power, mult_order
@@ -44,6 +50,9 @@ from .srg import (
 )
 
 ENUMERATE_CAP = 10**7
+# classify_order3 factors one number, the derived v or 4k+3, by trial
+# division up to its square root: at most 5 * 10**5 odd divisors here.
+CLASSIFY_CAP = 10**12
 
 # Entries of the prime-power table built by _prime_power_table.
 PRIME, PROPER_POWER = 1, 2
@@ -80,7 +89,7 @@ SPORADIC_TABLE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyDescriptor:
     """One attainable parameter set with its defining integers.
 
@@ -126,12 +135,8 @@ def canonicalize(params: SrgParams) -> SrgParams:
     return params
 
 
-def _canonical_tuple(params: SrgParams) -> tuple[int, int, int, int]:
-    return canonicalize(params).as_tuple()
-
-
 def _descriptor(family, params, witness) -> FamilyDescriptor:
-    return FamilyDescriptor(family, _canonical_tuple(params), tuple(witness))
+    return FamilyDescriptor(family, canonicalize(params).as_tuple(), tuple(witness))
 
 
 def _vls_admissible(p, c, t) -> bool:
@@ -163,89 +168,80 @@ def _prime_power_table(limit: int) -> bytearray:
     return table
 
 
+def _family_rows(p: int, d: int, table) -> list[FamilyDescriptor]:
+    """Every catalogue row with v = p**d, in FAMILIES order.  table is a
+    _prime_power_table covering d + 1, for the prime moduli c of family
+    IV.  Only family III has prime v (every SPORADIC_TABLE v is a proper
+    power), so for d == 1 the list ends there."""
+    v = p**d
+    rows = []
+    if d > 1:
+        for t in range(1, d):
+            s = d - t
+            rows.append(_descriptor("I", clique_union_params(p, t, s), (("p", p), ("t", t), ("s", s))))
+        if d % 2 == 0:
+            q = p ** (d // 2)
+            rows.append(_descriptor("II", grid_params(q), (("q", q),)))
+    if v % 4 == 1:
+        rows.append(_descriptor("III", conference_params(v // 4), (("t", v // 4),)))
+    if d == 1:
+        return rows
+    for c in range(3, d + 2):
+        t, rem = divmod(d, c - 1)
+        if rem == 0 and table[c] == PRIME and _vls_admissible(p, c, t):
+            rows.append(_descriptor("IV", vls_params(p, c, t), (("p", p), ("c", c), ("t", t))))
+    # (q, e) with q**(2e) = v and e >= 2: the forms of families V and VI
+    forms = [(p ** (d // (2 * e)), e) for e in range(2, d // 2 + 1) if d % (2 * e) == 0]
+    rows += [_descriptor("V", bilinear_params(q, e), (("q", q), ("e", e))) for q, e in forms if e > 2]
+    rows += [
+        _descriptor("VI", polar_params(q, e, eps), (("q", q), ("e", e), ("eps", sign)))
+        for q, e in forms
+        for eps, sign in ((1, "+"), (-1, "-"))
+        if (q, eps) != (2, 1)
+    ]
+    if p == 2 and d % 2 == 0 and d >= 4:
+        e = d // 2
+        rows.append(_descriptor("VII", polar_plus_complement_params(e), (("e", e),)))
+    if d % 10 == 0:
+        q = p ** (d // 10)
+        rows.append(_descriptor("VIII", alternating_params(q), (("q", q),)))
+    if d % 16 == 0:
+        q = p ** (d // 16)
+        rows.append(_descriptor("IX", halfspin_params(q), (("q", q),)))
+    for row, entry in enumerate(SPORADIC_TABLE, start=1):
+        if entry[0] == v:
+            rows.append(_descriptor("TABLE", SrgParams(*entry), (("row", row),)))
+    return rows
+
+
 def enumerate_families(v_max: int, cap: int = ENUMERATE_CAP) -> list[FamilyDescriptor]:
     """Every attainable descriptor with v <= v_max, in the lower-valency
     orientation, sorted by (params, family, witness).  Parameter sets
     hit by several families are all emitted; see collisions().
 
     One prime-power table up to v_max, one byte per integer, serves
-    every family, so v_max is checked against cap before it is built."""
+    every family, so v_max is checked against cap before it is built.
+    The prime powers are walked in ascending order, so sorting the rows
+    of each v in turn sorts the whole list."""
     if v_max < 4:
         raise InputError("v_max must be at least 4")
     if v_max > cap:
         raise CapError(f"v_max {v_max} exceeds the cap {cap}")
     table = _prime_power_table(v_max)
-    root = isqrt(v_max)
-    primes = [n for n in range(2, root + 1) if table[n] == PRIME]
-    prime_powers = [n for n in range(2, root + 1) if table[n]]
+    proper_powers = {}
+    for p in compress(range(isqrt(v_max) + 1), table):
+        if table[p] == PRIME:
+            power, d = p * p, 2
+            while power <= v_max:
+                proper_powers[power] = (p, d)
+                power, d = power * p, d + 1
     found: list[FamilyDescriptor] = []
-
-    for p in primes:
-        total = 2
-        while p**total <= v_max:
-            for t in range(1, total):
-                s = total - t
-                found.append(
-                    _descriptor("I", clique_union_params(p, t, s), (("p", p), ("t", t), ("s", s)))
-                )
-            total += 1
-
-    for q in prime_powers:
-        found.append(_descriptor("II", grid_params(q), (("q", q),)))
-
-    for v in range(5, v_max + 1, 4):
-        if table[v]:
-            t = v // 4
-            found.append(_descriptor("III", conference_params(t), (("t", t),)))
-
-    # c <= v_max.bit_length() + 1 <= v_max, so the table covers it.
-    for c in range(3, v_max.bit_length() + 2):
-        if table[c] != PRIME:
-            continue
-        for p in primes:
-            if p ** (c - 1) > v_max:
-                break
-            t = 1
-            while p ** ((c - 1) * t) <= v_max:
-                if _vls_admissible(p, c, t):
-                    found.append(
-                        _descriptor("IV", vls_params(p, c, t), (("p", p), ("c", c), ("t", t)))
-                    )
-                t += 1
-
-    for q in prime_powers:
-        e = 3
-        while q ** (2 * e) <= v_max:
-            found.append(_descriptor("V", bilinear_params(q, e), (("q", q), ("e", e))))
-            e += 1
-
-    for q in prime_powers:
-        e = 2
-        while q ** (2 * e) <= v_max:
-            for eps, sign in ((1, "+"), (-1, "-")):
-                if (q, eps) == (2, 1):
-                    continue
-                found.append(
-                    _descriptor("VI", polar_params(q, e, eps), (("q", q), ("e", e), ("eps", sign)))
-                )
-            e += 1
-
-    e = 2
-    while 2 ** (2 * e) <= v_max:
-        found.append(_descriptor("VII", polar_plus_complement_params(e), (("e", e),)))
-        e += 1
-
-    for q in prime_powers:
-        if q**10 <= v_max:
-            found.append(_descriptor("VIII", alternating_params(q), (("q", q),)))
-        if q**16 <= v_max:
-            found.append(_descriptor("IX", halfspin_params(q), (("q", q),)))
-
-    for row, (v, k, lam, mu) in enumerate(SPORADIC_TABLE, start=1):
-        if v <= v_max:
-            found.append(_descriptor("TABLE", SrgParams(v, k, lam, mu), (("row", row),)))
-
-    found.sort(key=lambda d: (d.params, FAMILIES.index(d.family), d.witness_str()))
+    for v in compress(range(v_max + 1), table):
+        p, d = proper_powers.get(v) or (v, 1)
+        rows = _family_rows(p, d, table)
+        if len(rows) > 1:
+            rows.sort(key=lambda r: (r.params, FAMILIES.index(r.family), r.witness_str()))
+        found += rows
     return found
 
 
@@ -264,91 +260,16 @@ def collisions(descriptors) -> dict[tuple[int, int, int, int], tuple[str, ...]]:
     }
 
 
-def _exponent_of(base: int, value: int):
-    """t with base**t == value, or None."""
-    t, acc = 0, 1
-    while acc < value:
-        acc *= base
-        t += 1
-    return t if acc == value else None
-
-
 def match_params(v: int, k: int, lam: int, mu: int) -> list[FamilyDescriptor]:
     """All catalogue descriptors whose parameters equal the given ones
-    after flipping to the lower-valency orientation; an empty list means
-    the parameters are not attainable."""
-    params = canonicalize(SrgParams(v, k, lam, mu))
-    target = params.as_tuple()
-    v = params.v
-    out: list[FamilyDescriptor] = []
-    pp = is_prime_power(v)
-
-    if pp is not None:
-        p, d = pp
-
-        t = _exponent_of(p, params.k + 1)
-        if t is not None and 1 <= t < d:
-            s = d - t
-            if clique_union_params(p, t, s).as_tuple() == target:
-                out.append(FamilyDescriptor("I", target, (("p", p), ("t", t), ("s", s))))
-
-        q = isqrt(v)
-        if q * q == v and q >= 2 and is_prime_power(q) is not None:
-            if _canonical_tuple(grid_params(q)) == target:
-                out.append(FamilyDescriptor("II", target, (("q", q),)))
-
-        if v % 4 == 1 and v >= 5:
-            t = (v - 1) // 4
-            if conference_params(t).as_tuple() == target:
-                out.append(FamilyDescriptor("III", target, (("t", t),)))
-
-        table = _prime_power_table(d + 1)
-        for c in range(3, d + 2):
-            if table[c] != PRIME or d % (c - 1):
-                continue
-            t = d // (c - 1)
-            if _vls_admissible(p, c, t) and vls_params(p, c, t).as_tuple() == target:
-                out.append(FamilyDescriptor("IV", target, (("p", p), ("c", c), ("t", t))))
-
-        for e in range(3, d // 2 + 1):
-            if d % (2 * e):
-                continue
-            q = p ** (d // (2 * e))
-            if bilinear_params(q, e).as_tuple() == target:
-                out.append(FamilyDescriptor("V", target, (("q", q), ("e", e))))
-
-        for e in range(2, d // 2 + 1):
-            if d % (2 * e):
-                continue
-            q = p ** (d // (2 * e))
-            for eps, sign in ((1, "+"), (-1, "-")):
-                if (q, eps) == (2, 1):
-                    continue
-                if polar_params(q, e, eps).as_tuple() == target:
-                    out.append(
-                        FamilyDescriptor("VI", target, (("q", q), ("e", e), ("eps", sign)))
-                    )
-
-        if p == 2 and d % 2 == 0 and d >= 4:
-            e = d // 2
-            if polar_plus_complement_params(e).as_tuple() == target:
-                out.append(FamilyDescriptor("VII", target, (("e", e),)))
-
-        if d % 10 == 0:
-            q = p ** (d // 10)
-            if alternating_params(q).as_tuple() == target:
-                out.append(FamilyDescriptor("VIII", target, (("q", q),)))
-
-        if d % 16 == 0:
-            q = p ** (d // 16)
-            if halfspin_params(q).as_tuple() == target:
-                out.append(FamilyDescriptor("IX", target, (("q", q),)))
-
-    for row, entry in enumerate(SPORADIC_TABLE, start=1):
-        if entry == target:
-            out.append(FamilyDescriptor("TABLE", target, (("row", row),)))
-
-    return out
+    after flipping to the lower-valency orientation, in FAMILIES order;
+    an empty list means the parameters are not attainable."""
+    target = canonicalize(SrgParams(v, k, lam, mu)).as_tuple()
+    pp = is_prime_power(target[0])
+    if pp is None:
+        return []
+    p, d = pp
+    return [row for row in _family_rows(p, d, _prime_power_table(d + 1)) if row.params == target]
 
 
 def derive_params(sig: Signature):
@@ -381,7 +302,7 @@ def derive_params(sig: Signature):
         return None
 
 
-def classify_order3(g: MultivaluedGroup) -> Verdict:
+def classify_order3(g: MultivaluedGroup, cap: int = CLASSIFY_CAP) -> Verdict:
     """Decide whether an order-3 involutive multivalued group is (up to
     isomorphism) a coset group, and name the witnessing family.
 
@@ -389,7 +310,9 @@ def classify_order3(g: MultivaluedGroup) -> Verdict:
     swap group of some k exactly when d = n - 2a satisfies d > 0 and
     d = gcd(a, n) (then a/n = k/(2k+1) with k = a/d); it is coset iff
     additionally 4k+3 is a prime power.  Symmetric star: invert the
-    signature and look the parameters up in the catalogue.
+    signature and look the parameters up in the catalogue.  The number
+    to be factored, 4k+3 or the derived v, is checked against cap
+    first.
     """
     if g.order != 3:
         raise InputError("classification requires a group of order 3")
@@ -412,6 +335,8 @@ def classify_order3(g: MultivaluedGroup) -> Verdict:
                 reason=f"swap ratio {ratio} is not of the form k/(2k+1)",
             )
         k = a
+        if 4 * k + 3 > cap:
+            raise CapError(f"4k+3 = {4 * k + 3} exceeds the cap {cap}")
         if is_prime_power(4 * k + 3) is None:
             return Verdict(
                 coset=False,
@@ -428,6 +353,8 @@ def classify_order3(g: MultivaluedGroup) -> Verdict:
             kind="none",
             reason="signature does not invert to a strongly regular parameter set",
         )
+    if derived.v > cap:
+        raise CapError(f"derived v = {derived.v} exceeds the cap {cap}")
     matches = tuple(match_params(*derived.as_tuple()))
     if not matches:
         return Verdict(

@@ -286,14 +286,15 @@ def _cmd_build(args, cap) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, cap) -> int:
+    cap = cap if cap is not None else classify.CLASSIFY_CAP
     if args.file is not None:
         group = _load_mvg(args.file)
     elif args.sym is not None:
         group = core.build_type1(*args.sym)
     else:
         group = core.build_type2(*args.swap)
-    verdict = classify.classify_order3(group)
+    verdict = classify.classify_order3(group, cap=cap)
     if args.json:
         _write(args.output, _json_line(classify.verdict_to_json_dict(verdict)))
     else:
@@ -376,7 +377,7 @@ def main(argv=None) -> int:
         if args.command == "build":
             return _cmd_build(args, args.cap)
         if args.command == "classify":
-            return _cmd_classify(args)
+            return _cmd_classify(args, args.cap)
         if args.command == "enumerate":
             return _cmd_enumerate(args, args.cap)
         raise InputError(f"unknown command {args.command!r}")

@@ -135,7 +135,7 @@ class DirectedGraph:
                 w += 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SrgParams:
     """Certificate (v, k, lambda, mu) of a strongly regular graph.
 

@@ -107,16 +107,52 @@ def test_match_params_idempotent_under_canonicalization():
         assert classify.match_params(*canon) == first
 
 
-def test_match_agrees_with_enumeration():
-    descs = classify.enumerate_families(1024)
+def test_match_agrees_with_trial_division_catalogue():
     by_params = {}
-    for d in descs:
+    for d in _trial_division_catalogue(4096):
         by_params.setdefault(d.params, []).append(d)
     for params, expected in by_params.items():
         got = classify.match_params(*params)
+        assert [d.family for d in got] == [d.family for d in expected], params
         assert sorted((d.family, d.witness) for d in got) == sorted(
             (d.family, d.witness) for d in expected
         ), params
+    # Feasible sets whose v is no prime power: triangular graphs T(m)
+    # and m x m grids with m not a prime power.
+    off = [(m * (m - 1) // 2, 2 * (m - 2), m - 2, 4) for m in range(5, 60)]
+    off += [srg.grid_params(m).as_tuple() for m in range(6, 60) if not naive_prime_power(m)]
+    for params in off:
+        assert not naive_prime_power(params[0]), params
+        assert classify.match_params(*params) == [], params
+
+
+def test_every_table_row_matches_itself():
+    # Every table v is a proper prime power, so _family_rows may stop
+    # after family III when v is prime.
+    for row, params in enumerate(classify.SPORADIC_TABLE, start=1):
+        _, d = algebra.is_prime_power(params[0])
+        assert d >= 2, params
+        matched = classify.match_params(*params)
+        assert ("TABLE", (("row", row),)) in [(m.family, m.witness) for m in matched]
+
+
+@pytest.mark.parametrize(
+    "params, first",
+    [
+        ((4, 1, 0, 0), "I"),
+        ((9, 4, 1, 2), "II"),
+        ((16, 6, 2, 2), "II"),
+        ((256, 45, 16, 6), "V"),
+        ((625, 144, 43, 30), "VI"),
+    ],
+)
+def test_collision_verdict_names_first_family(params, first):
+    # The verdict reports the first row _family_rows yields; the matches
+    # list every colliding family in catalogue order.
+    verdict = classify.classify_order3(srg.mvgroup_from_params(srg.SrgParams(*params)))
+    assert verdict.family.family == first
+    report = classify.collisions(classify.enumerate_families(1024))
+    assert tuple(m.family for m in verdict.matches) == report[params]
 
 
 def test_derive_params_examples():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +116,31 @@ def test_classify_bad_parameters_exit_3(capsys):
     code, _, err = run_cli(capsys, "classify", "--sym", "6", "4", "1", "0")
     assert code == 3
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, number, small, bound",
+    [
+        (["--swap", "5000000000000039", "2500000000000019"], "4k+3 = 10000000000000079",
+         ["--swap", "3", "1"], 7),
+        (["--sym", "5000000000000030", "1", "1", "2500000000000014"], "v = 10000000000000061",
+         ["--sym", "6", "1", "1", "2"], 13),
+    ],
+)
+def test_classify_cap(capsys, monkeypatch, argv, number, small, bound):
+    # Both large numbers take seconds to factor by trial division; the
+    # default cap refuses them before any factoring.
+    def unreachable(v):
+        raise AssertionError(f"{v} factored")
+
+    monkeypatch.setattr(classify, "is_prime_power", unreachable)
+    code, out, err = run_cli(capsys, "classify", *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and number in err
+    monkeypatch.undo()
+    # --cap reaches classify: the small input factors exactly bound.
+    assert run_cli(capsys, "classify", *small, "--cap", str(bound - 1))[0] == 4
+    assert run_cli(capsys, "classify", *small, "--cap", str(bound))[0] == 0
 
 
 def test_build_coset_pipeline(capsys, tmp_path):
@@ -271,10 +297,13 @@ def test_determinism(capsys):
 
 
 def test_console_entry_point_subprocess():
+    # Run from the directory holding the imported package, so the child
+    # finds it whether the path came from PYTHONPATH or pytest's config.
     result = subprocess.run(
         [sys.executable, "-m", "mvgroups", "classify", "--swap", "3", "1", "--json"],
         capture_output=True,
         text=True,
+        cwd=Path(cli.__file__).parents[1],
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["coset"] is True
