@@ -11,18 +11,22 @@ sets.  mu = 0 sets do not determine v, so everything is keyed on the
 full quadruple.
 
 Every catalogue row has v = p**d for a prime p, and _family_rows(p, d)
-is the one encoding of the families: enumerate_families walks the
-prime powers up to v_max and asks it for each, and match_params
-factors v and keeps its rows with equal parameters.
+is the one encoding of the families: iter_catalogue walks the prime
+powers up to v_max and yields the sorted rows of each v in turn, and
+match_params factors v and keeps its rows with equal parameters.  Equal
+parameters imply equal v, so collisions are found within one v's rows,
+and `enumerate` writes the catalogue as it walks it without holding it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, groupby
 from math import isqrt
+from operator import attrgetter
 
 from .algebra import is_prime_power, mult_order
 from .core import (
@@ -41,7 +45,6 @@ from .srg import (
     bilinear_params,
     clique_union_params,
     complement_params,
-    conference_params,
     grid_params,
     halfspin_params,
     polar_params,
@@ -106,7 +109,7 @@ class FamilyDescriptor:
         return dict(self.witness)
 
     def witness_str(self) -> str:
-        return ",".join(f"{k}={v}" for k, v in self.witness)
+        return ",".join([f"{k}={v}" for k, v in self.witness])
 
 
 @dataclass
@@ -183,7 +186,11 @@ def _family_rows(p: int, d: int, table) -> list[FamilyDescriptor]:
             q = p ** (d // 2)
             rows.append(_descriptor("II", grid_params(q), (("q", q),)))
     if v % 4 == 1:
-        rows.append(_descriptor("III", conference_params(v // 4), (("t", v // 4),)))
+        # conference_params(t) without re-validation: k(k-1-lambda) =
+        # 2t*t = (v-k-1)mu, 0 < k < v-1 and k = kbar hold for every t >= 1,
+        # so the row is valid and already canonical.
+        t = v // 4
+        rows.append(FamilyDescriptor("III", (v, 2 * t, t - 1, t), (("t", t),)))
     if d == 1:
         return rows
     for c in range(3, d + 2):
@@ -214,15 +221,18 @@ def _family_rows(p: int, d: int, table) -> list[FamilyDescriptor]:
     return rows
 
 
-def enumerate_families(v_max: int, cap: int = ENUMERATE_CAP) -> list[FamilyDescriptor]:
-    """Every attainable descriptor with v <= v_max, in the lower-valency
-    orientation, sorted by (params, family, witness).  Parameter sets
-    hit by several families are all emitted; see collisions().
+def _row_key(row: FamilyDescriptor):
+    return (row.params, FAMILIES.index(row.family), row.witness_str())
 
-    One prime-power table up to v_max, one byte per integer, serves
-    every family, so v_max is checked against cap before it is built.
-    The prime powers are walked in ascending order, so sorting the rows
-    of each v in turn sorts the whole list."""
+
+def iter_catalogue(v_max: int, cap: int = ENUMERATE_CAP) -> Iterator[list[FamilyDescriptor]]:
+    """The catalogue rows with v <= v_max, one non-empty list per v in
+    ascending v, each sorted by (params, family, witness) and in the
+    lower-valency orientation.
+
+    v_max is checked against cap, and the prime-power table up to v_max
+    (one byte per integer, serving every family) is built, before this
+    returns; the rows are then made as the iterator is consumed."""
     if v_max < 4:
         raise InputError("v_max must be at least 4")
     if v_max > cap:
@@ -235,36 +245,54 @@ def enumerate_families(v_max: int, cap: int = ENUMERATE_CAP) -> list[FamilyDescr
             while power <= v_max:
                 proper_powers[power] = (p, d)
                 power, d = power * p, d + 1
-    found: list[FamilyDescriptor] = []
-    for v in compress(range(v_max + 1), table):
-        p, d = proper_powers.get(v) or (v, 1)
-        rows = _family_rows(p, d, table)
-        if len(rows) > 1:
-            rows.sort(key=lambda r: (r.params, FAMILIES.index(r.family), r.witness_str()))
-        found += rows
+
+    def walk():
+        for v in compress(range(v_max + 1), table):
+            p, d = proper_powers.get(v) or (v, 1)
+            rows = _family_rows(p, d, table)
+            if len(rows) > 1:
+                rows.sort(key=_row_key)
+            if rows:
+                yield rows
+
+    return walk()
+
+
+def enumerate_families(v_max: int, cap: int = ENUMERATE_CAP) -> list[FamilyDescriptor]:
+    """Every attainable descriptor with v <= v_max, in the lower-valency
+    orientation, sorted by (params, family, witness): the rows of
+    iter_catalogue in one list.  Parameter sets hit by several families
+    are all emitted; see collisions()."""
+    return list(chain.from_iterable(iter_catalogue(v_max, cap)))
+
+
+def block_collisions(rows) -> list[tuple[tuple[int, int, int, int], tuple[str, ...]]]:
+    """(params, families) for each parameter quadruple that more than
+    one family emits among rows sorted by params, with the family names
+    in catalogue order."""
+    found = []
+    if len(rows) > 1:
+        for params, group in groupby(rows, key=attrgetter("params")):
+            fams = {row.family for row in group}
+            if len(fams) > 1:
+                found.append((params, tuple(sorted(fams, key=FAMILIES.index))))
     return found
 
 
 def collisions(descriptors) -> dict[tuple[int, int, int, int], tuple[str, ...]]:
     """Parameter quadruples emitted by more than one family, mapping to
     the family names in catalogue order."""
-    by_params: dict[tuple, list[str]] = {}
-    for desc in descriptors:
-        fams = by_params.setdefault(desc.params, [])
-        if desc.family not in fams:
-            fams.append(desc.family)
-    return {
-        params: tuple(sorted(fams, key=FAMILIES.index))
-        for params, fams in sorted(by_params.items())
-        if len(fams) > 1
-    }
+    return dict(block_collisions(sorted(descriptors, key=attrgetter("params"))))
 
 
-def match_params(v: int, k: int, lam: int, mu: int) -> list[FamilyDescriptor]:
+def match_params(v: int, k: int, lam: int, mu: int, cap: int = CLASSIFY_CAP) -> list[FamilyDescriptor]:
     """All catalogue descriptors whose parameters equal the given ones
     after flipping to the lower-valency orientation, in FAMILIES order;
-    an empty list means the parameters are not attainable."""
+    an empty list means the parameters are not attainable.  v is
+    factored by trial division, so it is checked against cap first."""
     target = canonicalize(SrgParams(v, k, lam, mu)).as_tuple()
+    if v > cap:
+        raise CapError(f"v = {v} exceeds the cap {cap}")
     pp = is_prime_power(target[0])
     if pp is None:
         return []
@@ -355,7 +383,7 @@ def classify_order3(g: MultivaluedGroup, cap: int = CLASSIFY_CAP) -> Verdict:
         )
     if derived.v > cap:
         raise CapError(f"derived v = {derived.v} exceeds the cap {cap}")
-    matches = tuple(match_params(*derived.as_tuple()))
+    matches = tuple(match_params(*derived.as_tuple(), cap=cap))
     if not matches:
         return Verdict(
             coset=False,
@@ -392,12 +420,16 @@ def verdict_to_json_dict(verdict: Verdict) -> dict:
     return data
 
 
+def write_catalogue_csv(out, descriptors) -> None:
+    """Write descriptors to the text stream out as CSV with the header
+    v,k,lambda,mu,family,witness, one record at a time."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["v", "k", "lambda", "mu", "family", "witness"])
+    writer.writerows((*desc.params, desc.family, desc.witness_str()) for desc in descriptors)
+
+
 def catalogue_csv(descriptors) -> str:
     """CSV export of a descriptor list: v,k,lambda,mu,family,witness."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["v", "k", "lambda", "mu", "family", "witness"])
-    for desc in descriptors:
-        v, k, lam, mu = desc.params
-        writer.writerow([v, k, lam, mu, desc.family, desc.witness_str()])
+    write_catalogue_csv(buf, descriptors)
     return buf.getvalue()

@@ -3,15 +3,18 @@
 Exit codes: 0 success or affirmative answer, 1 well-formed negative
 (axioms fail, not isomorphic, not a coset group), 2 usage error,
 3 invalid input data, 4 resource cap exceeded.  Internal consistency
-failures (library bugs) exit 70.  All output is deterministic for a
-given argv and input.
+failures and any other unexpected exception (library bugs) exit 70 with
+one line on stderr.  All output is deterministic for a given argv and
+input.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from itertools import chain
 
 from . import algebra, classify, core, srg
 from .errors import CapError, InputError, InternalError
@@ -29,15 +32,22 @@ def _read(path: str) -> str:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str):
+    """The text stream for path ('-' = stdout), opened on entry."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    with _output(path) as out:
+        out.write(text)
 
 
 def _load_mvg(path: str) -> core.MultivaluedGroup:
@@ -314,51 +324,78 @@ def _cmd_classify(args, cap) -> int:
     return 0 if verdict.coset else 1
 
 
+# Rows per json.dumps call when streaming the catalogue as JSON.
+_JSON_BLOCK = 1024
+
+
+def _json_row(d: classify.FamilyDescriptor) -> dict:
+    v, k, lam, mu = d.params
+    return {"v": v, "k": k, "lambda": lam, "mu": mu, "family": d.family, "witness": dict(d.witness)}
+
+
+def _json_items(rows: list) -> str:
+    """json.dumps(rows) without its brackets.  The rows are fresh acyclic
+    dicts, so the circular-reference check is skipped."""
+    return json.dumps(rows, check_circular=False)[1:-1]
+
+
+def _write_json_array(out, blocks) -> None:
+    """The rows of blocks as one JSON array, dumped _JSON_BLOCK rows at a
+    time: json.dumps of a list joins its items' dumps with ", " inside
+    brackets, so the bytes are those of a single call."""
+    out.write("[")
+    batch, sep = [], ""
+    for rows in blocks:
+        batch += map(_json_row, rows)
+        if len(batch) >= _JSON_BLOCK:
+            out.write(sep + _json_items(batch))
+            batch, sep = [], ", "
+    if batch:
+        out.write(sep + _json_items(batch))
+    out.write("]")
+
+
+def _table_line(d: classify.FamilyDescriptor) -> str:
+    v, k, lam, mu = d.params
+    return f"{v:>7} {k:>6} {lam:>6} {mu:>6}  {d.family:<6}  {d.witness_str()}\n"
+
+
+def _noting_collisions(blocks, found: list):
+    """Pass blocks through, appending the collisions of each to found."""
+    for rows in blocks:
+        found += classify.block_collisions(rows)
+        yield rows
+
+
 def _cmd_enumerate(args, cap) -> int:
     cap = cap if cap is not None else classify.ENUMERATE_CAP
-    descriptors = classify.enumerate_families(args.vmax, cap=cap)
-    chunks = []
-    if args.json:
-        data = {
-            "families": [
-                {
-                    "v": d.params[0],
-                    "k": d.params[1],
-                    "lambda": d.params[2],
-                    "mu": d.params[3],
-                    "family": d.family,
-                    "witness": d.witness_dict,
-                }
-                for d in descriptors
-            ]
-        }
-        if args.collisions:
-            data["collisions"] = [
-                {"params": list(params), "families": list(fams)}
-                for params, fams in classify.collisions(descriptors).items()
-            ]
-        chunks.append(_json_line(data))
-    elif args.csv:
-        chunks.append(classify.catalogue_csv(descriptors))
-        if args.collisions:
-            for params, fams in classify.collisions(descriptors).items():
-                chunks.append("# collision {}: {}\n".format(params, "/".join(fams)))
-    else:
-        header = f"{'v':>7} {'k':>6} {'lambda':>6} {'mu':>6}  family  witness"
-        rows = [header, "-" * len(header)]
-        for d in descriptors:
-            v, k, lam, mu = d.params
-            rows.append(f"{v:>7} {k:>6} {lam:>6} {mu:>6}  {d.family:<6}  {d.witness_str()}")
-        if args.collisions:
-            rows.append("")
-            rows.append("collisions:")
-            report = classify.collisions(descriptors)
-            if not report:
-                rows.append("  none")
-            for params, fams in report.items():
-                rows.append(f"  {params}: {'/'.join(fams)}")
-        chunks.append("\n".join(rows) + "\n")
-    _write(args.output, "".join(chunks))
+    blocks = classify.iter_catalogue(args.vmax, cap=cap)
+    found = []  # (params, families) of each collision, in params order
+    if args.collisions:
+        blocks = _noting_collisions(blocks, found)
+    with _output(args.output) as out:
+        if args.json:
+            out.write('{"families": ')
+            _write_json_array(out, blocks)
+            if args.collisions:
+                report = [{"params": list(params), "families": list(fams)} for params, fams in found]
+                out.write(', "collisions": ' + json.dumps(report))
+            out.write("}\n")
+        elif args.csv:
+            classify.write_catalogue_csv(out, chain.from_iterable(blocks))
+            if args.collisions:
+                for params, fams in found:
+                    out.write("# collision {}: {}\n".format(params, "/".join(fams)))
+        else:
+            header = f"{'v':>7} {'k':>6} {'lambda':>6} {'mu':>6}  family  witness"
+            out.write(f"{header}\n{'-' * len(header)}\n")
+            out.writelines(map(_table_line, chain.from_iterable(blocks)))
+            if args.collisions:
+                out.write("\ncollisions:\n")
+                if not found:
+                    out.write("  none\n")
+                for params, fams in found:
+                    out.write(f"  {params}: {'/'.join(fams)}\n")
     return 0
 
 
@@ -389,6 +426,10 @@ def main(argv=None) -> int:
         return 3
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 70
+    except Exception as exc:  # a library bug: one line, not a traceback
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 70
 
 

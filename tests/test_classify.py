@@ -1,6 +1,7 @@
 """Family enumeration, parameter matching, signature inversion, and the
 order-3 coset decision."""
 
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -443,3 +444,62 @@ def test_enumerate_cap():
     with pytest.raises(CapError):
         classify.enumerate_families(2000, cap=1000)
     assert classify.enumerate_families(2000, cap=2000) == classify.enumerate_families(2000)
+
+
+def test_trusted_rows_pass_the_validating_constructor():
+    # Family III rows are built without SrgParams: each row must still be
+    # a valid parameter set, already in the lower-valency orientation.
+    rows = classify.enumerate_families(10**6)
+    for row in rows:
+        assert classify.canonicalize(srg.SrgParams(*row.params)).as_tuple() == row.params, row
+    conference = [row for row in rows if row.family == "III"]
+    assert len(conference) == 39373
+    for row in conference:
+        ((name, t),) = row.witness
+        assert name == "t" and row.params == srg.conference_params(t).as_tuple(), row
+
+
+def test_iter_catalogue_yields_the_rows_of_each_v(monkeypatch):
+    blocks = list(classify.iter_catalogue(5000))
+    assert [row for rows in blocks for row in rows] == classify.enumerate_families(5000)
+    vs = [rows[0].params[0] for rows in blocks]
+    assert vs == sorted(set(vs))
+    for rows in blocks:
+        assert rows and {row.params[0] for row in rows} == {rows[0].params[0]}
+
+    # The cap and the sieve are dealt with when the iterator is made,
+    # not when it is first read.
+    with pytest.raises(CapError):
+        classify.iter_catalogue(2000, cap=1000)
+
+    def unreachable(limit):
+        raise AssertionError(f"sieve of {limit} allocated")
+
+    monkeypatch.setattr(classify, "_prime_power_table", unreachable)
+    with pytest.raises(AssertionError, match="sieve"):
+        classify.iter_catalogue(2000)
+
+
+def test_collisions_do_not_depend_on_row_order():
+    rows = classify.enumerate_families(4096)
+    report = list(classify.collisions(rows).items())
+    assert [params for params, _ in report] == sorted(params for params, _ in report)
+    shuffled = rows[:]
+    random.Random(0).shuffle(shuffled)
+    assert list(classify.collisions(shuffled).items()) == report
+
+
+def test_match_params_cap(monkeypatch):
+    # v = 2 * 10**16 + 1 takes seconds to factor by trial division; the
+    # default cap refuses it first.
+    def unreachable(v):
+        raise AssertionError(f"{v} factored")
+
+    for module in (algebra, classify):
+        monkeypatch.setattr(module, "is_prime_power", unreachable)
+    with pytest.raises(CapError, match="cap"):
+        classify.match_params(*srg.conference_params(5 * 10**15).as_tuple())
+    with pytest.raises(CapError):
+        classify.match_params(13, 6, 2, 3, cap=12)
+    monkeypatch.undo()
+    assert [d.family for d in classify.match_params(13, 6, 2, 3, cap=13)] == ["III"]

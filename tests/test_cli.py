@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -338,6 +339,12 @@ ENUMERATE_DIGESTS = {
     ("100", "--collisions"): "3060bbc24033eba81d2896c62ec90d20b50f4711aa6f79bf5532b541ac634245",
     ("1000000", "--csv", "--collisions"): "7904735452d5f552c8992955354c06163c19d1f8c0b2ba5473a8905507113f82",
     ("1000000", "--json"): "ae0ddd5f593a28cfafcdc308c5fdb5b93c486a15df68e1a09b78513a2258b74a",
+    ("70000",): "a2888471bc8dd429475288d7e0d43fbe5aba1d51829f6ae029a0727cc9b99b67",
+    ("70000", "--collisions"): "e5f43901a46a0d701b16fd0ef355e56d168e81ecfc73cf43ae5ef49b8832006a",
+    ("70000", "--csv"): "16c3ab4f562e20467ef239813650255a653ef3af7f8532824c5ed1f85905c16d",
+    ("70000", "--csv", "--collisions"): "8ecdf7f106e7b9caa65b5aeac7cf572721a75bf73890e773dfd04bb9ad178e49",
+    ("70000", "--json"): "0be97890b1fe62da302ad6b25214f1bfb4280a2f996a9160bda1f63a643b83fd",
+    ("70000", "--json", "--collisions"): "290a19b05d468f43993438e971dff263b7aa2bbda9427f50c0aa7176cc5d74cf",
 }
 
 
@@ -364,6 +371,39 @@ def test_enumerate_cap(capsys, monkeypatch):
     assert code == 4 and "cap" in err
     with pytest.raises(AssertionError, match="sieve"):
         classify.enumerate_families(classify.ENUMERATE_CAP)
+
+
+def test_enumerate_streams_its_output(tmp_path):
+    # The rows are written as they are made, so memory stays far below
+    # the size of the catalogue (about 9 MB of JSON here).
+    target = tmp_path / "catalogue.json"
+    tracemalloc.start()
+    try:
+        code = cli.main(["enumerate", "--vmax", "200000", "--json", "-o", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 6 * 2**20, peak
+    assert len(json.loads(target.read_text())["families"]) == len(classify.enumerate_families(200000))
+
+
+def test_enumerate_cap_creates_no_output_file(capsys, tmp_path):
+    target = tmp_path / "catalogue.txt"
+    code, out, err = run_cli(capsys, "enumerate", "--vmax", "2000", "--cap", "1000", "-o", str(target))
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_stray_exception_exits_70(capsys, monkeypatch):
+    def broken(args, cap):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_enumerate", broken)
+    code, out, err = run_cli(capsys, "enumerate", "--vmax", "100")
+    assert code == 70 and out == ""
+    assert err == "internal error: RuntimeError: boom second line\n"
 
 
 def test_build_graph_vls_cli(capsys):
