@@ -243,8 +243,11 @@ def _report_json(report: core.AxiomReport) -> dict:
     return data
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, cap) -> int:
+    cap = cap if cap is not None else algebra.GROUP_CAP
     group = _load_mvg(args.file)
+    if group.order > cap:
+        raise CapError(f"group order {group.order} exceeds the cap {cap}")
     report = core.verify_all(group)
     if args.json:
         _write(args.output, _json_line(_report_json(report)))
@@ -408,7 +411,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
-            return _cmd_verify(args)
+            return _cmd_verify(args, args.cap)
         if args.command == "iso":
             return _cmd_iso(args)
         if args.command == "build":

@@ -2,22 +2,28 @@
 intersection-number algebra, the order-3 multivalued group attached to a
 parameter set, and the constructible graph families.
 
-Adjacency is stored as one Python int bitset per vertex.  srg_check
-counts the common neighbours of every vertex pair and is the check for
-any graph.  With numpy it packs blocks of rows into 64-bit words and
-counts a whole pair of blocks at once (AND, popcount, sum over the
-words), exactly and in a fixed amount of scratch memory; without numpy
-it takes one bitwise AND plus a popcount per pair.  Every family is a
-Cayley graph on Z_n^N; its builder translates row 0 to get the other
-rows and certifies strong regularity from the connection set alone
-(translation invariance leaves only the v-1 pairs (0, d) to count),
-against the closed-form parameters, before returning.
+Adjacency is stored as one Python int bitset per vertex.  srg_check is
+the check for any graph.  It first tries to prove the graph
+translation-invariant: when the rows are those of a Cayley graph on some
+Z_n^dim in base-n labelling (row j the e_i-translate of row j - n^i),
+every translation is an automorphism, the v-1 pairs (0, d) meet every
+common-neighbour count, and only those are counted.  Every family
+builder's graph, and so every family graph that `build graph` writes,
+is labelled that way.  Any other graph, a relabelled copy of one
+included, has the common neighbours of every vertex pair counted: with
+numpy a whole pair of blocks of rows at once, packed into 64-bit words
+(AND, popcount, sum over the words), exactly and in a fixed amount of
+scratch memory; without numpy by one bitwise AND plus a popcount per
+pair.  Every family is a Cayley graph on Z_n^N; its builder translates
+row 0 to get the other rows and certifies strong regularity from the
+pairs (0, d) against the closed-form parameters before returning.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 from math import isqrt, lcm
 
 from .algebra import FiniteField, FiniteGroup, is_prime, is_prime_power, make_field, mult_order
@@ -39,6 +45,17 @@ GRAPH_FORMAT = "graph-v1"
 VLS_EXCLUSIONS = frozenset(
     [(2, 3, 2), (5, 3, 1), (2, 3, 3), (3, 5, 1), (2, 5, 2), (3, 7, 1), (2, 11, 1), (2, 13, 1)]
 )
+
+
+# Maps the digits of bin(row) to the byte flags 0 and 1.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(row: int, start: int = 0):
+    """The positions of the set bits of row from bit start up, in
+    increasing order.  bin, translate and compress scan the positions in
+    C, with no Python step per bit: fast for sparse and dense rows alike."""
+    return compress(count(start), bin(row >> start)[:1:-1].encode().translate(_BIT_FLAGS))
 
 
 class Graph:
@@ -74,14 +91,8 @@ class Graph:
         return self.rows[u].bit_count()
 
     def edges(self):
-        for u in range(self.v):
-            row = self.rows[u] >> (u + 1)
-            w = u + 1
-            while row:
-                if row & 1:
-                    yield (u, w)
-                row >>= 1
-                w += 1
+        for u, row in enumerate(self.rows):
+            yield from zip(repeat(u), _set_bits(row, u + 1))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -125,14 +136,8 @@ class DirectedGraph:
         return True
 
     def arcs(self):
-        for u in range(self.v):
-            row = self.rows[u]
-            w = 0
-            while row:
-                if row & 1:
-                    yield (u, w)
-                row >>= 1
-                w += 1
+        for u, row in enumerate(self.rows):
+            yield from zip(repeat(u), _set_bits(row))
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,9 +181,14 @@ _SCRATCH_BYTES = 512 * 1024
 
 
 def srg_check(graph: Graph):
-    """Count common neighbours of every pair; return the (v,k,lambda,mu)
-    certificate if they are constant on the equal/adjacent/non-adjacent
-    classes and the graph is neither complete nor edgeless, else None."""
+    """Return the (v,k,lambda,mu) certificate if the common-neighbour
+    counts are constant on the equal/adjacent/non-adjacent classes and
+    the graph is neither complete nor edgeless, else None.
+
+    A regular graph whose rows are translation-invariant on some Z_n^dim
+    (every family builder's output, in its own labelling) is decided
+    from the v-1 pairs (0, d), which meet every count; any other graph
+    has every pair counted."""
     v = graph.v
     if v < 2:
         raise InputError("strong regularity needs at least two vertices")
@@ -188,8 +198,40 @@ def srg_check(graph: Graph):
         return None
     if k == 0 or k == v - 1:
         return None
-    found = _pair_counts_bitset(rows) if _np is None else _pair_counts_blocked(rows)
+    if _translation_invariant(rows):
+        found = _translation_counts(rows)
+    elif _np is None:
+        found = _pair_counts_bitset(rows)
+    else:
+        found = _pair_counts_blocked(rows)
     return None if found is None else SrgParams(v, k, *found)
+
+
+def _translation_invariant(rows) -> bool:
+    """Whether the rows are those _cayley_rows gives for some Z_n^dim
+    with n^dim = v and a loop-free connection set S = -S, so that every
+    translation is an automorphism of the graph.
+
+    Each (n, dim) is tried, largest dim first, by checking in place that
+    row j is the e_i-translate of row j - n^i, the recurrence that
+    _cayley_rows builds from; the first mismatch ends a candidate.
+    """
+    v = len(rows)
+    row0 = rows[0]
+    if row0 & 1:
+        return False
+    for dim in range(v.bit_length() - 1, 0, -1):
+        n = round(v ** (1 / dim))
+        if n**dim != v:
+            continue
+        if all(
+            rows[j] == ((rows[j - step] & low) << step) | ((rows[j - step] & high) >> wrap)
+            for step, wrap, low, high in _unit_shifts(n, dim)
+            for j in range(step, step * n)
+        ):
+            # row j holds 0 iff -j is in S, so column 0 is -S
+            return row0 == sum(1 << j for j, row in enumerate(rows) if row & 1)
+    return False
 
 
 def _pair_counts_bitset(rows):
@@ -428,33 +470,47 @@ def _cayley_rows(n: int, dim: int, connection) -> list[int]:
     digit i is n-1 wraps down by (n-1)n^i.  GF(p^s)^d is Z_p^(sd) under
     this indexing, since field indices are base-p digits added digitwise.
     """
-    v = n**dim
-    full = (1 << v) - 1
     rows = [sum(1 << s for s in set(connection))]
+    for step, wrap, low, high in _unit_shifts(n, dim):
+        for _ in range(n - 1):
+            rows.extend(((r & low) << step) | ((r & high) >> wrap) for r in rows[-step:])
+    return rows
+
+
+def _unit_shifts(n: int, dim: int):
+    """For each unit vector e_i of Z_n^dim in turn, (step, wrap, low,
+    high): the e_i-translate of a row r is ((r & low) << step) |
+    ((r & high) >> wrap), high being the bits whose digit i is n-1."""
+    full = (1 << n**dim) - 1
     for i in range(dim):
         step = n**i
         wrap = step * (n - 1)
         high = (((1 << step) - 1) << wrap) * (full // ((1 << (step * n)) - 1))
-        low = full ^ high
-        for _ in range(n - 1):
-            rows.extend(((r & low) << step) | ((r & high) >> wrap) for r in rows[-step:])
-    return rows
+        yield step, wrap, full ^ high, high
+
+
+def _translation_counts(rows):
+    """(lambda, mu) of a translation-invariant graph from the v-1 counts
+    |S & (S + d)| of the pairs (0, d) alone, or None if they are not
+    constant on the adjacent and the non-adjacent d."""
+    row0 = rows[0]
+    lam, mu = set(), set()
+    for d in range(1, len(rows)):
+        (lam if (row0 >> d) & 1 else mu).add((row0 & rows[d]).bit_count())
+    if len(lam) != 1 or len(mu) != 1:
+        return None
+    return lam.pop(), mu.pop()
 
 
 def _cayley_certificate(rows):
     """srg_check of an undirected Cayley graph given by its _cayley_rows,
     from the v-1 counts |S & (S + d)| of the pairs (0, d) alone."""
     v = len(rows)
-    row0 = rows[0]
-    k = row0.bit_count()
+    k = rows[0].bit_count()
     if k == 0 or k == v - 1:
         return None
-    lam, mu = set(), set()
-    for d in range(1, v):
-        (lam if (row0 >> d) & 1 else mu).add((row0 & rows[d]).bit_count())
-    if len(lam) != 1 or len(mu) != 1:
-        return None
-    return SrgParams(v, k, lam.pop(), mu.pop())
+    found = _translation_counts(rows)
+    return None if found is None else SrgParams(v, k, *found)
 
 
 def _cayley_graph(n: int, dim: int, connection, expected: SrgParams, what: str) -> Graph:

@@ -73,6 +73,26 @@ def test_verify_malformed_is_exit_3(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "group_cap,argv,code",
+    [(3, (), 0), (2, (), 4), (2, ("--cap", "3"), 0), (3, ("--cap", "2"), 4)],
+)
+def test_verify_cap(capsys, tmp_path, monkeypatch, group_cap, argv, code):
+    # an order-3 document at and above --cap, or the default GROUP_CAP
+    # when --cap is absent; above it nothing is verified
+    path = tmp_path / "g.json"
+    path.write_text(core.dumps(core.build_xk(1)))
+    monkeypatch.setattr(algebra, "GROUP_CAP", group_cap)
+    if code == 4:
+        monkeypatch.setattr(core, "verify_all", lambda group: pytest.fail("verified above the cap"))
+    got, out, err = run_cli(capsys, "verify", str(path), *argv)
+    assert got == code
+    if code == 4:
+        assert out == "" and err == "error: group order 3 exceeds the cap 2\n"
+    else:
+        assert "FAIL" not in out and err == ""
+
+
 def test_iso_positive_and_negative(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -350,6 +350,26 @@ def test_digraph_json_round_trip():
     assert back.rows == t.rows
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [
+        srg.Graph(1),
+        srg.Graph(3, [(0, 2)]),
+        srg.grid_graph(5),
+        srg.complement(srg.grid_graph(5)),
+        srg.Graph(130, [(0, 129), (64, 65), (63, 64), (1, 127)]),
+        srg.paley_tournament(algebra.make_field(11, 1)),
+    ],
+    ids=["K1", "one edge", "grid 5", "grid 5 complement", "word edges", "tournament 11"],
+)
+def test_edges_and_arcs_list_every_pair_in_order(graph):
+    pairs = [(u, w) for u in range(graph.v) for w in range(graph.v)]
+    if isinstance(graph, srg.DirectedGraph):
+        assert list(graph.arcs()) == [(u, w) for u, w in pairs if graph.has_arc(u, w)]
+    else:
+        assert list(graph.edges()) == [(u, w) for u, w in pairs if u < w and graph.has_edge(u, w)]
+
+
 def test_graph_edge_list_reader():
     graph = srg.graph_from_edge_list("# pentagon\nv 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
     assert srg.srg_check(graph).as_tuple() == (5, 2, 0, 1)
@@ -645,6 +665,16 @@ def _agree(graph):
     return found
 
 
+def _kernels_agree(graph):
+    """(lambda, mu) from the blocked kernel called directly, after
+    checking that the per-pair loop gives the same.  srg_check sends a
+    labelled Cayley graph to the translation probe instead, so this is
+    what keeps the kernels tested on the builders' own labelling."""
+    found = srg._pair_counts_blocked(graph.rows)
+    assert found == srg._pair_counts_bitset(graph.rows)
+    return found
+
+
 def _shuffled(graph, seed):
     perm = list(range(graph.v))
     random.Random(seed).shuffle(perm)
@@ -712,6 +742,9 @@ def test_kernel_agrees_with_bitset_loop_on_every_builder(name):
     found = _agree(graph)
     assert found is not None and found.v == graph.v
     assert _agree(srg.complement(graph)) == srg.complement_params(found)
+    comp = srg.complement_params(found)
+    assert _kernels_agree(graph) == (found.lam, found.mu)
+    assert _kernels_agree(srg.complement(graph)) == (comp.lam, comp.mu)
 
 
 @needs_numpy
@@ -744,6 +777,7 @@ def test_kernel_agrees_on_shuffled_rook_and_triangular_graphs(seed):
 )
 def test_kernel_agrees_on_regular_non_srgs(graph):
     assert _agree(graph) is None
+    assert _kernels_agree(graph) is None
 
 
 def _block_edge_sizes():
@@ -763,6 +797,7 @@ def test_kernel_agrees_at_word_and_block_edges(v):
         graphs += [cliques, srg.complement(cliques), _shuffled(cliques, v)]
     for graph in graphs:
         _agree(graph)
+        _kernels_agree(graph)
 
 
 # Regular graphs that fail strong regularity in one place only.  Each
@@ -791,6 +826,7 @@ def test_kernel_finds_a_failure_in_any_block_pair(monkeypatch, name, rows_per_bl
         monkeypatch.setattr(srg, "_block_rows", lambda v, words: rows_per_block)
     assert srg.srg_check(graph) is None
     assert _bitset_check(graph) is None
+    assert _kernels_agree(graph) is None
 
 
 @needs_numpy
@@ -807,6 +843,7 @@ def test_kernel_agrees_for_any_block_size(monkeypatch, rows_per_block):
         _circulant(70, [1, 9, 20]),
     ):
         _agree(graph)
+        _kernels_agree(graph)
     assert srg.srg_check(petersen_graph()).as_tuple() == (10, 3, 0, 1)
 
 
@@ -826,6 +863,24 @@ def test_kernel_scratch_stays_bounded_and_ignores_labels():
     assert srg.srg_check(_shuffled(graph, 5)) == found
 
 
+@needs_numpy
+def test_kernel_scratch_stays_bounded_on_relabelled_input():
+    # the builder's labelling takes the translation probe, a shuffled
+    # copy the blocked kernel: its scratch bound is measured there
+    shuffled = _shuffled(srg.affine_polar(2, 5, -1), 5)
+    assert not srg._translation_invariant(shuffled.rows)
+    tracemalloc.start()
+    try:
+        found = srg.srg_check(shuffled)
+        direct = srg._pair_counts_blocked(shuffled.rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == srg.polar_params(2, 5, -1)
+    assert direct == (found.lam, found.mu)
+    assert 1 << 16 < peak <= srg._SCRATCH_BYTES
+
+
 def test_kernel_falls_back_to_the_loop_without_bitwise_count():
     # numpy < 2.0 has no bitwise_count: the import guard must take the loop
     code = (
@@ -834,9 +889,173 @@ def test_kernel_falls_back_to_the_loop_without_bitwise_count():
         "from mvgroups import srg\n"
         "assert srg._np is None\n"
         "print(srg.srg_check(srg.grid_graph(5)).as_tuple())\n"
+        # a relabelled copy fails the translation probe and takes the loop
+        "import random\n"
+        "perm = list(range(25))\n"
+        "random.Random(1).shuffle(perm)\n"
+        "relabelled = srg.Graph(25, [(perm[u], perm[w]) for u, w in srg.grid_graph(5).edges()])\n"
+        "assert not srg._translation_invariant(relabelled.rows)\n"
+        "print(srg.srg_check(relabelled).as_tuple())\n"
     )
     src = str(Path(srg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "(25, 8, 3, 2)\n"
+    assert done.stdout == "(25, 8, 3, 2)\n" * 2
+
+
+# ---------------------------------------------------------------------------
+# srg_check's translation probe: a labelled Cayley graph is decided from
+# the pairs (0, d), any other graph by the kernels
+
+
+@pytest.fixture(params=["numpy", "no numpy"])
+def numpy_mode(request, monkeypatch):
+    """Every probe test runs as installed and as without the fast extra."""
+    if request.param == "no numpy":
+        monkeypatch.setattr(srg, "_np", None)
+    return request.param
+
+
+@pytest.fixture
+def kernels_off(numpy_mode, monkeypatch):
+    """srg_check with both pair-count kernels made to fail if called."""
+
+    def refuse(rows):
+        pytest.fail("a pair-count kernel ran on a labelled Cayley graph")
+
+    monkeypatch.setattr(srg, "_pair_counts_blocked", refuse)
+    monkeypatch.setattr(srg, "_pair_counts_bitset", refuse)
+
+
+def _field_graph(build, q):
+    return lambda: build(_field(q))
+
+
+_PROBE_CASES = {
+    "cliques 2 2 1": (lambda: srg.clique_union(2, 2, 1), srg.clique_union_params(2, 2, 1)),
+    "cliques 3 1 2": (lambda: srg.clique_union(3, 1, 2), srg.clique_union_params(3, 1, 2)),
+    "cliques 2 3 3": (lambda: srg.clique_union(2, 3, 3), srg.clique_union_params(2, 3, 3)),
+    "grid 4": (lambda: srg.grid_graph(4), srg.grid_params(4)),
+    "grid 6": (lambda: srg.grid_graph(6), srg.grid_params(6)),
+    "vls 2 5 1": (lambda: srg.vanlint_schrijver(2, 5, 1), srg.vls_params(2, 5, 1)),
+    "vls 11 3 1": (lambda: srg.vanlint_schrijver(11, 3, 1), srg.vls_params(11, 3, 1)),
+    "polar 2 2 -": (lambda: srg.affine_polar(2, 2, -1), srg.polar_params(2, 2, -1)),
+    "polar 3 2 +": (lambda: srg.affine_polar(3, 2, 1), srg.polar_params(3, 2, 1)),
+    "polar-plus-comp 2": (lambda: srg.affine_polar_plus_complement(2), srg.polar_plus_complement_params(2)),
+    "bilinear 2 3": (lambda: srg.bilinear_forms_graph(2, 3), srg.bilinear_params(2, 3)),
+    "alternating 2": (lambda: srg.alternating_forms_graph(2), srg.alternating_params(2)),
+    "paley 9": (_field_graph(srg.paley_graph, 9), srg.conference_params(2)),
+    "paley 13": (_field_graph(srg.paley_graph, 13), srg.conference_params(3)),
+    "paley 25": (_field_graph(srg.paley_graph, 25), srg.conference_params(6)),
+    "paley 125": (_field_graph(srg.paley_graph, 125), srg.conference_params(31)),
+    "complement grid 5": (
+        lambda: srg.complement(srg.grid_graph(5)), srg.complement_params(srg.grid_params(5))
+    ),
+    "complement cliques 2 2 2": (
+        lambda: srg.complement(srg.clique_union(2, 2, 2)),
+        srg.complement_params(srg.clique_union_params(2, 2, 2)),
+    ),
+    # circulants in cyclic labelling: Paley 13 as C13(1, 3, 4), the
+    # pentagon, the octahedron C6(1, 2) and three triangles C9(3)
+    "C13(1,3,4)": (lambda: _circulant(13, [1, 3, 4]), srg.conference_params(3)),
+    "C5": (lambda: cycle_graph(5), srg.conference_params(1)),
+    "C6(1,2)": (lambda: _circulant(6, [1, 2]), srg.SrgParams(6, 4, 2, 4)),
+    "C9(3)": (lambda: _circulant(9, [3]), srg.SrgParams(9, 2, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PROBE_CASES))
+def test_probe_certifies_labelled_cayley_graphs(kernels_off, name):
+    build, expected = _PROBE_CASES[name]
+    graph = build()
+    assert srg._translation_invariant(graph.rows)
+    assert srg.srg_check(graph) == expected
+
+
+@pytest.mark.parametrize("name", ["cliques 2 3 3", "grid 6", "polar 3 2 +", "paley 25", "C6(1,2)"])
+def test_shuffled_copies_take_the_kernel(numpy_mode, name):
+    build, expected = _PROBE_CASES[name]
+    shuffled = _shuffled(build(), 11)
+    assert not srg._translation_invariant(shuffled.rows)
+    assert srg.srg_check(shuffled) == _bitset_check(shuffled) == expected
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        _circulant(70, [1, 9, 20]),
+        cycle_graph(6),
+        cycle_graph(8),
+        srg.cayley_graph(algebra.make_elementary_abelian(2, 3), [1, 2, 4]),
+    ],
+    ids=["C70(1,9,20)", "C6", "C8", "3-cube"],
+)
+def test_probe_rejects_translation_invariant_non_srgs(numpy_mode, graph):
+    assert srg._translation_invariant(graph.rows)
+    assert srg.srg_check(graph) is None
+    assert _bitset_check(graph) is None
+    assert srg._pair_counts_bitset(graph.rows) is None
+
+
+def _swap_late_edges(graph, last):
+    """graph with edges a-b and c-d among its last vertices replaced by
+    a-c and b-d, which keeps every degree; the first such choice."""
+    rows = list(graph.rows)
+    tail = range(graph.v - last, graph.v)
+    for a, b, c, d in ((a, b, c, d) for a, b in combinations(tail, 2) for c, d in combinations(tail, 2)):
+        if len({a, b, c, d}) == 4 and graph.has_edge(a, b) and graph.has_edge(c, d):
+            if not graph.has_edge(a, c) and not graph.has_edge(b, d):
+                for x, y in ((a, b), (c, d), (a, c), (b, d)):
+                    rows[x] ^= 1 << y
+                    rows[y] ^= 1 << x
+                return srg.Graph._from_rows(graph.v, rows)
+    raise AssertionError("no edge pair to swap")
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: srg.grid_graph(7), _field_graph(srg.paley_graph, 29), lambda: srg.affine_polar(2, 3, -1)],
+    ids=["grid 7", "paley 29", "polar 2 3 -"],
+)
+def test_probe_falls_back_late_and_matches_the_kernel(numpy_mode, build):
+    graph = build()
+    broken = _swap_late_edges(graph, 12)
+    changed = [x for x in range(graph.v) if broken.rows[x] != graph.rows[x]]
+    assert len(changed) == 4 and min(changed) >= graph.v - 12
+    assert not srg._translation_invariant(broken.rows)
+    found = srg.srg_check(broken)
+    assert found == _bitset_check(broken)
+    assert (found and found.as_tuple()) == naive_srg_params(broken)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_probe_agrees_with_the_loop_on_random_cayley_graphs(numpy_mode, seed):
+    # random symmetric connection sets on Z_n^dim, labelled and shuffled
+    rng = random.Random(seed)
+    for n, dim in ((2, 4), (3, 2), (4, 2), (5, 2), (2, 5), (7, 1), (10, 1), (3, 3)):
+        group = algebra.make_elementary_abelian(n, dim) if algebra.is_prime(n) else None
+        v = n**dim
+        for _ in range(3):
+            half = {rng.randrange(1, v) for _ in range(rng.randrange(1, v // 2))}
+            conn = half | {_negate(s, n, dim) for s in half}
+            rows = srg._cayley_rows(n, dim, conn)
+            graph = srg.Graph._from_rows(v, rows)
+            if group is not None:
+                assert graph == srg.cayley_graph(group, conn)
+            assert srg._translation_invariant(rows)
+            found = srg.srg_check(graph)
+            assert (found and found.as_tuple()) == naive_srg_params(graph)
+            assert srg.srg_check(_shuffled(graph, seed)) == found
+
+
+def _negate(s, n, dim):
+    return sum(((-(s // n**i)) % n) * n**i for i in range(dim))
+
+
+def test_probe_rejects_loops_and_one_way_rows(numpy_mode):
+    # the Paley tournament on 7 vertices is translation-invariant but
+    # S != -S, so its rows are not an undirected graph
+    rows = srg.paley_tournament(_field(7)).rows
+    assert not srg._translation_invariant(rows)
+    looped = srg._cayley_rows(5, 1, {0, 1, 4})
+    assert not srg._translation_invariant(looped)
