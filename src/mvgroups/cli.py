@@ -148,13 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _field_for(q: int, cap: int) -> algebra.FiniteField:
-    pp = algebra.is_prime_power(q)
-    if pp is None:
-        raise InputError(f"{q} is not a prime power")
-    return algebra.make_field(*pp, cap=cap)
-
-
 def _int_args(raw, count, usage):
     if len(raw) != count:
         raise InputError(f"expected {usage}")
@@ -168,10 +161,10 @@ def _build_graph(args, cap: int):
     name, raw = args.name, args.args
     if name == "paley":
         (q,) = _int_args(raw, 1, "paley Q")
-        return srg.paley_graph(_field_for(q, cap))
+        return srg.paley_graph(srg.graph_field(q, cap=cap))
     if name == "tournament":
         (q,) = _int_args(raw, 1, "tournament Q")
-        return srg.paley_tournament(_field_for(q, cap))
+        return srg.paley_tournament(srg.graph_field(q, cap=cap))
     if name == "cliques":
         p, t, s = _int_args(raw, 3, "cliques P T S")
         return srg.clique_union(p, t, s, cap=cap)

@@ -6,24 +6,28 @@ Adjacency is stored as one Python int bitset per vertex.  srg_check is
 the check for any graph.  It first tries to prove the graph
 translation-invariant: when the rows are those of a Cayley graph on some
 Z_n^dim in base-n labelling (row j the e_i-translate of row j - n^i),
-every translation is an automorphism, the v-1 pairs (0, d) meet every
-common-neighbour count, and only those are counted.  Every family
-builder's graph, and so every family graph that `build graph` writes,
-is labelled that way.  Any other graph, a relabelled copy of one
-included, has the common neighbours of every vertex pair counted: with
-numpy a whole pair of blocks of rows at once, packed into 64-bit words
-(AND, popcount, sum over the words), exactly and in a fixed amount of
-scratch memory; without numpy by one bitwise AND plus a popcount per
-pair.  Every family is a Cayley graph on Z_n^N; its builder translates
-row 0 to get the other rows and certifies strong regularity from the
-pairs (0, d) against the closed-form parameters before returning.
+every translation is an automorphism and only the v-1 pairs (0, d) are
+counted.  Any other graph, a relabelled copy of one included, has the
+common neighbours of every vertex pair counted: with numpy a pair of
+blocks of rows at once, packed into 64-bit words (AND, popcount, sum
+over the words), in a fixed amount of scratch memory; without numpy by
+one bitwise AND plus a popcount per pair.
+
+Every family is a Cayley graph on Z_n^N in that labelling.  Its vertex
+count is checked against the cap before any primality test or factoring
+(by graph_field, for the families over a field).  Its builder states the
+connection set as its definition gives it (outer products u w^T for
+rank-one forms, wedges u ^ w for rank-two alternating forms, zeros of a
+quadratic form for polar graphs), translates row 0 to get the other rows
+and certifies the result from the pairs (0, d) against the closed-form
+parameters before returning it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import combinations, compress, count, product, repeat
 from math import isqrt, lcm
 
 from .algebra import FiniteField, FiniteGroup, is_prime, is_prime_power, make_field, mult_order
@@ -400,21 +404,14 @@ def mvgroup_from_params(p: SrgParams) -> MultivaluedGroup:
     """
     ins = intersection_numbers(p)
     n = lcm(p.k, p.kbar)
-    table = []
-    for r in range(3):
-        plane = []
-        for s in range(3):
-            row = []
-            for t in range(3):
-                num = n * ins.c[r][s][t] * ins.d[t]
-                den = ins.d[r] * ins.d[s]
-                if num % den:
-                    raise InternalError(
-                        f"non-integral multiplicity at ({r}, {s}, {t}) for parameters {p.as_tuple()}"
-                    )
-                row.append(num // den)
-            plane.append(row)
-        table.append(plane)
+    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for r, s, t in product(range(3), repeat=3):
+        num, den = n * ins.c[r][s][t] * ins.d[t], ins.d[r] * ins.d[s]
+        if num % den:
+            raise InternalError(
+                f"non-integral multiplicity at ({r}, {s}, {t}) for parameters {p.as_tuple()}"
+            )
+        table[r][s][t] = num // den
     try:
         g = MultivaluedGroup(n, 0, (0, 1, 2), table, names=("x0", "x1", "x2"))
     except InputError as exc:
@@ -452,12 +449,18 @@ def cayley_graph(group: FiniteGroup, connection) -> Graph:
     return Graph._from_rows(group.size, rows)
 
 
-def _decode_vector(idx, q, dim):
-    digits = []
-    for _ in range(dim):
-        idx, r = divmod(idx, q)
-        digits.append(r)
-    return tuple(digits)
+def _vectors(q: int, dim: int):
+    """The vectors of GF(q)^dim as tuples of field indices in vertex
+    order: vertex x is its base-q digits, low digit first."""
+    return (vec[::-1] for vec in product(range(q), repeat=dim))
+
+
+def _index(vec, q: int) -> int:
+    """The vertex of a vector of field indices, as _vectors numbers it."""
+    idx = 0
+    for x in reversed(vec):
+        idx = idx * q + x
+    return idx
 
 
 def _cayley_rows(n: int, dim: int, connection) -> list[int]:
@@ -590,10 +593,27 @@ def halfspin_params(q: int) -> SrgParams:
 # Family builders
 
 
-def _check_graph_size(v: int, cap: int) -> None:
-    """Refuse a vertex count above the cap before any row is allocated."""
-    if v > cap:
-        raise CapError(f"graph size {v} exceeds the cap {cap}")
+def _check_graph_size(base: int, cap: int, exponent: int = 1) -> None:
+    """Refuse base**exponent vertices above the cap before any row is
+    allocated.  The power is at least 2**((bits(base) - 1) * exponent), so
+    one past the cap by that bound is refused unbuilt: an exponent of
+    10**12 would ask for a 10**12-bit integer."""
+    floor_bits = (base.bit_length() - 1) * exponent
+    if exponent > 1 and floor_bits >= cap.bit_length() or base**exponent > cap:
+        size = base if exponent == 1 else f"{base}**{exponent}"
+        raise CapError(f"graph size {size} exceeds the cap {cap}")
+
+
+def graph_field(q: int, dim: int = 1, cap: int = GRAPH_CAP) -> FiniteField:
+    """GF(q) for a graph on GF(q)^dim.  q**dim is checked against the cap
+    before q is factored, so an oversized q costs no trial division; the
+    field itself is then at most the cap."""
+    if q > 1:
+        _check_graph_size(q, cap, dim)
+    pp = is_prime_power(q)
+    if pp is None:
+        raise InputError(f"{q} is not a prime power")
+    return make_field(*pp, cap=cap)
 
 
 def paley_graph(field: FiniteField) -> Graph:
@@ -625,12 +645,13 @@ def paley_tournament(field: FiniteField) -> DirectedGraph:
 
 def clique_union(p: int, t: int, s: int, cap: int = GRAPH_CAP) -> Graph:
     """Disjoint union of p**s cliques of size p**t."""
-    if not is_prime(p):
+    if p < 2:
         raise InputError(f"{p} is not prime")
     if t < 1 or s < 1:
         raise InputError("need t >= 1 and s >= 1")
-    v = p ** (t + s)
-    _check_graph_size(v, cap)
+    _check_graph_size(p, cap, t + s)
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
     # blocks are the cosets of the subgroup Z_p^t of the low t digits
     return _cayley_graph(p, t + s, range(1, p**t), clique_union_params(p, t, s), "clique union")
 
@@ -639,8 +660,8 @@ def grid_graph(q: int, cap: int = GRAPH_CAP) -> Graph:
     """q x q rook's graph: cells adjacent iff same row or same column."""
     if q < 2:
         raise InputError("grid needs q >= 2")
+    _check_graph_size(q, cap, 2)
     v = q * q
-    _check_graph_size(v, cap)
     # cell r*q + c is (c, r) in Z_q^2; q need not be a prime power
     conn = [*range(1, q), *range(q, v, q)]
     return _cayley_graph(q, 2, conn, grid_params(q), f"{q}x{q} grid")
@@ -655,18 +676,21 @@ def vanlint_schrijver(p: int, c: int, t: int, cap: int = GRAPH_CAP) -> Graph:
     -1 is a c-th power (so the graph is undirected) is asserted at
     runtime rather than assumed.
     """
-    if not is_prime(p):
+    if p < 2:
         raise InputError(f"{p} is not prime")
-    if not is_prime(c) or c == 2:
+    if c < 3:
         raise InputError(f"{c} must be an odd prime")
     if t < 1:
         raise InputError("need t >= 1")
+    _check_graph_size(p, cap, (c - 1) * t)
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
+    if not is_prime(c):
+        raise InputError(f"{c} must be an odd prime")
     if p % c == 0 or mult_order(p, c) != c - 1:
         raise InputError(f"{p} is not a primitive root modulo {c}")
     if (p, c, t) in VLS_EXCLUSIONS:
         raise InputError(f"tuple ({p}, {c}, {t}) is excluded (duplicates another family)")
-    v = p ** ((c - 1) * t)
-    _check_graph_size(v, cap)
     field = make_field(p, (c - 1) * t, cap=cap)
     return _cayley_graph(
         p, field.s, field.nth_powers(c), vls_params(p, c, t), f"cyclotomic graph ({p}, {c}, {t})"
@@ -703,13 +727,8 @@ def _anisotropic_pair_form(field: FiniteField):
 
 def _polar_connection(q: int, e: int, eps: int, cap: int):
     """The field and the nonzero zeros of the quadratic form on 2e-vectors."""
-    pp = is_prime_power(q)
-    if pp is None:
-        raise InputError(f"{q} is not a prime power")
-    v = q ** (2 * e)
-    _check_graph_size(v, cap)
-    field = make_field(*pp, cap=max(q, 2))
     dim = 2 * e
+    field = graph_field(q, dim, cap)
     hyperbolic_planes = e if eps == 1 else e - 1
     aniso = None if eps == 1 else _anisotropic_pair_form(field)
 
@@ -721,11 +740,7 @@ def _polar_connection(q: int, e: int, eps: int, cap: int):
             total = field.add(total, aniso(vec[dim - 2], vec[dim - 1]))
         return total
 
-    conn = [
-        idx
-        for idx in range(1, v)
-        if quadratic_form(_decode_vector(idx, q, dim)) == 0
-    ]
+    conn = [idx for idx, vec in enumerate(_vectors(q, dim)) if idx and quadratic_form(vec) == 0]
     return field, conn
 
 
@@ -751,87 +766,46 @@ def affine_polar_plus_complement(e: int, cap: int = GRAPH_CAP) -> Graph:
     """Complement of the hyperbolic binary polar graph over GF(2)."""
     if e < 2:
         raise InputError("need e >= 2")
-    _check_graph_size(2 ** (2 * e), cap)
     _, zeros = _polar_connection(2, e, 1, cap)
     conn = set(range(1, 4**e)).difference(zeros)
     return _cayley_graph(2, 2 * e, conn, polar_plus_complement_params(e), f"polar complement (e={e})")
 
 
 def bilinear_forms_graph(q: int, e: int, cap: int = GRAPH_CAP) -> Graph:
-    """2 x e matrices over GF(q), adjacent iff the difference has rank 1."""
+    """2 x e matrices over GF(q), adjacent iff the difference has rank 1;
+    a vertex is the top row, then the bottom row.  The rank-one matrices
+    are the outer products u w^T (rows u0 w, u1 w) of nonzero u, w."""
     if e < 3:
         raise InputError("need e >= 3")
-    pp = is_prime_power(q)
-    if pp is None:
-        raise InputError(f"{q} is not a prime power")
-    v = q ** (2 * e)
-    _check_graph_size(v, cap)
-    field = make_field(*pp, cap=max(q, 2))
-    dim = 2 * e
-
-    def rank_one(vec):
-        top, bottom = vec[:e], vec[e:]
-        if not any(vec):
-            return False
-        for i in range(e):
-            for j in range(i + 1, e):
-                if field.mul(top[i], bottom[j]) != field.mul(top[j], bottom[i]):
-                    return False
-        return True
-
-    conn = [idx for idx in range(1, v) if rank_one(_decode_vector(idx, q, dim))]
+    field = graph_field(q, 2 * e, cap)
+    mul = field.mul
+    nonzero_w = list(_vectors(q, e))[1:]
+    conn = {
+        _index([mul(u0, x) for x in w] + [mul(u1, x) for x in w], q)
+        for u0, u1 in list(_vectors(q, 2))[1:]
+        for w in nonzero_w
+    }
     return _cayley_graph(
-        field.p, field.s * dim, conn, bilinear_params(q, e), f"bilinear forms graph ({q}, {e})"
+        field.p, field.s * 2 * e, conn, bilinear_params(q, e), f"bilinear forms graph ({q}, {e})"
     )
 
 
-def _alternating_rank(field: FiniteField, coords):
-    """Rank of the 5x5 alternating matrix with the given strictly upper
-    entries (row-major)."""
-    mat = [[0] * 5 for _ in range(5)]
-    pos = 0
-    for i in range(5):
-        for j in range(i + 1, 5):
-            val = coords[pos]
-            mat[i][j] = val
-            mat[j][i] = field.neg(val)
-            pos += 1
-    rank = 0
-    row = 0
-    for col in range(5):
-        pivot = next((r for r in range(row, 5) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv_p = field.inv(mat[row][col])
-        for r in range(row + 1, 5):
-            if mat[r][col]:
-                factor = field.mul(mat[r][col], inv_p)
-                for c2 in range(col, 5):
-                    mat[r][c2] = field.sub(mat[r][c2], field.mul(factor, mat[row][c2]))
-        row += 1
-        rank += 1
-        if row == 5:
-            break
-    return rank
-
-
 def alternating_forms_graph(q: int, cap: int = GRAPH_CAP) -> Graph:
-    """5 x 5 alternating matrices over GF(q), adjacent iff the
-    difference has rank 2; vertices are the 10 strictly upper entries."""
-    pp = is_prime_power(q)
-    if pp is None:
-        raise InputError(f"{q} is not a prime power")
-    v = q**10
-    _check_graph_size(v, cap)
-    field = make_field(*pp, cap=max(q, 2))
-    conn = [
-        idx
-        for idx in range(1, v)
-        if _alternating_rank(field, _decode_vector(idx, q, 10)) == 2
-    ]
+    """5 x 5 alternating matrices over GF(q), adjacent iff the difference
+    has rank 2; a vertex is the 10 strictly upper entries, row-major.  The
+    rank-two matrices are the nonzero wedges u ^ w = u w^T - w u^T, each
+    from a pair u before w in _vectors order: u ^ w = w ^ (-u) =
+    (-u) ^ (-w) = (-w) ^ u, and those four pairs cannot all go down."""
+    field = graph_field(q, 10, cap)
+    mul, sub = field.mul, field.sub
+    upper = list(combinations(range(5), 2))
+    wedges = {
+        _index([sub(mul(u[i], w[j]), mul(u[j], w[i])) for i, j in upper], q)
+        for u, w in combinations(_vectors(q, 5), 2)
+    }
+    wedges.discard(0)
     return _cayley_graph(
-        field.p, field.s * 10, conn, alternating_params(q), f"alternating forms graph (q={q})"
+        field.p, field.s * 10, wedges, alternating_params(q), f"alternating forms graph (q={q})"
     )
 
 

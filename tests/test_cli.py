@@ -278,6 +278,69 @@ def test_build_graph_cap_override(capsys):
     assert json.loads(out)["v"] == 8192
 
 
+# One family input per line whose graph is far above the default cap,
+# through a huge base, a huge exponent, or both.  The last one is also
+# invalid: its factors are about 10**9, so factoring it first would take
+# seconds of trial division.
+_HUGE_GRAPHS = [
+    ["paley", "1000000000000000003"],
+    ["tournament", "1000000000000000003"],
+    ["cliques", "2", "1", "1000000000000"],
+    ["cliques", "1000000000000000003", "1", "1"],
+    ["grid", "1000000000000000003"],
+    ["vls", "2", "100000000000031", "1"],
+    ["vls", "2", "3", "1000000000000"],
+    ["vls", "1000000000000000003", "3", "1"],
+    ["polar", "2", "1000000000000", "-"],
+    ["polar", "1000000000000000003", "2", "+"],
+    ["polar-plus-comp", "1000000000000"],
+    ["bilinear", "2", "1000000000000"],
+    ["bilinear", "1000000000000000003", "3"],
+    ["alternating", "1000000000000000003"],
+    ["alternating", str((10**9 + 7) * (10**9 + 9))],
+]
+
+
+def test_build_graph_checks_the_cap_before_any_unbounded_work():
+    # In a child process with a timeout, so that a regression fails
+    # instead of hanging: no power, primality test, factoring or
+    # multiplicative order may run before the size is refused.
+    code = (
+        "import contextlib, io, json, sys, time\n"
+        "from mvgroups import cli\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    err = io.StringIO()\n"
+        "    start = time.perf_counter()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        code = cli.main(['build', 'graph', *argv])\n"
+        "    results.append([code, err.getvalue(), time.perf_counter() - start])\n"
+        "print(json.dumps(results))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(_HUGE_GRAPHS)],
+        capture_output=True,
+        text=True,
+        cwd=Path(cli.__file__).parents[1],
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    for argv, (code, err, seconds) in zip(_HUGE_GRAPHS, json.loads(done.stdout), strict=True):
+        assert code == 4, (argv, err)
+        assert err.startswith("error: graph size ") and err.count("\n") == 1, (argv, err)
+        assert "exceeds the cap 4096" in err, (argv, err)
+        assert seconds < 0.5, (argv, seconds)
+
+
+def test_build_graph_cap_message_names_the_power(capsys):
+    # 3**13001 has over 4300 digits, more than str() converts by default:
+    # the message must not print the number itself
+    cap = str(10**3999)
+    code, out, err = run_cli(capsys, "build", "graph", "cliques", "3", "1", "13000", "--cap", cap)
+    assert code == 4 and out == ""
+    assert err == f"error: graph size 3**13001 exceeds the cap {cap}\n"
+
+
 def test_usage_error_exit_2(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "classify")[0] == 2

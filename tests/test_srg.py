@@ -559,6 +559,62 @@ def test_alternating_forms_graph_equals_definition():
     assert srg.srg_check(graph) == srg.alternating_params(2)
 
 
+def _connection_vectors(graph, q, dim):
+    """Row 0 of a builder's graph, as vectors of field indices."""
+    vecs = _vectors(q, dim)
+    return {vecs[x] for x in range(graph.v) if graph.has_edge(0, x)}
+
+
+def _gf2_rank(rows):
+    """Rank over GF(2) of a matrix whose rows are bitmasks, by elimination."""
+    rank, rows = 0, list(rows)
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [row ^ pivot if row & low else row for row in rows]
+    return rank
+
+
+# The builders and _rank_one_matrices / _rank_two_alternating all
+# construct these sets, as outer products and wedges; here row 0 is
+# checked against the vectors selected by rank alone.
+
+
+@pytest.mark.parametrize("q,e", [(2, 3), (2, 4), (3, 3), (4, 3)])
+def test_bilinear_connection_set_is_every_rank_one_matrix(q, e):
+    # (4, 3): a vertex's base-4 digits are GF(4) field indices, not base-2 digits
+    mul = _field(q).mul
+
+    def rank_one(vec):
+        top, bottom = vec[:e], vec[e:]
+        minors_vanish = all(
+            mul(top[i], bottom[j]) == mul(top[j], bottom[i]) for i, j in combinations(range(e), 2)
+        )
+        return any(vec) and minors_vanish
+
+    expected = {vec for vec in _vectors(q, 2 * e) if rank_one(vec)}
+    assert _connection_vectors(srg.bilinear_forms_graph(q, e), q, 2 * e) == expected
+    assert len(expected) == srg.bilinear_params(q, e).k
+
+
+def test_alternating_connection_set_is_every_rank_two_matrix():
+    upper = list(combinations(range(5), 2))
+
+    def rank(vec):
+        rows = [0] * 5
+        for (i, j), x in zip(upper, vec):
+            if x:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        return _gf2_rank(rows)
+
+    expected = {vec for vec in _vectors(2, 10) if rank(vec) == 2}
+    assert _connection_vectors(srg.alternating_forms_graph(2), 2, 10) == expected
+    assert len(expected) == srg.alternating_params(2).k
+
+
 def _dimension_one_case(name, q, build, power, params):
     return pytest.param(q, build, power, params, id=name)
 
