@@ -11,19 +11,15 @@ representatives.  Representative independence can be verified on demand.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from itertools import chain, product
 from math import gcd, isqrt
 
-from .core import MultivaluedGroup, validate
-from .errors import CapError, InputError, InternalError
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
+from .core import MultivaluedGroup, parse_json, validate
+from .errors import CapError, InputError, InternalError
 
 GROUP_CAP = 4096
 ACTION_CAP = 20000
@@ -317,12 +313,12 @@ class FiniteGroup:
     """Finite group as an explicit multiplication table on 0..size-1.
 
     The table is stored once, in op: a numpy array of the smallest
-    unsigned integer type that holds size - 1 when numpy is available,
-    else a tuple of tuples.  The identity and inverse tables are derived
-    from it at construction, and associativity is proved exactly at any
-    size by Light's test (Clifford and Preston, The Algebraic Theory of
-    Semigroups I, 1.2): the a with (xa)y = x(ay) for all x, y are closed
-    under products, so it suffices to check every a in a generating set.
+    unsigned integer type that holds size - 1.  The identity and inverse
+    tables are derived from it at construction, and associativity is
+    proved exactly at any size by Light's test (Clifford and Preston,
+    The Algebraic Theory of Semigroups I, 1.2): the a with
+    (xa)y = x(ay) for all x, y are closed under products, so it
+    suffices to check every a in a generating set.
     The set is kept in generators: the least element outside the closure
     of the identity under right multiplication by the set so far, added
     until that closure is everything, at most log2(size) of them for a
@@ -346,8 +342,7 @@ class FiniteGroup:
             raise InputError(f"multiplication table is not associative at {triple}")
 
     def mul(self, a: int, b: int) -> int:
-        op = self.op
-        return op[a][b] if type(op) is tuple else op.item(a, b)
+        return self.op.item(a, b)
 
     def inverse(self, a: int) -> int:
         return self.inv[a]
@@ -368,23 +363,19 @@ def _group_table(op, size):
     if all(type(row) in (list, tuple) and len(row) == size for row in op) and set(
         map(type, chain.from_iterable(op))
     ) == {int}:
-        if _np is None:
-            if all(min(row) >= 0 and max(row) < size for row in op):
-                return tuple(map(tuple, op))
-        else:
-            # converted in blocks, so that no int64 copy of the whole table exists
-            table = _np.empty((size, size), dtype=_np.min_scalar_type(size - 1))
-            block = max(1, _BLOCK_ENTRIES // size)
-            try:
-                for start in range(0, size, block):
-                    rows = _np.array(op[start : start + block], dtype=_np.int64)
-                    if rows.min() < 0 or rows.max() >= size:
-                        break
-                    table[start : start + block] = rows
-                else:
-                    return table
-            except OverflowError:  # beyond int64, so out of range
-                pass
+        # converted in blocks, so that no int64 copy of the whole table exists
+        table = _np.empty((size, size), dtype=_np.min_scalar_type(size - 1))
+        block = max(1, _BLOCK_ENTRIES // size)
+        try:
+            for start in range(0, size, block):
+                rows = _np.array(op[start : start + block], dtype=_np.int64)
+                if rows.min() < 0 or rows.max() >= size:
+                    break
+                table[start : start + block] = rows
+            else:
+                return table
+        except OverflowError:  # beyond int64, so out of range
+            pass
     for x, row in enumerate(op):
         if type(row) not in (list, tuple):
             raise InputError(f"op row {x} is not a list")
@@ -400,17 +391,11 @@ def _group_table(op, size):
 
 def _identity(op):
     """The least two-sided identity."""
-    size = len(op)
-    if _np is not None:
-        ar = _np.arange(size)
-        # e * 0 = 0 leaves few candidates to compare in full
-        for e in _np.flatnonzero(op[:, 0] == 0).tolist():
-            if _np.array_equal(op[e], ar) and _np.array_equal(op[:, e], ar):
-                return e
-    else:
-        for e in range(size):
-            if all(op[e][x] == x and op[x][e] == x for x in range(size)):
-                return e
+    ar = _np.arange(len(op))
+    # e * 0 = 0 leaves few candidates to compare in full
+    for e in _np.flatnonzero(op[:, 0] == 0).tolist():
+        if _np.array_equal(op[e], ar) and _np.array_equal(op[:, e], ar):
+            return e
     raise InputError("multiplication table has no identity element")
 
 
@@ -418,23 +403,15 @@ def _inverses(op, identity):
     """inv[x], the least y with xy = yx = identity; the first x without
     one is reported."""
     size = len(op)
-    if _np is not None:
-        inv = []
-        block = max(1, _BLOCK_ENTRIES // size)
-        for start in range(0, size, block):
-            xs = slice(start, start + block)
-            both = (op[xs] == identity) & (op[:, xs].T == identity)
-            has = both.any(axis=1)
-            if not has.all():
-                raise InputError(f"element {start + int(_np.argmin(has))} has no inverse")
-            inv += both.argmax(axis=1).tolist()
-        return tuple(inv)
     inv = []
-    for x in range(size):
-        y = next((y for y in range(size) if op[x][y] == identity and op[y][x] == identity), None)
-        if y is None:
-            raise InputError(f"element {x} has no inverse")
-        inv.append(y)
+    block = max(1, _BLOCK_ENTRIES // size)
+    for start in range(0, size, block):
+        xs = slice(start, start + block)
+        both = (op[xs] == identity) & (op[:, xs].T == identity)
+        has = both.any(axis=1)
+        if not has.all():
+            raise InputError(f"element {start + int(_np.argmin(has))} has no inverse")
+        inv += both.argmax(axis=1).tolist()
     return tuple(inv)
 
 
@@ -450,7 +427,7 @@ def _generating_set(op, identity):
             return None
         a = covered.index(False)
         gens.append(a)
-        columns.append(op[:, a].tolist() if _np is not None else [row[a] for row in op])
+        columns.append(op[:, a].tolist())
         covered = [x == identity for x in range(size)]
         stack = [identity]
         while stack:
@@ -466,34 +443,25 @@ def _generating_set(op, identity):
 def _middle_associative(op, a) -> bool:
     """(x*a)*y == x*(a*y) for all x and y."""
     size = len(op)
-    if _np is not None:
-        times_a, a_times = op[:, a], op[a]
-        block = max(1, _BLOCK_ENTRIES // size)
-        return all(
-            _np.array_equal(op[times_a[start : start + block]], op[start : start + block][:, a_times])
-            for start in range(0, size, block)
-        )
-    a_times = op[a]
-    return all(list(op[row[a]]) == [row[v] for v in a_times] for row in op)
+    times_a, a_times = op[:, a], op[a]
+    block = max(1, _BLOCK_ENTRIES // size)
+    return all(
+        _np.array_equal(op[times_a[start : start + block]], op[start : start + block][:, a_times])
+        for start in range(0, size, block)
+    )
 
 
 def _first_nonassociative_triple(op):
     """The lexicographically first (a, b, c) with (ab)c != a(bc)."""
     size = len(op)
+    block = max(1, _BLOCK_ENTRIES // size)
     for a in range(size):
         row = op[a]
-        if _np is not None:
-            block = max(1, _BLOCK_ENTRIES // size)
-            for start in range(0, size, block):
-                diff = op[row[start : start + block]] != row[op[start : start + block]]
-                if diff.any():
-                    b, c = divmod(int(diff.argmax()), size)
-                    return (a, start + b, c)
-        else:
-            for b in range(size):
-                left, right = op[row[b]], [row[v] for v in op[b]]
-                if list(left) != right:
-                    return (a, b, next(c for c in range(size) if left[c] != right[c]))
+        for start in range(0, size, block):
+            diff = op[row[start : start + block]] != row[op[start : start + block]]
+            if diff.any():
+                b, c = divmod(int(diff.argmax()), size)
+                return (a, start + b, c)
     raise InternalError("Light's test failed on an associative table")
 
 
@@ -574,22 +542,15 @@ def _automorphism_failure(group: FiniteGroup, perm):
     if perm[group.identity] != group.identity:
         return "does not fix the identity"
     op, gens = group.op, list(group.generators)
-    if _np is not None:
-        f = _np.asarray(perm, dtype=_np.intp)
-        if _np.array_equal(f[op[:, gens]], op[f[:, None], f[gens]]):
-            return None
-        block = max(1, _BLOCK_ENTRIES // size)
-        for start in range(0, size, block):
-            diff = f[op[start : start + block]] != op[_np.ix_(f[start : start + block], f)]
-            if diff.any():
-                a, b = divmod(int(diff.argmax()), size)
-                return f"not multiplicative at ({start + a}, {b})"
-    else:
-        if all(perm[op[x][g]] == op[perm[x]][perm[g]] for x in range(size) for g in gens):
-            return None
-        for a, b in product(range(size), repeat=2):
-            if perm[op[a][b]] != op[perm[a]][perm[b]]:
-                return f"not multiplicative at ({a}, {b})"
+    f = _np.asarray(perm, dtype=_np.intp)
+    if _np.array_equal(f[op[:, gens]], op[f[:, None], f[gens]]):
+        return None
+    block = max(1, _BLOCK_ENTRIES // size)
+    for start in range(0, size, block):
+        diff = f[op[start : start + block]] != op[_np.ix_(f[start : start + block], f)]
+        if diff.any():
+            a, b = divmod(int(diff.argmax()), size)
+            return f"not multiplicative at ({start + a}, {b})"
     raise InternalError("the generator test failed on a multiplicative map")
 
 
@@ -786,14 +747,8 @@ def generators_to_json_dict(generators) -> dict:
 
 
 def group_loads(text: str) -> FiniteGroup:
-    try:
-        return group_from_json_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from None
+    return group_from_json_dict(parse_json(text))
 
 
 def generators_loads(text: str) -> list[Automorphism]:
-    try:
-        return generators_from_json_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from None
+    return generators_from_json_dict(parse_json(text))

@@ -287,6 +287,9 @@ def _cmd_build(args, cap) -> int:
     elif args.builder == "type2":
         result = core.build_type2(args.n, args.a)
     else:  # srg
+        srg_cap = cap if cap is not None else classify.CLASSIFY_CAP
+        if args.v > srg_cap:
+            raise CapError(f"v = {args.v} exceeds the cap {srg_cap}")
         result = srg.mvgroup_from_params(srg.SrgParams(args.v, args.k, args.lam, args.mu))
     _write(args.output, core.dumps(result))
     return 0

@@ -16,20 +16,20 @@ which report every failing witness instead of raising.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import AxiomError, InputError
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
+from .errors import AxiomError, CapError, InputError
 
 MVG_FORMAT = "mvg-v1"
 
-# Past this order the associativity proof and scan use vectorised integer
-# arithmetic when numpy is available; below it plain loops are faster.
+# Past this order the associativity proof and scan use vectorised int64
+# arithmetic.  Up to it, which covers every order-3 table, plain loops
+# are faster; they are also the exact path once o * n**2 >= 2**62, where
+# int64 sums of products would overflow.
 _NUMPY_ORDER_THRESHOLD = 6
 
 # The prime of the rank certificate in _assoc_generators.
@@ -281,7 +281,7 @@ def _assoc_failures(g):
                         fails.append((x, y, z, left))
         return fails
 
-    if _np is not None and o > _NUMPY_ORDER_THRESHOLD and o * n * n < 2**62:
+    if o > _NUMPY_ORDER_THRESHOLD and o * n * n < 2**62:
         a = _np.asarray(t, dtype=_np.int64)
         flat = a.reshape(o, o * o)  # w -> (z, t)
         for x in range(o):
@@ -331,12 +331,7 @@ def _assoc_generators(g):
     in S fails; the caller then runs the full scan.
     """
     o, n = g.order, g.n
-    if (
-        _np is not None
-        and o > _NUMPY_ORDER_THRESHOLD
-        and o * n * n < 2**62
-        and o * (_SPAN_PRIME - 1) ** 2 < 2**63
-    ):
+    if o > _NUMPY_ORDER_THRESHOLD and o * n * n < 2**62 and o * (_SPAN_PRIME - 1) ** 2 < 2**63:
         t = _np.asarray(g.table, dtype=_np.int64)
         span = _ArraySpan(t, g.identity)
         middle_associative = _middle_associative_array
@@ -625,12 +620,15 @@ def verify_all(g: MultivaluedGroup) -> AxiomReport:
     return report
 
 
-def _require_valid(g: MultivaluedGroup, context: str) -> MultivaluedGroup:
+def _require_valid(g: MultivaluedGroup, kind: str, **params) -> MultivaluedGroup:
+    """g, or an AxiomError that names the parameters.  They are printed
+    only on failure: build_xk's valency 2k + 1 may be too long to print."""
     report = validate(g)
     if not report.ok:
         witness = report.counterexamples[0] if report.counterexamples else None
+        named = ", ".join(f"{key}={value}" for key, value in params.items())
         raise AxiomError(
-            f"{context} does not define a multivalued group; first witness: {witness}",
+            f"{kind} parameters ({named}) does not define a multivalued group; first witness: {witness}",
             report=report,
         )
     return g
@@ -685,7 +683,7 @@ def build_type1(n: int, m1: int, m2: int, a: int) -> MultivaluedGroup:
         )
     )
     g = MultivaluedGroup(n, 0, (0, 1, 2), table)
-    return _require_valid(g, f"type-1 parameters (n={n}, m1={m1}, m2={m2}, a={a})")
+    return _require_valid(g, "type-1", n=n, m1=m1, m2=m2, a=a)
 
 
 def build_type2(n: int, a: int) -> MultivaluedGroup:
@@ -707,7 +705,7 @@ def build_type2(n: int, a: int) -> MultivaluedGroup:
         )
     )
     g = MultivaluedGroup(n, 0, (0, 2, 1), table)
-    return _require_valid(g, f"type-2 parameters (n={n}, a={a})")
+    return _require_valid(g, "type-2", n=n, a=a)
 
 
 def build_xk(k: int) -> MultivaluedGroup:
@@ -824,6 +822,11 @@ def are_isomorphic(g1: MultivaluedGroup, g2: MultivaluedGroup):
 
 
 def to_json_dict(g: MultivaluedGroup) -> dict:
+    # Every entry is at most n, so n is the longest integer to print.
+    # Python before 3.10.7 has no digit limit.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and g.n.bit_length() > 3 * limit and g.n >= 10**limit:
+        raise CapError(f"the valency n has more than {limit} digits, past the integer printing limit")
     return {
         "format": MVG_FORMAT,
         "n": g.n,
@@ -860,9 +863,14 @@ def from_json_dict(data) -> MultivaluedGroup:
     return MultivaluedGroup(n, identity, star, table, names=elements)
 
 
-def loads(text: str) -> MultivaluedGroup:
+def parse_json(text: str):
+    """json.loads, with its errors as InputError: malformed JSON, or an
+    integer past Python's digit limit."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:
         raise InputError(f"invalid JSON: {exc}") from None
-    return from_json_dict(data)
+
+
+def loads(text: str) -> MultivaluedGroup:
+    return from_json_dict(parse_json(text))

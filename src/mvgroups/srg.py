@@ -8,10 +8,9 @@ translation-invariant: when the rows are those of a Cayley graph on some
 Z_n^dim in base-n labelling (row j the e_i-translate of row j - n^i),
 every translation is an automorphism and only the v-1 pairs (0, d) are
 counted.  Any other graph, a relabelled copy of one included, has the
-common neighbours of every vertex pair counted: with numpy a pair of
-blocks of rows at once, packed into 64-bit words (AND, popcount, sum
-over the words), in a fixed amount of scratch memory; without numpy by
-one bitwise AND plus a popcount per pair.
+common neighbours of every vertex pair counted, a pair of blocks of rows
+at a time, packed into 64-bit words (AND, popcount, sum over the words),
+in a fixed amount of scratch memory.
 
 Every family is a Cayley graph on Z_n^N in that labelling.  Its vertex
 count is checked against the cap before any primality test or factoring
@@ -30,16 +29,11 @@ from dataclasses import dataclass
 from itertools import combinations, compress, count, product, repeat
 from math import isqrt, lcm
 
-from .algebra import FiniteField, FiniteGroup, is_prime, is_prime_power, make_field, mult_order
-from .core import MultivaluedGroup, validate
-from .errors import CapError, InputError, InternalError
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
-if _np is not None and not hasattr(_np, "bitwise_count"):  # numpy < 2.0
-    _np = None
+from .algebra import FiniteField, FiniteGroup, is_prime, is_prime_power, make_field, mult_order
+from .core import MultivaluedGroup, parse_json, validate
+from .errors import CapError, InputError, InternalError
 
 GRAPH_CAP = 4096
 GRAPH_FORMAT = "graph-v1"
@@ -204,8 +198,6 @@ def srg_check(graph: Graph):
         return None
     if _translation_invariant(rows):
         found = _translation_counts(rows)
-    elif _np is None:
-        found = _pair_counts_bitset(rows)
     else:
         found = _pair_counts_blocked(rows)
     return None if found is None else SrgParams(v, k, *found)
@@ -238,28 +230,6 @@ def _translation_invariant(rows) -> bool:
     return False
 
 
-def _pair_counts_bitset(rows):
-    """(lambda, mu) from one AND and popcount per pair x < y, or None at
-    the first pair that disagrees."""
-    v = len(rows)
-    lam = mu = None
-    for x in range(v):
-        rx = rows[x]
-        for y in range(x + 1, v):
-            common = (rx & rows[y]).bit_count()
-            if (rx >> y) & 1:
-                if lam is None:
-                    lam = common
-                elif lam != common:
-                    return None
-            else:
-                if mu is None:
-                    mu = common
-                elif mu != common:
-                    return None
-    return lam, mu
-
-
 def _block_rows(v: int, words: int) -> int:
     """Rows per block so that one call's scratch fits _SCRATCH_BYTES.
 
@@ -283,8 +253,9 @@ def _block_rows(v: int, words: int) -> int:
 
 
 def _pair_counts_blocked(rows):
-    """(lambda, mu) as _pair_counts_bitset gives them, counted a pair of
-    vertex blocks (i, j >= i) at a time.
+    """(lambda, mu) if the common-neighbour count is constant on the
+    adjacent and on the non-adjacent pairs x < y, else None; counted a
+    pair of vertex blocks (i, j >= i) at a time.
 
     A block is b rows packed into W = ceil(v/64) little-endian 64-bit
     words and transposed to (W, b).  The common-neighbour counts of the
@@ -846,10 +817,7 @@ def graph_from_json_dict(data, cap: int = GRAPH_CAP):
 
 
 def graph_loads(text: str, cap: int = GRAPH_CAP):
-    try:
-        return graph_from_json_dict(json.loads(text), cap)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from None
+    return graph_from_json_dict(parse_json(text), cap)
 
 
 def graph_from_edge_list(text: str, cap: int = GRAPH_CAP) -> Graph:

@@ -336,14 +336,6 @@ def coset_axiom_matrix():
     return cases
 
 
-@pytest.fixture
-def no_numpy(monkeypatch):
-    """Hide numpy from core and algebra, so that they take their
-    plain-loop paths for the rest of the test."""
-    monkeypatch.setattr(core, "_np", None)
-    monkeypatch.setattr(algebra, "_np", None)
-
-
 @pytest.fixture(scope="session")
 def petersen():
     return petersen_graph()

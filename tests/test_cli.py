@@ -612,3 +612,60 @@ def test_malformed_group_or_action_is_exit_3(capsys, tmp_path, group, action):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+_HUGE = "1" * 4400  # more digits than Python converts between int and str by default
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (
+            ["verify", "{f}"],
+            '{"format": "mvg-v1", "n": HUGE, "elements": ["e"], "identity": 0, "star": [0], "table": [[[1]]]}',
+        ),
+        (["build", "coset", "--group", "{f}", "--action", "{a}"], '{"format": "grp-v1", "size": HUGE, "op": []}'),
+        (["build", "coset", "--group", "{g}", "--action", "{f}"], '{"format": "act-v1", "generators": [[0, HUGE]]}'),
+        (["build", "graph", "complement", "{f}"], '{"format": "graph-v1", "v": HUGE, "edges": []}'),
+        (["build", "graph", "complement", "{f}"], "0 HUGE\n"),
+    ],
+    ids=["mvg-v1", "grp-v1", "act-v1", "graph-v1", "edge-list"],
+)
+def test_integer_past_the_digit_limit_is_exit_3(capsys, tmp_path, argv, text):
+    path, gpath, apath = tmp_path / "huge.txt", tmp_path / "grp.json", tmp_path / "act.json"
+    path.write_text(text.replace("HUGE", _HUGE))
+    gpath.write_text(json.dumps(_Z2_GRP))
+    apath.write_text(json.dumps(_SWAP_ACT))
+    code = cli.main([arg.format(f=path, g=gpath, a=apath) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+_BIG_CLIQUES = [(10**2000 + 1) * (10**2200 + 3), 10**2000, 10**2000 - 1, 0]  # v has 4201 digits
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["build", "srg", "10", "3", "0", "1", "--cap", "9"], "v = 10 exceeds the cap 9"),
+        (
+            ["build", "srg", *map(str, _BIG_CLIQUES)],
+            f"v = {_BIG_CLIQUES[0]} exceeds the cap {classify.CLASSIFY_CAP}",
+        ),
+        # under a raised cap the group is built, but n = lcm(k, v - k - 1) is too long to print
+        (
+            ["build", "srg", *map(str, _BIG_CLIQUES), "--cap", str(10**4299)],
+            "the valency n has more than 4300 digits, past the integer printing limit",
+        ),
+        (
+            ["build", "xk", str(9 * 10**4299)],
+            "the valency n has more than 4300 digits, past the integer printing limit",
+        ),
+    ],
+    ids=["srg-cap-flag", "srg-default-cap", "srg-raised-cap", "xk"],
+)
+def test_build_output_past_a_cap_or_the_digit_limit_is_exit_4(capsys, argv, err):
+    code, out, stderr = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+    assert stderr == f"error: {err}\n"

@@ -385,7 +385,7 @@ def test_loads_rejects_bad_json():
         core.loads("{not json")
 
 
-def test_assoc_paths_agree_on_larger_tables(request):
+def test_assoc_paths_agree_on_larger_tables(monkeypatch):
     # the vectorised associativity scan and the plain-loop scan must
     # flag exactly the same witnesses
     f = algebra.make_field(31, 1)
@@ -401,7 +401,7 @@ def test_assoc_paths_agree_on_larger_tables(request):
     broken = core.MultivaluedGroup(g.n, g.identity, g.star, table)
     fast = core._assoc_failures(g)
     fast_fails = core._assoc_failures(broken)
-    request.getfixturevalue("no_numpy")
+    monkeypatch.setattr(core, "_NUMPY_ORDER_THRESHOLD", g.order)
     slow = core._assoc_failures(g)
     slow_fails = core._assoc_failures(broken)
     assert fast == slow == []
@@ -459,10 +459,10 @@ def assoc_outcome(g):
     return report.associative, report.assoc_generators, witnesses
 
 
-def test_generator_proof_agrees_with_full_scan(request, monkeypatch):
+def test_generator_proof_agrees_with_full_scan(monkeypatch):
     # The proof from a generating set, with the full scan behind it,
     # must give the full scan's verdict and witness list on every table
-    # and on seeded mutations of them, with numpy and without it.
+    # and on seeded mutations of them, on arrays and on plain lists.
     rng = random.Random(6)
     tables = assoc_test_tables()
     cases = list(tables)
@@ -489,8 +489,9 @@ def test_generator_proof_agrees_with_full_scan(request, monkeypatch):
     monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
     assert {label: assoc_outcome(g) for label, g in cases} == with_numpy
 
-    # the plain loops, on every table they can scan in well under a second
-    request.getfixturevalue("no_numpy")
+    # the plain loops, at every order, on every table they can scan in
+    # well under a second
+    monkeypatch.setattr(core, "_NUMPY_ORDER_THRESHOLD", max(g.order for _, g in cases))
     for label, g in cases:
         if g.order <= 12 or with_numpy[label][1] is not None:
             assert assoc_outcome(g) == with_numpy[label], label

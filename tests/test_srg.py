@@ -1,13 +1,9 @@
 """Strong regularity by counting, the intersection-number algebra, the
 order-3 group of a parameter set, and the graph families."""
 
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -705,13 +701,38 @@ def test_cayley_graph_rejects_an_asymmetric_connection_set():
 # ---------------------------------------------------------------------------
 # srg_check's numpy kernel against the per-pair bitset loop
 
-needs_numpy = pytest.mark.skipif(srg._np is None, reason="the blocked kernel needs numpy >= 2.0")
+
+def _pair_counts_bitset(rows):
+    """(lambda, mu) from one AND and popcount per pair x < y, or None at
+    the first pair that disagrees: the blocked kernel's oracle."""
+    v = len(rows)
+    lam = mu = None
+    for x in range(v):
+        rx = rows[x]
+        for y in range(x + 1, v):
+            common = (rx & rows[y]).bit_count()
+            if (rx >> y) & 1:
+                if lam is None:
+                    lam = common
+                elif lam != common:
+                    return None
+            else:
+                if mu is None:
+                    mu = common
+                elif mu != common:
+                    return None
+    return lam, mu
 
 
 def _bitset_check(graph):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(srg, "_np", None)
-        return srg.srg_check(graph)
+    """srg_check's answer from the per-pair loop over every pair, with no
+    translation probe."""
+    rows = graph.rows
+    k = rows[0].bit_count()
+    if any(row.bit_count() != k for row in rows) or k in (0, graph.v - 1):
+        return None
+    found = _pair_counts_bitset(rows)
+    return None if found is None else srg.SrgParams(graph.v, k, *found)
 
 
 def _agree(graph):
@@ -727,7 +748,7 @@ def _kernels_agree(graph):
     labelled Cayley graph to the translation probe instead, so this is
     what keeps the kernels tested on the builders' own labelling."""
     found = srg._pair_counts_blocked(graph.rows)
-    assert found == srg._pair_counts_bitset(graph.rows)
+    assert found == _pair_counts_bitset(graph.rows)
     return found
 
 
@@ -791,7 +812,6 @@ _SMALL_BUILDS = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", list(_SMALL_BUILDS))
 def test_kernel_agrees_with_bitset_loop_on_every_builder(name):
     graph = _SMALL_BUILDS[name]()
@@ -803,7 +823,6 @@ def test_kernel_agrees_with_bitset_loop_on_every_builder(name):
     assert _kernels_agree(srg.complement(graph)) == (comp.lam, comp.mu)
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_kernel_agrees_on_shuffled_rook_and_triangular_graphs(seed):
     for graph, expected in (
@@ -817,7 +836,6 @@ def test_kernel_agrees_on_shuffled_rook_and_triangular_graphs(seed):
         assert _agree(shuffled).as_tuple() == expected
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "graph",
     [
@@ -837,11 +855,10 @@ def test_kernel_agrees_on_regular_non_srgs(graph):
 
 
 def _block_edge_sizes():
-    b = srg._block_rows(10**6, 3) if srg._np is not None else 150
+    b = srg._block_rows(10**6, 3)
     return [2, 5, 63, 64, 65, 127, 129, b, b + 1]
 
 
-@needs_numpy
 @pytest.mark.parametrize("v", _block_edge_sizes())
 def test_kernel_agrees_at_word_and_block_edges(v):
     if v > 129:  # the default block size for 3 words, and one row more
@@ -872,7 +889,6 @@ _LOCAL_FAILURES = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("rows_per_block", [1, 6, 7, 8, 13, None])
 @pytest.mark.parametrize("name", list(_LOCAL_FAILURES))
 def test_kernel_finds_a_failure_in_any_block_pair(monkeypatch, name, rows_per_block):
@@ -885,7 +901,6 @@ def test_kernel_finds_a_failure_in_any_block_pair(monkeypatch, name, rows_per_bl
     assert _kernels_agree(graph) is None
 
 
-@needs_numpy
 @pytest.mark.parametrize("rows_per_block", [1, 3, 6, 7, 8, 13])
 def test_kernel_agrees_for_any_block_size(monkeypatch, rows_per_block):
     monkeypatch.setattr(srg, "_block_rows", lambda v, words: rows_per_block)
@@ -903,7 +918,6 @@ def test_kernel_agrees_for_any_block_size(monkeypatch, rows_per_block):
     assert srg.srg_check(petersen_graph()).as_tuple() == (10, 3, 0, 1)
 
 
-@needs_numpy
 def test_kernel_scratch_stays_bounded_and_ignores_labels():
     graph = srg.affine_polar(2, 5, -1)
     tracemalloc.start()
@@ -919,7 +933,6 @@ def test_kernel_scratch_stays_bounded_and_ignores_labels():
     assert srg.srg_check(_shuffled(graph, 5)) == found
 
 
-@needs_numpy
 def test_kernel_scratch_stays_bounded_on_relabelled_input():
     # the builder's labelling takes the translation probe, a shuffled
     # copy the blocked kernel: its scratch bound is measured there
@@ -937,51 +950,26 @@ def test_kernel_scratch_stays_bounded_on_relabelled_input():
     assert 1 << 16 < peak <= srg._SCRATCH_BYTES
 
 
-def test_kernel_falls_back_to_the_loop_without_bitwise_count():
-    # numpy < 2.0 has no bitwise_count: the import guard must take the loop
-    code = (
-        "import sys, types\n"
-        "sys.modules['numpy'] = types.ModuleType('numpy')\n"
-        "from mvgroups import srg\n"
-        "assert srg._np is None\n"
-        "print(srg.srg_check(srg.grid_graph(5)).as_tuple())\n"
-        # a relabelled copy fails the translation probe and takes the loop
-        "import random\n"
-        "perm = list(range(25))\n"
-        "random.Random(1).shuffle(perm)\n"
-        "relabelled = srg.Graph(25, [(perm[u], perm[w]) for u, w in srg.grid_graph(5).edges()])\n"
-        "assert not srg._translation_invariant(relabelled.rows)\n"
-        "print(srg.srg_check(relabelled).as_tuple())\n"
-    )
-    src = str(Path(srg.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "(25, 8, 3, 2)\n" * 2
-
-
 # ---------------------------------------------------------------------------
 # srg_check's translation probe: a labelled Cayley graph is decided from
-# the pairs (0, d), any other graph by the kernels
+# the pairs (0, d), any other graph by the kernel
 
 
-@pytest.fixture(params=["numpy", "no numpy"])
-def numpy_mode(request, monkeypatch):
-    """Every probe test runs as installed and as without the fast extra."""
-    if request.param == "no numpy":
-        monkeypatch.setattr(srg, "_np", None)
+@pytest.fixture(params=["numpy"])
+def numpy_mode(request):
+    """Names, in the probe tests' ids, the kernel srg_check falls back
+    to: the numpy one."""
     return request.param
 
 
 @pytest.fixture
 def kernels_off(numpy_mode, monkeypatch):
-    """srg_check with both pair-count kernels made to fail if called."""
+    """srg_check with the pair-count kernel made to fail if called."""
 
     def refuse(rows):
-        pytest.fail("a pair-count kernel ran on a labelled Cayley graph")
+        pytest.fail("the pair-count kernel ran on a labelled Cayley graph")
 
     monkeypatch.setattr(srg, "_pair_counts_blocked", refuse)
-    monkeypatch.setattr(srg, "_pair_counts_bitset", refuse)
 
 
 def _field_graph(build, q):
@@ -1051,7 +1039,7 @@ def test_probe_rejects_translation_invariant_non_srgs(numpy_mode, graph):
     assert srg._translation_invariant(graph.rows)
     assert srg.srg_check(graph) is None
     assert _bitset_check(graph) is None
-    assert srg._pair_counts_bitset(graph.rows) is None
+    assert _pair_counts_bitset(graph.rows) is None
 
 
 def _swap_late_edges(graph, last):
