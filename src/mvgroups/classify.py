@@ -34,6 +34,7 @@ from .core import (
     SYMMETRIC_STAR,
     MultivaluedGroup,
     Signature,
+    printable,
     signature,
     validate,
 )
@@ -364,7 +365,7 @@ def classify_order3(g: MultivaluedGroup, cap: int = CLASSIFY_CAP) -> Verdict:
             )
         k = a
         if 4 * k + 3 > cap:
-            raise CapError(f"4k+3 = {4 * k + 3} exceeds the cap {cap}")
+            raise CapError(f"4k+3 = {printable(4 * k + 3)} exceeds the cap {cap}")
         if is_prime_power(4 * k + 3) is None:
             return Verdict(
                 coset=False,
@@ -382,7 +383,7 @@ def classify_order3(g: MultivaluedGroup, cap: int = CLASSIFY_CAP) -> Verdict:
             reason="signature does not invert to a strongly regular parameter set",
         )
     if derived.v > cap:
-        raise CapError(f"derived v = {derived.v} exceeds the cap {cap}")
+        raise CapError(f"derived v = {printable(derived.v)} exceeds the cap {cap}")
     matches = tuple(match_params(*derived.as_tuple(), cap=cap))
     if not matches:
         return Verdict(

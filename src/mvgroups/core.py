@@ -19,6 +19,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as _np
 
@@ -89,7 +90,7 @@ class MultivaluedGroup:
     do not take part in equality.
     """
 
-    __slots__ = ("order", "n", "identity", "star", "table", "names")
+    __slots__ = ("order", "n", "identity", "star", "table", "names", "_array")
 
     def __init__(self, n, identity, star, table, names=None):
         order = len(table)
@@ -100,27 +101,13 @@ class MultivaluedGroup:
         if not isinstance(identity, int) or not 0 <= identity < order:
             raise InputError(f"identity index {identity!r} out of range for order {order}")
 
-        rows = []
-        for x, plane in enumerate(table):
-            if not isinstance(plane, (list, tuple)):
-                raise InputError(f"table row block {x} is not a list")
-            if len(plane) != order:
-                raise InputError(f"table row block {x} has length {len(plane)}, expected {order}")
-            plane_rows = []
-            for y, row in enumerate(plane):
-                if not isinstance(row, (list, tuple)):
-                    raise InputError(f"table row ({x},{y}) is not a list")
-                if len(row) != order:
-                    raise InputError(f"table row ({x},{y}) has length {len(row)}, expected {order}")
-                total = 0
-                for z, mult in enumerate(row):
-                    if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
-                        raise InputError(f"m[{x}][{y}][{z}] = {mult!r} is not a nonnegative integer")
-                    total += mult
-                if total != n:
-                    raise InputError(f"row sum of m[{x}][{y}] is {total}, expected the valency {n}")
-                plane_rows.append(tuple(row))
-            rows.append(tuple(plane_rows))
+        array = None
+        if order > _NUMPY_ORDER_THRESHOLD and order * n * n < 2**62:
+            array = _table_array(table, order, n)
+        if array is not None:
+            rows = [tuple(map(tuple, plane)) for plane in table]
+        else:
+            rows = _table_rows(table, order, n)
 
         star = tuple(star)
         if any(isinstance(s, bool) or not isinstance(s, int) for s in star):
@@ -146,6 +133,7 @@ class MultivaluedGroup:
         self.star = star
         self.table = tuple(rows)
         self.names = names
+        self._array = array
 
     def product(self, x: int, y: int) -> Multiset:
         """The n-multiset x*y, read off the multiplicity table."""
@@ -174,6 +162,72 @@ class MultivaluedGroup:
 
     def __repr__(self):
         return f"MultivaluedGroup(order={self.order}, n={self.n})"
+
+
+def _table_array(table, order, n):
+    """The table as a read-only int64 array, when it is order lists (or
+    tuples) of order lists of order ints (bool is not an int here), all
+    nonnegative, with every row summing to n; else None.  Types are
+    checked before the conversion, which would coerce True and 1.0.  The
+    caller keeps o * n**2 < 2**62, so that no row sum overflows."""
+    if not all(type(plane) in (list, tuple) and len(plane) == order for plane in table):
+        return None
+    rows = list(chain.from_iterable(table))
+    if not all(type(row) in (list, tuple) and len(row) == order for row in rows):
+        return None
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    try:
+        flat = _np.fromiter(chain.from_iterable(rows), _np.int64, order**3)
+    except OverflowError:  # beyond int64, so above n
+        return None
+    if flat.min() < 0 or flat.max() > n:
+        return None
+    array = flat.reshape(order, order, order)
+    if (array.sum(axis=2) != n).any():
+        return None
+    array.flags.writeable = False
+    return array
+
+
+def _table_rows(table, order, n):
+    """The table as tuples after checking every entry in order; each
+    error names the first bad block, row or entry."""
+    rows = []
+    for x, plane in enumerate(table):
+        if not isinstance(plane, (list, tuple)):
+            raise InputError(f"table row block {x} is not a list")
+        if len(plane) != order:
+            raise InputError(f"table row block {x} has length {len(plane)}, expected {order}")
+        plane_rows = []
+        for y, row in enumerate(plane):
+            if not isinstance(row, (list, tuple)):
+                raise InputError(f"table row ({x},{y}) is not a list")
+            if len(row) != order:
+                raise InputError(f"table row ({x},{y}) has length {len(row)}, expected {order}")
+            total = 0
+            for z, mult in enumerate(row):
+                if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
+                    raise InputError(f"m[{x}][{y}][{z}] = {mult!r} is not a nonnegative integer")
+                total += mult
+            if total != n:
+                raise InputError(f"row sum of m[{x}][{y}] is {total}, expected the valency {n}")
+            plane_rows.append(tuple(row))
+        rows.append(tuple(plane_rows))
+    return rows
+
+
+def _int64_table(g):
+    """g's table as int64 when the checks take the array path, else None.
+
+    That path runs past _NUMPY_ORDER_THRESHOLD while o * n**2 < 2**62,
+    so that int64 sums of products stay exact; the table is converted
+    once, when g is built."""
+    if g.order <= _NUMPY_ORDER_THRESHOLD or g.order * g.n * g.n >= 2**62:
+        return None
+    if g._array is None:
+        return _np.array(g.table, dtype=_np.int64)
+    return g._array
 
 
 @dataclass
@@ -281,8 +335,8 @@ def _assoc_failures(g):
                         fails.append((x, y, z, left))
         return fails
 
-    if o > _NUMPY_ORDER_THRESHOLD and o * n * n < 2**62:
-        a = _np.asarray(t, dtype=_np.int64)
+    a = _int64_table(g)
+    if a is not None:
         flat = a.reshape(o, o * o)  # w -> (z, t)
         for x in range(o):
             lhs = (a[x] @ flat).reshape(o, o, o)  # sum_w m[x][y][w] m[w][z][t]
@@ -330,9 +384,9 @@ def _assoc_generators(g):
     Returns S, or None when no such S exists within the bound or some a
     in S fails; the caller then runs the full scan.
     """
-    o, n = g.order, g.n
-    if o > _NUMPY_ORDER_THRESHOLD and o * n * n < 2**62 and o * (_SPAN_PRIME - 1) ** 2 < 2**63:
-        t = _np.asarray(g.table, dtype=_np.int64)
+    o = g.order
+    t = _int64_table(g)
+    if t is not None and o * (_SPAN_PRIME - 1) ** 2 < 2**63:
         span = _ArraySpan(t, g.identity)
         middle_associative = _middle_associative_array
     else:
@@ -554,6 +608,10 @@ def verify_involutive(g: MultivaluedGroup) -> AxiomReport:
     (c) star is an anti-automorphism: m[x][y][z] equals
         m[star(y)][star(x)][star(z)] for every triple.
     """
+    array = _int64_table(g)
+    if array is not None:
+        fails = _involutive_failures_array(array, g.identity, g.star)
+        return AxiomReport(involutive=not fails, counterexamples=fails)
     report = AxiomReport()
     e, o, t, star = g.identity, g.order, g.table, g.star
     fails = []
@@ -574,6 +632,21 @@ def verify_involutive(g: MultivaluedGroup) -> AxiomReport:
     return report
 
 
+def _involutive_failures_array(t, e, star):
+    """verify_involutive's witnesses from array identities.  argwhere
+    lists them in C order, which is the order of the loops."""
+    o = t.shape[0]
+    star = _np.array(star)
+    diag = t[_np.arange(o), star, e]
+    cases = (
+        (t[:, :, e] > 0) != (_np.arange(o) == star[:, None]),  # (a)
+        diag != diag[star],  # (b)
+        t != t[_np.ix_(star, star, star)].transpose(1, 0, 2),  # (c)
+    )
+    # tolist gives Python ints: an int64 would print and serialise differently
+    return [("involutive", tuple(w)) for bad in cases for w in _np.argwhere(bad).tolist()]
+
+
 def check_reciprocity(g: MultivaluedGroup) -> bool:
     """Check m(x)*m[y][z][star(x)] == m(y)*m[z][x][star(y)] for all triples.
 
@@ -587,6 +660,13 @@ def check_reciprocity(g: MultivaluedGroup) -> bool:
 
 def _reciprocity_holds(g: MultivaluedGroup) -> bool:
     """check_reciprocity for a group already known to be involutive."""
+    array = _int64_table(g)
+    if array is not None:
+        star = _np.array(g.star)
+        diag = array[_np.arange(g.order), star, g.identity]
+        at_star = array[:, :, star]  # [y, z, x] -> m[y][z][star(x)]
+        # [y, z, x] -> m(x) m[y][z][star(x)] and m(y) m[z][x][star(y)]
+        return _np.array_equal(at_star * diag, at_star.transpose(2, 0, 1) * diag[:, None, None])
     t, star, o = g.table, g.star, g.order
     diag = [g.m(x) for x in range(o)]
     for x in range(o):
@@ -626,7 +706,7 @@ def _require_valid(g: MultivaluedGroup, kind: str, **params) -> MultivaluedGroup
     report = validate(g)
     if not report.ok:
         witness = report.counterexamples[0] if report.counterexamples else None
-        named = ", ".join(f"{key}={value}" for key, value in params.items())
+        named = ", ".join(f"{key}={printable(value)}" for key, value in params.items())
         raise AxiomError(
             f"{kind} parameters ({named}) does not define a multivalued group; first witness: {witness}",
             report=report,
@@ -662,7 +742,7 @@ def build_type1(n: int, m1: int, m2: int, a: int) -> MultivaluedGroup:
     derived = {"x in x*y": a_xy, "x in y*y": yy_x}
     for label, value in derived.items():
         if value.denominator != 1 or value < 0:
-            raise InputError(f"derived multiplicity of {label} is {value}, not a nonnegative integer")
+            raise InputError(f"derived multiplicity of {label} is {printable(value)}, not a nonnegative integer")
     a_xy = int(a_xy)
     yy_x = int(yy_x)
     entries = {
@@ -672,7 +752,7 @@ def build_type1(n: int, m1: int, m2: int, a: int) -> MultivaluedGroup:
     }
     for label, value in entries.items():
         if value < 0:
-            raise InputError(f"derived multiplicity of {label} is {value}, negative")
+            raise InputError(f"derived multiplicity of {label} is {printable(value)}, negative")
     table = _order3_table(
         (
             n,
@@ -821,11 +901,26 @@ def are_isomorphic(g1: MultivaluedGroup, g2: MultivaluedGroup):
     return tuple(f) if extend(0) else None
 
 
+def _past_digit_limit(value: int) -> bool:
+    """Whether str(value) fails on Python's limit on the digits of an
+    integer it prints.  Python before 3.10.7 has no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return bool(limit) and value.bit_length() > 3 * limit and abs(value) >= 10**limit
+
+
+def printable(value) -> str:
+    """str(value) for an int or a Fraction, or a stand-in when a part of
+    it is too long to print, so that a message about a huge number does
+    not fail on the number."""
+    if _past_digit_limit(value.numerator) or _past_digit_limit(value.denominator):
+        return f"<more than {sys.get_int_max_str_digits()} digits>"
+    return str(value)
+
+
 def to_json_dict(g: MultivaluedGroup) -> dict:
     # Every entry is at most n, so n is the longest integer to print.
-    # Python before 3.10.7 has no digit limit.
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and g.n.bit_length() > 3 * limit and g.n >= 10**limit:
+    if _past_digit_limit(g.n):
+        limit = sys.get_int_max_str_digits()
         raise CapError(f"the valency n has more than {limit} digits, past the integer printing limit")
     return {
         "format": MVG_FORMAT,
@@ -864,11 +959,12 @@ def from_json_dict(data) -> MultivaluedGroup:
 
 
 def parse_json(text: str):
-    """json.loads, with its errors as InputError: malformed JSON, or an
-    integer past Python's digit limit."""
+    """json.loads, with its errors as InputError: malformed JSON, an
+    integer past Python's digit limit, or nesting past the recursion
+    limit."""
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from None
 
 

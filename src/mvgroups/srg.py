@@ -25,6 +25,7 @@ parameters before returning it.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import combinations, compress, count, product, repeat
 from math import isqrt, lcm
@@ -64,16 +65,8 @@ class Graph:
     def __init__(self, v, edges=()):
         if v < 1:
             raise InputError("a graph needs at least one vertex")
-        rows = [0] * v
-        for u, w in edges:
-            if not (0 <= u < v and 0 <= w < v):
-                raise InputError(f"edge ({u}, {w}) out of range")
-            if u == w:
-                raise InputError(f"loop at vertex {u}")
-            rows[u] |= 1 << w
-            rows[w] |= 1 << u
         self.v = v
-        self.rows = rows
+        self.rows = _adjacency(v, edges, "edge")
 
     @classmethod
     def _from_rows(cls, v, rows):
@@ -110,15 +103,8 @@ class DirectedGraph:
     def __init__(self, v, arcs=()):
         if v < 1:
             raise InputError("a graph needs at least one vertex")
-        rows = [0] * v
-        for u, w in arcs:
-            if not (0 <= u < v and 0 <= w < v):
-                raise InputError(f"arc ({u}, {w}) out of range")
-            if u == w:
-                raise InputError(f"loop at vertex {u}")
-            rows[u] |= 1 << w
         self.v = v
-        self.rows = rows
+        self.rows = _adjacency(v, arcs, "arc")
 
     def has_arc(self, u: int, w: int) -> bool:
         return bool((self.rows[u] >> w) & 1)
@@ -136,6 +122,85 @@ class DirectedGraph:
     def arcs(self):
         for u, row in enumerate(self.rows):
             yield from zip(repeat(u), _set_bits(row))
+
+
+def _adjacency(v: int, pairs, kind: str) -> list[int]:
+    """The rows of the graph on v vertices with these edges (kind "edge",
+    both directions) or arcs (kind "arc"): pairs of vertex indices in
+    range, no loops.
+
+    A list, tuple or array that numpy reads as integer pairs is checked
+    and packed in one array pass.  Anything else, and any array the pass
+    refuses, goes through the per-pair loop, which raises the error of
+    the first bad pair."""
+    array = _pair_array(pairs)
+    if array is not None:
+        if not array.size or (
+            array.min() >= 0 and int(array.max()) < v and (array[:, 0] != array[:, 1]).all()
+        ):
+            return _packed_rows(v, array.astype(_np.int64, copy=False), kind == "edge")
+        if isinstance(pairs, _np.ndarray):  # the loop's messages print Python ints
+            pairs = pairs.tolist()
+    rows = [0] * v
+    for u, w in pairs:
+        if not (0 <= u < v and 0 <= w < v):
+            raise InputError(f"{kind} ({u}, {w}) out of range")
+        if u == w:
+            raise InputError(f"loop at vertex {u}")
+        rows[u] |= 1 << w
+        if kind == "edge":
+            rows[w] |= 1 << u
+    if array is not None:
+        raise InternalError(f"{kind} array rejected without a reason")
+    return rows
+
+
+def _pair_array(pairs):
+    """pairs as an (m, 2) integer array, or None unless they are a list,
+    tuple or array that numpy reads as m pairs of integers: floats,
+    bools, strings, ragged pairs and integers past 64 bits are refused."""
+    if not isinstance(pairs, (list, tuple, _np.ndarray)):
+        return None
+    try:
+        array = _np.asarray(pairs)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if array.dtype.kind not in "iu" or array.ndim != 2 or array.shape[1] != 2:
+        return None
+    return array
+
+
+def _packed_rows(v: int, pairs, symmetric: bool) -> list[int]:
+    """The rows with a bit at pairs[i, 1] in row pairs[i, 0] (and the
+    reverse when symmetric), for int64 pairs already checked in range.
+
+    A block of rows at a time is set in a bool matrix and packed into
+    little-endian bytes, one int per row; the matrix and its two packed
+    copies stay within _SCRATCH_BYTES.  Blocks with no pair are skipped,
+    so a sparse graph on many vertices costs no v x v work."""
+    src, dst = pairs[:, 0], pairs[:, 1]
+    flat = src * v + dst
+    if symmetric:
+        flat = _np.concatenate((flat, dst * v + src))
+    width = (v + 7) // 8
+    block = max(1, _SCRATCH_BYTES // (v + 2 * width))
+    lows = range(0, v, block)
+    if len(lows) == 1:
+        bounds = [0, flat.size]
+    else:
+        flat.sort()
+        bounds = _np.searchsorted(flat, [lo * v for lo in lows] + [v * v]).tolist()
+    rows = []
+    for i, lo in enumerate(lows):
+        count = min(block, v - lo)
+        if bounds[i] == bounds[i + 1]:
+            rows += [0] * count
+            continue
+        bits = _np.zeros(count * v, bool)
+        bits[flat[bounds[i] : bounds[i + 1]] - lo * v] = True
+        data = _np.packbits(bits.reshape(count, v), axis=1, bitorder="little").tobytes()
+        rows += [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
+    return rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -811,7 +876,8 @@ def graph_from_json_dict(data, cap: int = GRAPH_CAP):
     _check_graph_size(v, cap)
     cls = DirectedGraph if data.get("directed") else Graph
     try:
-        return cls(v, [tuple(e) for e in edges])
+        # unpacking a JSON list is unpacking its tuple, so a list goes as it is
+        return cls(v, edges if isinstance(edges, list) else [tuple(e) for e in edges])
     except (TypeError, ValueError):
         raise InputError("every edge must be a pair of integer vertex indices") from None
 
@@ -820,10 +886,30 @@ def graph_loads(text: str, cap: int = GRAPH_CAP):
     return graph_from_json_dict(parse_json(text), cap)
 
 
+# The edge-list text that graph_from_edge_list reads in one array pass:
+# an optional 'v N' line, then 'u w' lines, each number ASCII digits (at
+# most 18, so that it fits int64), one space apart, every line ended by
+# a newline but perhaps the last.  The search finds the first other
+# line; it keeps no state per line, as a match of the whole text would.
+_PLAIN_HEADER = re.compile(r"v ([0-9]{1,18})\n")
+_NOT_PLAIN_LINE = re.compile(r"^(?![0-9]{1,18} [0-9]{1,18}$)", re.MULTILINE)
+
+
 def graph_from_edge_list(text: str, cap: int = GRAPH_CAP) -> Graph:
     """Plain-text reader: one 'u w' pair per line, '#' comments allowed;
     an optional leading line 'v N' fixes the vertex count (otherwise the
-    largest index + 1 is used)."""
+    largest index + 1 is used).
+
+    Text of the plain form above is read by numpy in one pass; any other
+    text (comments, signs, other separators or digits) by the line loop,
+    whose errors name the line."""
+    header = _PLAIN_HEADER.match(text)
+    start = 0 if header is None else header.end()
+    if _NOT_PLAIN_LINE.search(text, start, len(text) - text.endswith("\n")) is None:
+        pairs = _np.fromstring(text[start:], dtype=_np.int64, sep=" ").reshape(-1, 2)
+        declared = int(pairs.max(initial=0)) + 1 if header is None else int(header.group(1))
+        _check_graph_size(declared, cap)
+        return Graph(declared, pairs)
     edges = []
     declared = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

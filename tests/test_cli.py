@@ -642,6 +642,28 @@ def test_integer_past_the_digit_limit_is_exit_3(capsys, tmp_path, argv, text):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{f}"],
+        ["iso", "{f}", "{g}"],
+        ["build", "coset", "--group", "{f}", "--action", "{a}"],
+        ["build", "coset", "--group", "{g}", "--action", "{f}"],
+        ["build", "graph", "complement", "{f}"],
+    ],
+    ids=["mvg-v1", "iso", "grp-v1", "act-v1", "graph-v1"],
+)
+def test_json_nested_past_the_recursion_limit_is_exit_3(capsys, tmp_path, argv):
+    path, gpath, apath = tmp_path / "deep.json", tmp_path / "grp.json", tmp_path / "act.json"
+    path.write_text('{"format": ' + "[" * 100000)
+    gpath.write_text(json.dumps(_Z2_GRP))
+    apath.write_text(json.dumps(_SWAP_ACT))
+    code = cli.main([arg.format(f=path, g=gpath, a=apath) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: invalid JSON: ") and captured.err.count("\n") == 1
+
+
 _BIG_CLIQUES = [(10**2000 + 1) * (10**2200 + 3), 10**2000, 10**2000 - 1, 0]  # v has 4201 digits
 
 
@@ -669,3 +691,41 @@ def test_build_output_past_a_cap_or_the_digit_limit_is_exit_4(capsys, argv, err)
     code, out, stderr = run_cli(capsys, *argv)
     assert code == 4 and out == ""
     assert stderr == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        # 4k+3 has 4301 digits: the cap message must not print it
+        (
+            ["--swap", str(6 * 10**4299 + 1), str(3 * 10**4299)],
+            4,
+            f"4k+3 = <more than 4300 digits> exceeds the cap {classify.CLASSIFY_CAP}",
+        ),
+        # the multiplicity of x in y*y is forced to 4 - 2n, which has 4301 digits
+        (
+            ["--sym", str(9 * 10**4299), "1", "2", "0"],
+            3,
+            "derived multiplicity of x in y*y is <more than 4300 digits>, not a nonnegative integer",
+        ),
+        # a valid group whose derived v = 2n + 1 has 4301 digits
+        (
+            ["--sym", str(9 * 10**4299), "1", "1", "0"],
+            4,
+            f"derived v = <more than 4300 digits> exceeds the cap {classify.CLASSIFY_CAP}",
+        ),
+    ],
+    ids=["swap-4k+3", "sym-derived-multiplicity", "sym-derived-v"],
+)
+def test_classify_numbers_past_the_digit_limit_are_not_printed(capsys, argv, code, err):
+    got, out, stderr = run_cli(capsys, "classify", *argv)
+    assert (got, out, stderr) == (code, "", f"error: {err}\n")
+
+
+def test_short_numbers_in_classify_messages_are_printed(capsys):
+    assert run_cli(capsys, "classify", "--swap", "2001", "1000", "--cap", "4002")[2] == (
+        "error: 4k+3 = 4003 exceeds the cap 4002\n"
+    )
+    assert run_cli(capsys, "classify", "--sym", "6", "1", "1", "5")[2] == (
+        "error: derived multiplicity of y in y*y is -1, negative\n"
+    )

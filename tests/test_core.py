@@ -1,6 +1,7 @@
 """Multiplicity tables, axiom verification, order-3 builders,
 signatures, and isomorphism."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -695,3 +696,142 @@ def test_are_isomorphic_agrees_with_signature_on_order3():
             f = core.are_isomorphic(g, h)
             assert (f is not None) == (sg == sh)
             assert f is None or ratio_isomorphism_holds(g, h, f)
+
+
+def involutive_oracle(g):
+    """verify_involutive's witnesses by the triple loops."""
+    e, o, t, star = g.identity, g.order, g.table, g.star
+    fails = [(x, y) for x in range(o) for y in range(o) if (t[x][y][e] > 0) != (y == star[x])]
+    diag = [t[x][star[x]][e] for x in range(o)]
+    fails += [(x,) for x in range(o) if diag[x] != diag[star[x]]]
+    fails += [
+        (x, y, z)
+        for x in range(o)
+        for y in range(o)
+        for z in range(o)
+        if t[x][y][z] != t[star[y]][star[x]][star[z]]
+    ]
+    return [("involutive", w) for w in fails]
+
+
+def reciprocity_oracle(g):
+    t, star, o = g.table, g.star, g.order
+    diag = [t[x][star[x]][g.identity] for x in range(o)]
+    return all(
+        diag[x] * t[y][z][star[x]] == diag[y] * t[z][x][star[y]]
+        for x in range(o)
+        for y in range(o)
+        for z in range(o)
+    )
+
+
+def another_involution(g, rng):
+    """g with star replaced by another involution fixing the identity."""
+    rest = [x for x in range(g.order) if x != g.identity]
+    rng.shuffle(rest)
+    star = list(range(g.order))
+    for a, b in zip(rest[::2], rest[1::2]):
+        star[a], star[b] = b, a
+    return core.MultivaluedGroup(g.n, g.identity, star, [list(map(list, p)) for p in g.table])
+
+
+def involution_test_tables():
+    """The associativity test tables, single-entry mutations of them and
+    copies under another star: every kind of (a), (b) and (c) failure."""
+    rng = random.Random(12)
+    cases = assoc_test_tables() + [("Z29 order-4 multipliers", multiplier_coset(29, 4))]
+    for label, g in list(cases):
+        if g.order > 2:
+            cases += [(f"{label} mutated {i}", single_entry_mutation(g, rng)) for i in range(3)]
+            cases.append((f"{label} other star", another_involution(g, rng)))
+    return cases
+
+
+@pytest.mark.parametrize("path", ["array", "lists"])
+def test_array_involution_and_reciprocity_match_the_loops(monkeypatch, path):
+    cases = involution_test_tables()
+    if path == "lists":
+        monkeypatch.setattr(core, "_NUMPY_ORDER_THRESHOLD", max(g.order for _, g in cases))
+    large = [g for _, g in cases if g.order > 6]
+    assert large and all((core._int64_table(g) is not None) == (path == "array") for g in large)
+    outcomes = set()
+    for label, g in cases:
+        got = core.verify_involutive(g)
+        want = involutive_oracle(g)
+        assert got.counterexamples == want, label
+        assert got.involutive == (want == [])
+        # Python ints print as the loops' witnesses did and serialise
+        assert all(type(i) is int for _, witness in got.counterexamples for i in witness), label
+        json.dumps(got.counterexamples)
+        holds = core._reciprocity_holds(g)
+        assert type(holds) is bool and holds == reciprocity_oracle(g), label
+        outcomes.add((g.order > 6, got.involutive, holds))
+    # both verdicts of each check, on tables past the threshold too
+    assert {(True, True, True), (True, False, False)} <= outcomes
+
+
+def _table_with(g, x, y, row):
+    table = [[list(r) for r in plane] for plane in g.table]
+    table[x][y] = row
+    return table
+
+
+def _replace_first(table, old, new):
+    """Replace the first entry equal to old, which keeps every row sum."""
+    for plane in table:
+        for row in plane:
+            if old in row:
+                row[row.index(old)] = new
+                return
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda g, t: t[1][2].__setitem__(0, -1),
+        lambda g, t: t[1][2].__setitem__(g.order - 1, True),
+        lambda g, t: _replace_first(t, 1, True),
+        lambda g, t: t[1][2].__setitem__(0, 1.0),
+        lambda g, t: t[2][1].__setitem__(3, "1"),
+        lambda g, t: t[3][3].__setitem__(0, 2**70),
+        lambda g, t: t[3][3].__setitem__(0, 2**63 + 1),
+        lambda g, t: t[4].__setitem__(4, t[4][4][:-1]),
+        lambda g, t: t[4].__setitem__(4, 7),
+        lambda g, t: t.__setitem__(5, t[5][:-1]),
+        lambda g, t: t.__setitem__(5, "x" * g.order),
+        lambda g, t: t[6][0].__setitem__(0, t[6][0][0] + 1),
+    ],
+    ids=["negative", "bool", "bool for one", "float", "string", "past int64", "past int64 unsigned", "short row",
+         "row not a list", "short block", "block not a list", "row sum"],
+)
+def test_table_errors_match_the_entry_loop(monkeypatch, edit):
+    # Z29 under the order-4 multipliers: order 8, past the threshold
+    g = multiplier_coset(29, 4)
+    table = [[list(row) for row in plane] for plane in g.table]
+    edit(g, table)
+    with pytest.raises(InputError) as array_pass:
+        core.MultivaluedGroup(g.n, g.identity, g.star, table)
+    monkeypatch.setattr(core, "_NUMPY_ORDER_THRESHOLD", g.order)
+    with pytest.raises(InputError) as entry_loop:
+        core.MultivaluedGroup(g.n, g.identity, g.star, table)
+    assert str(array_pass.value) == str(entry_loop.value)
+
+
+def test_table_error_messages_are_unchanged():
+    g = multiplier_coset(29, 4)
+    with pytest.raises(InputError, match=r"^m\[1\]\[2\]\[0\] = -1 is not a nonnegative integer$"):
+        core.MultivaluedGroup(g.n, g.identity, g.star, _table_with(g, 1, 2, [-1] + list(g.table[1][2][1:])))
+    with pytest.raises(InputError, match=r"^row sum of m\[6\]\[0\] is 5, expected the valency 4$"):
+        core.MultivaluedGroup(g.n, g.identity, g.star, _table_with(g, 6, 0, [1] + list(g.table[6][0][1:])))
+
+
+def test_int_subclass_tables_take_the_entry_loop_and_keep_the_array_path():
+    class Count(int):
+        pass
+
+    g = multiplier_coset(29, 4)
+    table = [[[Count(m) for m in row] for row in plane] for plane in g.table]
+    h = core.MultivaluedGroup(g.n, g.identity, g.star, table)
+    assert h == g and h._array is None
+    assert core._int64_table(h).tolist() == core._int64_table(g).tolist()
+    assert core.verify_all(h) == core.verify_all(g)

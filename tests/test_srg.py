@@ -1,10 +1,12 @@
 """Strong regularity by counting, the intersection-number algebra, the
 order-3 group of a parameter set, and the graph families."""
 
+import json
 import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from mvgroups import algebra, core, srg
@@ -380,6 +382,160 @@ def test_graph_rejects_loops_and_range():
         srg.Graph(3, [(0, 0)])
     with pytest.raises(InputError):
         srg.Graph(3, [(0, 5)])
+
+
+# Edge-list text the one-pass reader refuses or whose array it rejects,
+# one case per reason, with the outcome the line loop gives: its exact
+# message or, for text the loop accepts, the edges.  plain says whether
+# numpy reads the text.
+_EDGE_TEXT_CASES = {
+    "comment": ("v 4\n0 1  # edge\n1 9\n", False, "edge (1, 9) out of range"),
+    "plus sign": ("v 4\n+0 1\n1 x\n", False, "line 3: expected integers"),
+    "carriage return": ("v 4\r\n0 1\r\n1 2 3\r\n", False, "line 3: expected two vertex indices"),
+    "carriage return, valid": ("v 4\r\n0 1\r\n1 2\r\n", False, [(0, 1), (1, 2)]),
+    "vertical tab": ("v 4\n0 1\x0b1 2\n", False, [(0, 1), (1, 2)]),
+    "line separator": ("0 1\u20281\n", False, "line 2: expected two vertex indices"),
+    "non-ascii digit": ("v 4\n0 \u0663\n0 y\n", False, "line 3: expected integers"),
+    "non-ascii digit, valid": ("v 4\n0 \u0663\n", False, [(0, 3)]),
+    "nineteen digits": ("v 4\n0 1000000000000000000\n", False, "edge (0, 1000000000000000000) out of range"),
+    "past int64": ("v 4\n0 99999999999999999999\n", False, "edge (0, 99999999999999999999) out of range"),
+    "tab": ("0\t1\n1\t1\n", False, "loop at vertex 1"),
+    "leading space": (" 0 1\n-1 2\n", False, "edge (-1, 2) out of range"),
+    "three numbers": ("v 4\n0 1 2\n", False, "line 2: expected two vertex indices"),
+    "second header": ("v 4\nv 5\n", False, "line 2: expected integers"),
+    "header after an edge": ("0 1\nv 5\n", False, "line 2: expected integers"),
+    "bad header": ("v four\n", False, "line 1: expected 'v N' with an integer N"),
+    "negative": ("0 -1\n", False, "edge (0, -1) out of range"),
+    "header too small": ("v 3\n0 1\n0 3\n", True, "edge (0, 3) out of range"),
+    "loop": ("v 3\n0 1\n2 2\n", True, "loop at vertex 2"),
+    "no vertex": ("v 0\n", True, "a graph needs at least one vertex"),
+    "no final newline": ("v 4\n0 1\n1 3", True, [(0, 1), (1, 3)]),
+    "empty": ("", False, []),
+}
+
+
+@pytest.mark.parametrize("text, plain, outcome", _EDGE_TEXT_CASES.values(), ids=_EDGE_TEXT_CASES)
+def test_edge_list_outcomes_match_the_line_reader(monkeypatch, text, plain, outcome):
+    reads = []
+    fromstring = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda *args, **kwargs: reads.append(1) or fromstring(*args, **kwargs))
+    if isinstance(outcome, str):
+        with pytest.raises(InputError) as caught:
+            srg.graph_from_edge_list(text)
+        assert str(caught.value) == outcome
+    else:
+        assert sorted(srg.graph_from_edge_list(text).edges()) == outcome
+    assert bool(reads) == plain
+
+
+# Pairs handed to Graph and DirectedGraph that the array pass refuses,
+# with what the per-pair loop raises.
+_PAIR_CASES = {
+    "out of range": (srg.Graph, [(0, 1), (1, 4)], InputError, "edge (1, 4) out of range"),
+    "negative": (srg.Graph, [[0, 1], [0, -1]], InputError, "edge (0, -1) out of range"),
+    "loop": (srg.Graph, [(0, 1), (2, 2)], InputError, "loop at vertex 2"),
+    "past int64": (srg.Graph, [(0, 2**64)], InputError, "edge (0, 18446744073709551616) out of range"),
+    "array out of range": (srg.Graph, np.array([[0, 1], [5, 1]]), InputError, "edge (5, 1) out of range"),
+    "array loop": (srg.Graph, np.array([[3, 3]], np.uint8), InputError, "loop at vertex 3"),
+    "arc out of range": (srg.DirectedGraph, [(0, 1), (0, 4)], InputError, "arc (0, 4) out of range"),
+    "arc loop": (srg.DirectedGraph, ((1, 1),), InputError, "loop at vertex 1"),
+    "bool loop": (srg.Graph, [(0, 2), (True, 1)], InputError, "loop at vertex True"),
+    "not a list": (srg.Graph, {(0, 1), (1, 9)}, InputError, "edge (1, 9) out of range"),
+    "float": (srg.Graph, [(0, 1.0)], TypeError, "unsupported operand type(s) for <<: 'int' and 'float'"),
+    "string": (srg.Graph, [(0, "1")], TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+    "ragged": (srg.Graph, [(0, 1), (2,)], ValueError, "not enough values to unpack (expected 2, got 1)"),
+    "triple": (srg.Graph, [(0, 1, 2)], ValueError, "too many values to unpack (expected 2)"),
+}
+
+
+@pytest.mark.parametrize("cls, pairs, error, message", _PAIR_CASES.values(), ids=_PAIR_CASES)
+def test_refused_pairs_raise_the_loop_error(cls, pairs, error, message):
+    with pytest.raises(error) as caught:
+        cls(4, pairs)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[[0, 1.0]], [[0, 1], [True, 1]], [[0, "1"]], [[0, 1], [2]], [[0, 1, 2]], [[[0], [1]]], [[0, 2**64]],
+     [[0, 2**63 - 1]], [[0, 4]], [[3, 3]], 7, {"01": 1}],
+    ids=["float", "bool loop", "string", "ragged", "triple", "nested", "past uint64", "int64 max",
+         "out of range", "loop", "not a list", "object"],
+)
+@pytest.mark.parametrize("directed", [False, True])
+def test_refused_graph_documents_keep_their_message(edges, directed):
+    doc = {"format": "graph-v1", "v": 4, "edges": edges}
+    if directed:
+        doc["directed"] = True
+    with pytest.raises(InputError, match=r"^every edge must be a pair of integer vertex indices$"):
+        srg.graph_loads(json.dumps(doc))
+
+
+def test_bool_pairs_are_read_as_integers():
+    # numpy reads an all-bool list as bools, which the pass refuses; the
+    # loop, like int, takes True as 1
+    assert srg.Graph(4, [(True, False)]).rows == [2, 1, 0, 0]
+    assert srg.graph_loads('{"format": "graph-v1", "v": 3, "edges": [[true, 2]]}').rows == [0, 4, 2]
+
+
+def _rows_oracle(v, pairs, symmetric):
+    """The rows by one |= per pair."""
+    rows = [0] * v
+    for u, w in pairs:
+        rows[u] |= 1 << w
+        if symmetric:
+            rows[w] |= 1 << u
+    return rows
+
+
+def _random_pairs(v, density, rng):
+    """Every ordered pair with probability density, in random order,
+    with some repeated."""
+    pairs = [(u, w) for u in range(v) for w in range(v) if u != w and rng.random() < density]
+    pairs += rng.sample(pairs, len(pairs) // 10)
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("scratch", [None, 1, 200, 5000])
+def test_packed_rows_match_the_per_pair_oracle(monkeypatch, scratch):
+    # scratch 1 and 200 force blocks of one and of a few rows
+    if scratch is not None:
+        monkeypatch.setattr(srg, "_SCRATCH_BYTES", scratch)
+    rng = random.Random(12)
+    sizes = (1, 2, 7, 8, 9, 63, 64, 65, 130)
+    graphs = [(v, _random_pairs(v, density, rng)) for v in sizes for density in (0.05, 0.5)]
+    for graph in (petersen_graph(), srg.grid_graph(7), _triangular(9)):
+        perm = rng.sample(range(graph.v), graph.v)
+        graphs.append((graph.v, [(perm[u], perm[w]) for u, w in graph.edges()]))
+    graphs += [(700, [(0, 699), (350, 1)])]  # blocks with no pair are skipped
+    for v, pairs in graphs:
+        for symmetric, cls in ((True, srg.Graph), (False, srg.DirectedGraph)):
+            want = _rows_oracle(v, pairs, symmetric)
+            assert cls(v, pairs).rows == want, (v, symmetric)
+            assert cls(v, [list(p) for p in pairs]).rows == want
+            assert cls(v, np.array(pairs, np.int64).reshape(-1, 2)).rows == want
+        body = "".join(f"{u} {w}\n" for u, w in pairs)
+        assert srg.graph_from_edge_list(f"v {v}\n{body}").rows == _rows_oracle(v, pairs, True)
+        doc = {"format": "graph-v1", "v": v, "edges": pairs}
+        assert srg.graph_loads(json.dumps(doc)).rows == _rows_oracle(v, pairs, True)
+        assert srg.graph_loads(json.dumps(dict(doc, directed=True))).rows == _rows_oracle(v, pairs, False)
+
+
+def test_packed_scratch_stays_within_the_budget():
+    # one block of a 2000-vertex graph: rows * (v + 2 * ceil(v/8)) bytes
+    v = 2000
+    pairs = np.array([(u, (u + d) % v) for u in range(v) for d in (1, 2, 3)], np.int64)
+    tracemalloc.start()
+    try:
+        rows = srg.Graph(v, pairs).rows
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == _rows_oracle(v, pairs.tolist(), True)
+    # the rows themselves (v ints of v bits) and the O(m) pair arrays
+    # come on top of the scratch
+    assert peak < srg._SCRATCH_BYTES + v * (v // 8 + 40) + 40 * pairs.size
 
 
 def test_unrealizable_params_have_no_complement():
