@@ -7,11 +7,15 @@ and an automorphism group A, forms the A-orbits, and counts for each
 orbit triple how many action elements realise the product:
 m[x][y][z] = #{a in A : g0 * a(h0) in z} with g0, h0 the least orbit
 representatives.  Representative independence can be verified on demand.
+
+GF(q) multiplies through discrete log tables, which are the orbit of 1
+under multiplication by the least primitive element, a linear map on
+base-p digit vectors; that construction proves the field laws, so
+FiniteField samples no check (see its docstring).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import chain, product
 from math import gcd, isqrt
@@ -34,19 +38,20 @@ ACT_FORMAT = "act-v1"
 _BLOCK_ENTRIES = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division."""
     if n % 2 == 0:
-        return False
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 def is_prime_power(v: int):
@@ -55,18 +60,7 @@ def is_prime_power(v: int):
         raise InputError(f"prime-power test needs a positive integer, got {v}")
     if v == 1:
         return None
-    p = None
-    if v % 2 == 0:
-        p = 2
-    else:
-        f = 3
-        while f * f <= v:
-            if v % f == 0:
-                p = f
-                break
-            f += 2
-        else:
-            return (v, 1)
+    p = _least_prime_factor(v)
     m, d = v, 0
     while m % p == 0:
         m //= p
@@ -120,17 +114,6 @@ def _poly_mod(a, modulus, p):
     return _poly_trim(a)
 
 
-def _poly_mulmod(a, b, modulus, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_mod(out, modulus, p)
-
-
 def _is_irreducible(coeffs, p):
     """Trial division by every monic polynomial of degree <= deg/2."""
     deg = len(coeffs) - 1
@@ -149,6 +132,23 @@ class FiniteField:
     base-p digits (low degree first), so 0 is zero and 1 is one.
     Multiplication goes through discrete log tables built from the least
     primitive element, which makes the whole construction reproducible.
+
+    The tables come from one map.  For a candidate a, T_a is
+    multiplication by a modulo the modulus, a GF(p)-linear map on the
+    digit vectors; its column j holds the digits of a * x**j.  The walk
+    1, T_a(1), T_a(T_a(1)), ... runs for at most q - 1 steps, and the
+    least a whose walk first returns to 1 at step q - 1 is the
+    generator; that walk is the exp table and log is its inverse.
+
+    This proves the field laws for mul, so no check is sampled.  A walk
+    that first returns to 1 at step q - 1 is periodic with least period
+    q - 1, so it visits q - 1 distinct elements, none of them 0 (T_a
+    fixes 0): exp and log are inverse bijections between Z_(q-1) and the
+    nonzero elements.  mul adds logs modulo q - 1, so it is associative
+    and commutative, with inverses.  Multiplication by exp[i] is T**i for
+    T = T_generator, which is linear, so mul distributes over add.  A
+    ring that is not a field (p composite) has fewer than q - 1 units,
+    so no walk qualifies and construction fails.
     """
 
     __slots__ = ("p", "s", "q", "modulus", "generator", "_exp", "_log")
@@ -164,7 +164,6 @@ class FiniteField:
         self.q = p**s
         self.modulus = modulus
         self._build_log_tables()
-        self._self_check()
 
     # encoding helpers -----------------------------------------------------
     def _decode(self, idx):
@@ -180,62 +179,40 @@ class FiniteField:
             idx = idx * self.p + c
         return idx
 
-    def _raw_mul(self, a, b):
-        pa = _poly_trim(self._decode(a))
-        pb = _poly_trim(self._decode(b))
-        prod_ = _poly_mulmod(pa, pb, list(self.modulus), self.p)
-        return self._encode(prod_ + [0] * (self.s - len(prod_)))
+    def _times(self, a, digits, powers):
+        """T_a as a table: entry i is the index of a * i."""
+        p, m = self.p, self.modulus
+        col = self._decode(a)
+        cols = [col]
+        for _ in range(1, self.s):
+            # a * x**j from a * x**(j-1): shift up, reduce by the modulus
+            lead = col[-1]
+            col = [(-lead * m[0]) % p] + [(col[k - 1] - lead * m[k]) % p for k in range(1, self.s)]
+            cols.append(col)
+        # digits @ cols has entries at most s * (p - 1)**2, below 2**63
+        # for any q whose digit matrix fits in memory
+        return (digits @ _np.array(cols, dtype=_np.int64) % p @ powers).tolist()
 
     def _build_log_tables(self):
-        q = self.q
-        order = q - 1
-        factors = set()
-        m = order
-        f = 2
-        while f * f <= m:
-            while m % f == 0:
-                factors.add(f)
-                m //= f
-            f += 1
-        if m > 1:
-            factors.add(m)
-
-        def raw_pow(a, k):
-            result, base = 1, a
-            while k:
-                if k & 1:
-                    result = self._raw_mul(result, base)
-                base = self._raw_mul(base, base)
-                k >>= 1
-            return result
-
-        gen = None
+        p, s, q = self.p, self.s, self.q
+        powers = p ** _np.arange(s, dtype=_np.int64)
+        digits = _np.arange(q, dtype=_np.int64)[:, None] // powers % p
         for cand in range(1, q):
-            if all(raw_pow(cand, order // f) != 1 for f in factors):
-                gen = cand
+            times = self._times(cand, digits, powers)
+            exp, x = [1], times[1]
+            while x != 1 and len(exp) < q - 1:
+                exp.append(x)
+                x = times[x]
+            if x == 1 and len(exp) == q - 1:
                 break
-        if gen is None:
+        else:
             raise InternalError(f"no primitive element found in GF({q})")
-        exp = [1] * order
-        for i in range(1, order):
-            exp[i] = self._raw_mul(exp[i - 1], gen)
         log = [0] * q
         for i, val in enumerate(exp):
             log[val] = i
-        self.generator = gen
+        self.generator = cand
         self._exp = tuple(exp)
         self._log = tuple(log)
-
-    def _self_check(self):
-        rng = random.Random(self.q)
-        for _ in range(32):
-            a, b, c = (rng.randrange(self.q) for _ in range(3))
-            if self.mul(a, self.add(b, c)) != self.add(self.mul(a, b), self.mul(a, c)):
-                raise InternalError(f"distributivity fails in GF({self.q})")
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise InternalError(f"associativity fails in GF({self.q})")
-            if a and self.mul(a, self.inv(a)) != 1:
-                raise InternalError(f"inversion fails in GF({self.q})")
 
     # arithmetic -----------------------------------------------------------
     @property
@@ -280,8 +257,9 @@ class FiniteField:
         return self._exp[(self._log[a] * k) % (self.q - 1)]
 
     def nth_powers(self, n: int) -> frozenset:
-        """The set of nonzero n-th powers."""
-        return frozenset(self.pow(x, n) for x in range(1, self.q))
+        """The set of nonzero n-th powers: the subgroup of index
+        gcd(n, q - 1) of the cyclic group exp enumerates."""
+        return frozenset(self._exp[:: gcd(n, self.q - 1)])
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, s={self.s})"
@@ -483,31 +461,18 @@ def make_elementary_abelian(p: int, d: int, cap: int = GROUP_CAP) -> FiniteGroup
     size = p**d
     if size > cap:
         raise CapError(f"group size {size} exceeds the cap {cap}")
-    if p == 2:
-        return FiniteGroup([[i ^ j for j in range(size)] for i in range(size)])
-    digits = []
-    for i in range(size):
-        v, ds = i, []
-        for _ in range(d):
-            v, r = divmod(v, p)
-            ds.append(r)
-        digits.append(ds)
-    powers = [p**k for k in range(d)]
-    rows = []
-    for i in range(size):
-        di = digits[i]
-        rows.append(
-            [sum(((di[k] + digits[j][k]) % p) * powers[k] for k in range(d)) for j in range(size)]
-        )
-    return FiniteGroup(rows)
+    cyclic = ((_np.arange(p)[:, None] + _np.arange(p)) % p).astype(_np.min_scalar_type(size - 1))
+    table = _np.zeros((1, 1), dtype=cyclic.dtype)
+    for k in range(d):
+        # digit k becomes the high digit of both indices
+        table = (cyclic[:, None, :, None] * p**k + table[None, :, None, :]).reshape(p ** (k + 1), -1)
+    return FiniteGroup(table.tolist())
 
 
 def additive_group(field: FiniteField, cap: int = GROUP_CAP) -> FiniteGroup:
-    """The additive group of a finite field, same element indexing."""
-    if field.q > cap:
-        raise CapError(f"group size {field.q} exceeds the cap {cap}")
-    q = field.q
-    return FiniteGroup([[field.add(i, j) for j in range(q)] for i in range(q)])
+    """The additive group of a finite field, same element indexing: field
+    indices are base-p digit vectors added digitwise, so this is Z_p^s."""
+    return make_elementary_abelian(field.p, field.s, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from itertools import chain
@@ -66,7 +67,10 @@ def _json_line(data) -> str:
     return json.dumps(data) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args keeps no state
+    between calls, and in-process callers run main once per job."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--cap", type=int, default=None, help="override all size caps")

@@ -57,16 +57,11 @@ def _set_bits(row: int, start: int = 0):
     return compress(count(start), bin(row >> start)[:1:-1].encode().translate(_BIT_FLAGS))
 
 
-class Graph:
-    """Undirected loop-free graph on vertices 0..v-1."""
+class _BitRows:
+    """Vertices 0..v-1 with one bitset per vertex: bit w of rows[u] is
+    the edge or arc from u to w."""
 
     __slots__ = ("v", "rows")
-
-    def __init__(self, v, edges=()):
-        if v < 1:
-            raise InputError("a graph needs at least one vertex")
-        self.v = v
-        self.rows = _adjacency(v, edges, "edge")
 
     @classmethod
     def _from_rows(cls, v, rows):
@@ -74,6 +69,18 @@ class Graph:
         graph.v = v
         graph.rows = rows
         return graph
+
+
+class Graph(_BitRows):
+    """Undirected loop-free graph on vertices 0..v-1."""
+
+    __slots__ = ()
+
+    def __init__(self, v, edges=()):
+        if v < 1:
+            raise InputError("a graph needs at least one vertex")
+        self.v = v
+        self.rows = _adjacency(v, edges, "edge")
 
     def has_edge(self, u: int, w: int) -> bool:
         return bool((self.rows[u] >> w) & 1)
@@ -94,11 +101,11 @@ class Graph:
         return f"Graph(v={self.v}, edges={sum(self.degree(u) for u in range(self.v)) // 2})"
 
 
-class DirectedGraph:
+class DirectedGraph(_BitRows):
     """Directed loop-free graph; paley_tournament guarantees the
     tournament property (exactly one arc between distinct vertices)."""
 
-    __slots__ = ("v", "rows")
+    __slots__ = ()
 
     def __init__(self, v, arcs=()):
         if v < 1:
@@ -674,9 +681,7 @@ def paley_tournament(field: FiniteField) -> DirectedGraph:
     # partition the nonzero elements; row s holds 0 iff -s is in S
     if 2 * len(squares) != q - 1 or any(rows[s] & 1 for s in squares):
         raise InternalError(f"Paley digraph on {q} vertices is not a tournament")
-    digraph = DirectedGraph(q)
-    digraph.rows = rows
-    return digraph
+    return DirectedGraph._from_rows(q, rows)
 
 
 def clique_union(p: int, t: int, s: int, cap: int = GRAPH_CAP) -> Graph:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from mvgroups import algebra, cli, core
-from mvgroups.errors import CapError, InputError
+from mvgroups.errors import CapError, InputError, InternalError
 
 from conftest import coset_multiplicities_for_reps, residue_action, s3_group
 
@@ -88,6 +88,78 @@ def test_nth_powers():
     assert squares == {1, 3, 4, 9, 10, 12}
     f16 = algebra.make_field(2, 4)
     assert len(f16.nth_powers(5)) == 3  # index-5 subgroup of a 15-element group
+
+
+def _schoolbook_mul(field, a, b):
+    """a * b as the polynomial product of the digit vectors, reduced
+    modulo the modulus: the oracle for the log tables."""
+    p, s, m = field.p, field.s, field.modulus
+    prod = [0] * (2 * s - 1)
+    for i, x in enumerate(field._decode(a)):
+        for j, y in enumerate(field._decode(b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * s - 2, s - 1, -1):
+        lead = prod[top]
+        for k in range(s + 1):
+            prod[top - s + k] = (prod[top - s + k] - lead * m[k]) % p
+    return field._encode(prod[:s])
+
+
+def _schoolbook_order(field, a):
+    x, t = a, 1
+    while x != 1:
+        x, t = _schoolbook_mul(field, x, a), t + 1
+    return t
+
+
+PRIME_POWERS_TO_64 = [q for q in range(2, 65) if algebra.is_prime_power(q)]
+LOG_TABLE_FIELDS = [algebra.is_prime_power(q) for q in range(2, 257) if algebra.is_prime_power(q)]
+LOG_TABLE_FIELDS += [(653, 1), (3, 6), (2, 10)]
+
+
+@pytest.mark.parametrize("p,s", LOG_TABLE_FIELDS)
+def test_log_tables_match_the_schoolbook_product(p, s):
+    f = algebra.make_field(p, s)
+    q, gen = f.q, f.generator
+    # the least element of order q - 1: every smaller one has a smaller
+    # order, and exp below shows that gen has order q - 1
+    assert all(_schoolbook_order(f, a) < q - 1 for a in range(1, gen))
+    assert len(f._exp) == q - 1 and f._exp[0] == 1
+    for i, x in enumerate(f._exp):
+        assert _schoolbook_mul(f, x, gen) == f._exp[(i + 1) % (q - 1)]
+    assert sorted(f._exp) == list(range(1, q))
+    assert f._log[0] == 0 and all(f._log[x] == i for i, x in enumerate(f._exp))
+
+
+@pytest.mark.parametrize("p,s,modulus", [(4, 1, (0, 1)), (6, 1, (0, 1)), (9, 1, (0, 1)), (4, 2, (1, 1, 1))])
+def test_composite_characteristic_has_no_primitive_element(p, s, modulus):
+    # in Z_4, 2 walks 1 -> 2 -> 0 -> 0 ...: the walk must stop at q - 1 steps
+    with pytest.raises(InternalError, match="no primitive element"):
+        algebra.FiniteField(p, s, modulus)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+def test_nth_powers_match_the_powers(q):
+    f = algebra.make_field(*algebra.is_prime_power(q))
+    for n in range(-2 * q, 2 * q):
+        assert f.nth_powers(n) == {f.pow(x, n) for x in range(1, q)}, n
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+def test_additive_group_is_field_addition(q):
+    p, s = algebra.is_prime_power(q)
+    f = algebra.make_field(p, s)
+    oracle = algebra.FiniteGroup([[f.add(a, b) for b in range(q)] for a in range(q)])
+    for group in (algebra.additive_group(f), algebra.make_elementary_abelian(p, s)):
+        assert group.op.dtype == oracle.op.dtype
+        assert (group.op == oracle.op).all()
+
+
+def test_additive_group_cap():
+    f = algebra.make_field(2, 6)
+    assert algebra.additive_group(f, cap=64).size == 64
+    with pytest.raises(CapError, match="^group size 64 exceeds the cap 63$"):
+        algebra.additive_group(f, cap=63)
 
 
 def test_make_elementary_abelian():

@@ -347,6 +347,28 @@ def test_usage_error_exit_2(capsys):
     assert run_cli(capsys, "build", "graph", "paley")[0] == 3  # missing family arg
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "usage_error",
+    [["classify", "--swap", "3"], ["classify", "--swap", "3", "1", "--sym", "6", "2", "1", "0"]],
+    ids=["missing-argument", "exclusive-options"],
+)
+def test_usage_error_leaves_the_shared_parser_as_fresh(capsys, usage_error):
+    argv = ["classify", "--swap", "3", "1"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "mvgroups", *argv],
+        capture_output=True,
+        text=True,
+        cwd=Path(cli.__file__).parents[1],
+    )
+    assert run_cli(capsys, *usage_error)[0] == 2
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+
+
 def test_enumerate_csv_and_collisions(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--vmax", "100", "--csv", "--collisions")
     assert code == 0
