@@ -11,11 +11,15 @@ sets.  mu = 0 sets do not determine v, so everything is keyed on the
 full quadruple.
 
 Every catalogue row has v = p**d for a prime p, and _family_rows(p, d)
-is the one encoding of the families: iter_catalogue walks the prime
-powers up to v_max and yields the sorted rows of each v in turn, and
-match_params factors v and keeps its rows with equal parameters.  Equal
-parameters imply equal v, so collisions are found within one v's rows,
-and `enumerate` writes the catalogue as it walks it without holding it.
+is the one encoding of the families: match_params factors v and keeps
+its rows with equal parameters.  A prime v has one row, family III, so
+the walk of the catalogue (_catalogue_blocks) yields runs: the primes
+= 1 (mod 4) between two proper powers as one array, then the sorted
+rows of the next power.  `enumerate` writes each run with one format
+call over its columns (write_blocks), and iter_catalogue expands the runs
+through _family_rows, one v at a time.  Equal parameters imply equal
+v, so collisions are found within one power's rows, and `enumerate`
+writes the catalogue as it walks it without holding it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from dataclasses import dataclass
 from itertools import chain, compress, groupby
 from math import isqrt
 from operator import attrgetter
+
+import numpy as np
 
 from .algebra import is_prime_power, mult_order
 from .core import (
@@ -175,8 +181,9 @@ def _prime_power_table(limit: int) -> bytearray:
 def _family_rows(p: int, d: int, table) -> list[FamilyDescriptor]:
     """Every catalogue row with v = p**d, in FAMILIES order.  table is a
     _prime_power_table covering d + 1, for the prime moduli c of family
-    IV.  Only family III has prime v (every SPORADIC_TABLE v is a proper
-    power), so for d == 1 the list ends there."""
+    IV; it is not read when d == 1.  Only family III has prime v (every
+    SPORADIC_TABLE v is a proper power), so for d == 1 the list ends
+    there, and for d > 1 it holds family I at least."""
     v = p**d
     rows = []
     if d > 1:
@@ -226,37 +233,81 @@ def _row_key(row: FamilyDescriptor):
     return (row.params, FAMILIES.index(row.family), row.witness_str())
 
 
-def iter_catalogue(v_max: int, cap: int = ENUMERATE_CAP) -> Iterator[list[FamilyDescriptor]]:
-    """The catalogue rows with v <= v_max, one non-empty list per v in
-    ascending v, each sorted by (params, family, witness) and in the
-    lower-valency orientation.
+def _catalogue_blocks(v_max: int, cap: int) -> Iterator:
+    """The catalogue with v <= v_max as blocks in ascending v: an int64
+    array of the primes = 1 (mod 4) between two proper powers (a run,
+    never empty), or the rows of one proper power as a list, sorted by
+    (params, family, witness).  Each prime v of a run has the one row
+    (v, 2t, t-1, t) of family III with t = (v-1)/4.
 
     v_max is checked against cap, and the prime-power table up to v_max
     (one byte per integer, serving every family) is built, before this
-    returns; the rows are then made as the iterator is consumed."""
+    returns; the blocks are then made as the iterator is consumed, each
+    run from a view of its own stretch of the table."""
     if v_max < 4:
         raise InputError("v_max must be at least 4")
     if v_max > cap:
-        raise CapError(f"v_max {v_max} exceeds the cap {cap}")
+        raise CapError(f"v_max {printable(v_max)} exceeds the cap {cap}")
     table = _prime_power_table(v_max)
-    proper_powers = {}
+    proper_powers = []
     for p in compress(range(isqrt(v_max) + 1), table):
         if table[p] == PRIME:
             power, d = p * p, 2
             while power <= v_max:
-                proper_powers[power] = (p, d)
+                proper_powers.append((power, p, d))
                 power, d = power * p, d + 1
+    proper_powers.sort()
+    entries = np.frombuffer(table, np.uint8)
 
     def walk():
-        for v in compress(range(v_max + 1), table):
-            p, d = proper_powers.get(v) or (v, 1)
-            rows = _family_rows(p, d, table)
-            if len(rows) > 1:
+        low = 2
+        for v, p, d in [*proper_powers, (v_max + 1, 0, 0)]:
+            start = low + (1 - low) % 4  # the least n = 1 (mod 4) from low
+            run = np.flatnonzero(entries[start:v:4] == PRIME) * 4 + start
+            if run.size:
+                yield run
+            if d:
+                rows = _family_rows(p, d, table)
                 rows.sort(key=_row_key)
-            if rows:
                 yield rows
+            low = v + 1
 
     return walk()
+
+
+def _run_text(run, template: str, sep: str) -> str:
+    """The family III rows of the primes in run, each written as
+    template % (v, 2t, t-1, t, t) with t = (v-1)/4 and joined by sep, in
+    one format call."""
+    t = run >> 2
+    fields = np.column_stack((run, 2 * t, t - 1, t, t)).ravel().tolist()
+    return sep.join([template] * run.size) % tuple(fields)
+
+
+def write_blocks(out, blocks, rows_text, run_row: str, sep: str = "") -> None:
+    """Write the blocks of _catalogue_blocks to the text stream out, one
+    block at a time: a list of rows as rows_text(rows), and a run of
+    primes with run_row as the template of each row.  sep goes between
+    rows, and so between blocks."""
+    for i, block in enumerate(blocks):
+        text = _run_text(block, run_row, sep) if isinstance(block, np.ndarray) else rows_text(block)
+        out.write(sep + text if i else text)
+
+
+def iter_catalogue(v_max: int, cap: int = ENUMERATE_CAP) -> Iterator[list[FamilyDescriptor]]:
+    """The catalogue rows with v <= v_max, one non-empty list per v in
+    ascending v, each sorted by (params, family, witness) and in the
+    lower-valency orientation: the blocks of _catalogue_blocks, with
+    each run expanded through _family_rows.
+
+    v_max is checked against cap, and the prime-power table up to v_max
+    is built, before this returns; the rows are then made as the
+    iterator is consumed."""
+    blocks = _catalogue_blocks(v_max, cap)
+    return chain.from_iterable(
+        [block] if isinstance(block, list) else (_family_rows(v, 1, None) for v in block.tolist())
+        for block in blocks
+    )
 
 
 def enumerate_families(v_max: int, cap: int = ENUMERATE_CAP) -> list[FamilyDescriptor]:
@@ -291,9 +342,9 @@ def match_params(v: int, k: int, lam: int, mu: int, cap: int = CLASSIFY_CAP) -> 
     after flipping to the lower-valency orientation, in FAMILIES order;
     an empty list means the parameters are not attainable.  v is
     factored by trial division, so it is checked against cap first."""
+    if isinstance(v, int) and v > cap:
+        raise CapError(f"v = {printable(v)} exceeds the cap {cap}")
     target = canonicalize(SrgParams(v, k, lam, mu)).as_tuple()
-    if v > cap:
-        raise CapError(f"v = {v} exceeds the cap {cap}")
     pp = is_prime_power(target[0])
     if pp is None:
         return []
@@ -421,16 +472,23 @@ def verdict_to_json_dict(verdict: Verdict) -> dict:
     return data
 
 
-def write_catalogue_csv(out, descriptors) -> None:
-    """Write descriptors to the text stream out as CSV with the header
-    v,k,lambda,mu,family,witness, one record at a time."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["v", "k", "lambda", "mu", "family", "witness"])
-    writer.writerows((*desc.params, desc.family, desc.witness_str()) for desc in descriptors)
+def _csv_rows(descriptors) -> str:
+    buf = io.StringIO()
+    rows = ((*desc.params, desc.family, desc.witness_str()) for desc in descriptors)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def write_catalogue_csv(out, blocks) -> None:
+    """Write catalogue blocks (see _catalogue_blocks) to the text stream
+    out as CSV with the header v,k,lambda,mu,family,witness, one block at
+    a time."""
+    out.write("v,k,lambda,mu,family,witness\n")
+    write_blocks(out, blocks, _csv_rows, "%d,%d,%d,%d,III,t=%d\n")
 
 
 def catalogue_csv(descriptors) -> str:
     """CSV export of a descriptor list: v,k,lambda,mu,family,witness."""
     buf = io.StringIO()
-    write_catalogue_csv(buf, descriptors)
+    write_catalogue_csv(buf, [descriptors])
     return buf.getvalue()

@@ -15,7 +15,6 @@ import contextlib
 import functools
 import json
 import sys
-from itertools import chain
 
 from . import algebra, classify, core, srg
 from .errors import CapError, InputError, InternalError
@@ -327,8 +326,10 @@ def _cmd_classify(args, cap) -> int:
     return 0 if verdict.coset else 1
 
 
-# Rows per json.dumps call when streaming the catalogue as JSON.
-_JSON_BLOCK = 1024
+# The row of a prime v in each enumerate format, over (v, k, lambda, mu,
+# t) of its family III row: the format of _json_row and _table_line.
+_JSON_RUN_ROW = '{"v": %d, "k": %d, "lambda": %d, "mu": %d, "family": "III", "witness": {"t": %d}}'
+_TABLE_RUN_ROW = "%7d %6d %6d %6d  III     t=%d\n"
 
 
 def _json_row(d: classify.FamilyDescriptor) -> dict:
@@ -336,26 +337,12 @@ def _json_row(d: classify.FamilyDescriptor) -> dict:
     return {"v": v, "k": k, "lambda": lam, "mu": mu, "family": d.family, "witness": dict(d.witness)}
 
 
-def _json_items(rows: list) -> str:
-    """json.dumps(rows) without its brackets.  The rows are fresh acyclic
-    dicts, so the circular-reference check is skipped."""
-    return json.dumps(rows, check_circular=False)[1:-1]
-
-
-def _write_json_array(out, blocks) -> None:
-    """The rows of blocks as one JSON array, dumped _JSON_BLOCK rows at a
-    time: json.dumps of a list joins its items' dumps with ", " inside
-    brackets, so the bytes are those of a single call."""
-    out.write("[")
-    batch, sep = [], ""
-    for rows in blocks:
-        batch += map(_json_row, rows)
-        if len(batch) >= _JSON_BLOCK:
-            out.write(sep + _json_items(batch))
-            batch, sep = [], ", "
-    if batch:
-        out.write(sep + _json_items(batch))
-    out.write("]")
+def _json_block(rows) -> str:
+    """json.dumps of the rows without its brackets: a list's dump joins
+    its items' dumps with ", ", so blocks joined by ", " give the bytes
+    of a single call.  The rows are fresh acyclic dicts, so the
+    circular-reference check is skipped."""
+    return json.dumps(list(map(_json_row, rows)), check_circular=False)[1:-1]
 
 
 def _table_line(d: classify.FamilyDescriptor) -> str:
@@ -363,36 +350,43 @@ def _table_line(d: classify.FamilyDescriptor) -> str:
     return f"{v:>7} {k:>6} {lam:>6} {mu:>6}  {d.family:<6}  {d.witness_str()}\n"
 
 
+def _table_block(rows) -> str:
+    return "".join(map(_table_line, rows))
+
+
 def _noting_collisions(blocks, found: list):
-    """Pass blocks through, appending the collisions of each to found."""
-    for rows in blocks:
-        found += classify.block_collisions(rows)
-        yield rows
+    """Pass blocks through, appending the collisions of each list of rows
+    to found; a run of primes has one row per v and cannot collide."""
+    for block in blocks:
+        if isinstance(block, list):
+            found += classify.block_collisions(block)
+        yield block
 
 
 def _cmd_enumerate(args, cap) -> int:
     cap = cap if cap is not None else classify.ENUMERATE_CAP
-    blocks = classify.iter_catalogue(args.vmax, cap=cap)
+    blocks = classify._catalogue_blocks(args.vmax, cap)
     found = []  # (params, families) of each collision, in params order
     if args.collisions:
         blocks = _noting_collisions(blocks, found)
     with _output(args.output) as out:
         if args.json:
-            out.write('{"families": ')
-            _write_json_array(out, blocks)
+            out.write('{"families": [')
+            classify.write_blocks(out, blocks, _json_block, _JSON_RUN_ROW, ", ")
+            out.write("]")
             if args.collisions:
                 report = [{"params": list(params), "families": list(fams)} for params, fams in found]
                 out.write(', "collisions": ' + json.dumps(report))
             out.write("}\n")
         elif args.csv:
-            classify.write_catalogue_csv(out, chain.from_iterable(blocks))
+            classify.write_catalogue_csv(out, blocks)
             if args.collisions:
                 for params, fams in found:
                     out.write("# collision {}: {}\n".format(params, "/".join(fams)))
         else:
             header = f"{'v':>7} {'k':>6} {'lambda':>6} {'mu':>6}  family  witness"
             out.write(f"{header}\n{'-' * len(header)}\n")
-            out.writelines(map(_table_line, chain.from_iterable(blocks)))
+            classify.write_blocks(out, blocks, _table_block, _TABLE_RUN_ROW)
             if args.collisions:
                 out.write("\ncollisions:\n")
                 if not found:

@@ -33,7 +33,7 @@ from math import isqrt, lcm
 import numpy as _np
 
 from .algebra import FiniteField, FiniteGroup, is_prime, is_prime_power, make_field, mult_order
-from .core import MultivaluedGroup, parse_json, validate
+from .core import MultivaluedGroup, parse_json, printable, validate
 from .errors import CapError, InputError, InternalError
 
 GRAPH_CAP = 4096
@@ -226,14 +226,17 @@ class SrgParams:
 
     def __post_init__(self):
         for name, value in (("v", self.v), ("k", self.k), ("lambda", self.lam), ("mu", self.mu)):
-            if not isinstance(value, int) or value < 0:
+            if not isinstance(value, int):
                 raise InputError(f"parameter {name} = {value!r} must be a nonnegative integer")
+            if value < 0:
+                raise InputError(f"parameter {name} = {printable(value)} must be a nonnegative integer")
         if not 0 < self.k < self.v - 1:
-            raise InputError(f"need 0 < k < v-1, got k={self.k}, v={self.v}")
+            raise InputError(f"need 0 < k < v-1, got k={printable(self.k)}, v={printable(self.v)}")
         if self.k * (self.k - 1 - self.lam) != (self.v - self.k - 1) * self.mu:
             raise InputError(
-                f"parameters ({self.v}, {self.k}, {self.lam}, {self.mu}) "
-                "violate k(k-1-lambda) = (v-k-1)mu"
+                "parameters ({}, {}, {}, {}) violate k(k-1-lambda) = (v-k-1)mu".format(
+                    *map(printable, self.as_tuple())
+                )
             )
 
     @property

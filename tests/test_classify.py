@@ -480,6 +480,17 @@ def test_iter_catalogue_yields_the_rows_of_each_v(monkeypatch):
         classify.iter_catalogue(2000)
 
 
+def test_match_params_checks_the_cap_before_the_parameters():
+    # v is compared with the cap before SrgParams validates (and would
+    # print) the quadruple, so a huge v is a CapError naming no digits.
+    with pytest.raises(CapError, match="digits>"):
+        classify.match_params(10**5000, 2, 0, 1)
+    with pytest.raises(CapError):
+        classify.match_params(14, 6, 2, 3, cap=13)
+    with pytest.raises(InputError, match="violate"):
+        classify.match_params(14, 6, 2, 3, cap=14)
+
+
 def test_collisions_do_not_depend_on_row_order():
     rows = classify.enumerate_families(4096)
     report = list(classify.collisions(rows).items())

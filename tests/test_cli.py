@@ -1,6 +1,9 @@
 """Command dispatch, file formats, exit codes, and determinism."""
 
+import csv
+import functools
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -444,6 +447,9 @@ ENUMERATE_DIGESTS = {
     ("100", "--collisions"): "3060bbc24033eba81d2896c62ec90d20b50f4711aa6f79bf5532b541ac634245",
     ("1000000", "--csv", "--collisions"): "7904735452d5f552c8992955354c06163c19d1f8c0b2ba5473a8905507113f82",
     ("1000000", "--json"): "ae0ddd5f593a28cfafcdc308c5fdb5b93c486a15df68e1a09b78513a2258b74a",
+    ("10000000", "--cap", "10000000"): "2125fddced729d69ed71bb6ed68e6a9d48ee3101e42a783fad9e008ad383db10",
+    ("10000000", "--cap", "10000000", "--csv"): "cd6dedc5337bc92c969fd8700c24882a5e030efae331d7b966e727ea30bb8362",
+    ("10000000", "--cap", "10000000", "--json"): "6996df8318991c800a8b21bd4804d63ea0e1b236cc4be8ea4af8eecca2e87ae1",
     ("70000",): "a2888471bc8dd429475288d7e0d43fbe5aba1d51829f6ae029a0727cc9b99b67",
     ("70000", "--collisions"): "e5f43901a46a0d701b16fd0ef355e56d168e81ecfc73cf43ae5ef49b8832006a",
     ("70000", "--csv"): "16c3ab4f562e20467ef239813650255a653ef3af7f8532824c5ed1f85905c16d",
@@ -491,6 +497,92 @@ def test_enumerate_streams_its_output(tmp_path):
     assert code == 0
     assert peak < 6 * 2**20, peak
     assert len(json.loads(target.read_text())["families"]) == len(classify.enumerate_families(200000))
+
+
+@pytest.mark.parametrize("flags", [[], ["--csv"], ["--json"]], ids=["table", "csv", "json"])
+def test_enumerate_streams_every_format(tmp_path, flags):
+    # Each writer holds one block of the walk at a time: the arrays of
+    # one stretch between proper powers, or one power's rows.
+    target = tmp_path / "catalogue.txt"
+    tracemalloc.start()
+    try:
+        code = cli.main(["enumerate", "--vmax", "200000", *flags, "-o", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 6 * 2**20, peak
+    assert target.read_text() == _catalogue_oracle(200000, flags, False)
+
+
+@functools.cache
+def _oracle_rows(v_max):
+    """The catalogue as the per-v walk made it: the rows of every prime
+    power v <= v_max in ascending v, each v's rows sorted."""
+    table = classify._prime_power_table(v_max)
+    rows = []
+    for v in range(v_max + 1):
+        if table[v] == classify.PRIME:
+            rows += classify._family_rows(v, 1, table)
+        elif table[v] == classify.PROPER_POWER:
+            rows += sorted(classify._family_rows(*algebra.is_prime_power(v), table), key=classify._row_key)
+    return rows
+
+
+def _catalogue_oracle(v_max, flags, with_collisions):
+    """enumerate's output written one row at a time, as the writers did
+    before prime runs were written in one call."""
+    rows = _oracle_rows(v_max)
+    found = list(classify.collisions(rows).items())
+    if "--json" in flags:
+        columns = ("v", "k", "lambda", "mu")
+        data = {
+            "families": [
+                {**dict(zip(columns, d.params)), "family": d.family, "witness": dict(d.witness)} for d in rows
+            ]
+        }
+        if with_collisions:
+            data["collisions"] = [{"params": list(params), "families": list(fams)} for params, fams in found]
+        return json.dumps(data) + "\n"
+    buf = io.StringIO()
+    if "--csv" in flags:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["v", "k", "lambda", "mu", "family", "witness"])
+        for d in rows:
+            writer.writerow([*d.params, d.family, d.witness_str()])
+        if with_collisions:
+            for params, fams in found:
+                buf.write("# collision {}: {}\n".format(params, "/".join(fams)))
+        return buf.getvalue()
+    header = f"{'v':>7} {'k':>6} {'lambda':>6} {'mu':>6}  family  witness"
+    buf.write(f"{header}\n{'-' * len(header)}\n")
+    for d in rows:
+        v, k, lam, mu = d.params
+        buf.write(f"{v:>7} {k:>6} {lam:>6} {mu:>6}  {d.family:<6}  {d.witness_str()}\n")
+    if with_collisions:
+        buf.write("\ncollisions:\n")
+        if not found:
+            buf.write("  none\n")
+        for params, fams in found:
+            buf.write(f"  {params}: {'/'.join(fams)}\n")
+    return buf.getvalue()
+
+
+# v_max at the edges of the stretches between proper powers: a proper
+# power (4, 8, 9, 16, 25, 27, 4096), one past one (5, 4097), a prime
+# = 1 (mod 4) (5, 13, 29), a prime = 3 (mod 4) (31), and a long sweep.
+ORACLE_VMAX = (4, 5, 8, 9, 13, 16, 25, 27, 29, 31, 4096, 4097, 10**5)
+
+
+@pytest.mark.parametrize("with_collisions", [False, True], ids=["rows", "collisions"])
+@pytest.mark.parametrize("flags", [[], ["--csv"], ["--json"]], ids=["table", "csv", "json"])
+@pytest.mark.parametrize("v_max", ORACLE_VMAX)
+def test_enumerate_matches_the_per_row_writers(capsys, v_max, flags, with_collisions):
+    argv = ["enumerate", "--vmax", str(v_max), *flags] + ["--collisions"] * with_collisions
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == _catalogue_oracle(v_max, flags, with_collisions)
+    assert classify.enumerate_families(v_max) == _oracle_rows(v_max)
 
 
 def test_enumerate_cap_creates_no_output_file(capsys, tmp_path):

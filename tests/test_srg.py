@@ -54,6 +54,24 @@ def test_srg_params_validation():
         srg.SrgParams(10, 9, 8, 0)  # complete
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ((10**5000, 2, 0, 1), "violate"),
+        ((-(10**5000), 2, 0, 1), "nonnegative"),
+        ((13, 6, 2, -(10**5000)), "nonnegative"),
+        ((10**5000, 10**5000, 0, 1), "0 < k < v-1"),
+    ],
+    ids=["relation", "negative-v", "negative-mu", "valency"],
+)
+def test_srg_params_messages_do_not_print_huge_numbers(params, message):
+    # A number past Python's digit limit fails str(); the message shows a
+    # stand-in instead of raising ValueError.
+    with pytest.raises(InputError, match=message) as info:
+        srg.SrgParams(*params)
+    assert "digits>" in str(info.value)
+
+
 def test_complement_params(petersen):
     p = srg.srg_check(petersen)
     comp = srg.complement_params(p)
