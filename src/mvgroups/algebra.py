@@ -335,12 +335,17 @@ class FiniteGroup:
 
 def _group_table(op, size):
     """op as the stored table, after checking that it is a list of size
-    rows of size integers in range (bool is not an integer here).  Types
-    are checked before any numpy conversion, which would coerce "1" and
-    1.0; each error names the first bad row or entry in row order."""
-    if all(type(row) in (list, tuple) and len(row) == size for row in op) and set(
-        map(type, chain.from_iterable(op))
-    ) == {int}:
+    rows of size integers in range (bool is not an integer here), or a
+    size x size integer numpy array.  List types are checked before any
+    numpy conversion, which would coerce "1" and 1.0; each error names
+    the first bad row or entry in row order, an array's as its tolist()
+    would."""
+    if isinstance(op, _np.ndarray) and not (op.shape == (size, size) and op.dtype.kind in "iu"):
+        op = op.tolist()  # its entries are checked as a list's
+    if isinstance(op, _np.ndarray) or (
+        all(type(row) in (list, tuple) and len(row) == size for row in op)
+        and set(map(type, chain.from_iterable(op))) == {int}
+    ):
         # converted in blocks, so that no int64 copy of the whole table exists
         table = _np.empty((size, size), dtype=_np.min_scalar_type(size - 1))
         block = max(1, _BLOCK_ENTRIES // size)
@@ -354,6 +359,8 @@ def _group_table(op, size):
                 return table
         except OverflowError:  # beyond int64, so out of range
             pass
+    if isinstance(op, _np.ndarray):
+        op = op.tolist()
     for x, row in enumerate(op):
         if type(row) not in (list, tuple):
             raise InputError(f"op row {x} is not a list")
@@ -449,7 +456,8 @@ def cyclic_group(m: int, cap: int = GROUP_CAP) -> FiniteGroup:
         raise InputError("the order must be positive")
     if m > cap:
         raise CapError(f"group size {m} exceeds the cap {cap}")
-    return FiniteGroup([[(i + j) % m for j in range(m)] for i in range(m)])
+    elements = _np.arange(m, dtype=_np.min_scalar_type(2 * m - 2))
+    return FiniteGroup(_np.add.outer(elements, elements) % m)
 
 
 def make_elementary_abelian(p: int, d: int, cap: int = GROUP_CAP) -> FiniteGroup:
@@ -466,7 +474,7 @@ def make_elementary_abelian(p: int, d: int, cap: int = GROUP_CAP) -> FiniteGroup
     for k in range(d):
         # digit k becomes the high digit of both indices
         table = (cyclic[:, None, :, None] * p**k + table[None, :, None, :]).reshape(p ** (k + 1), -1)
-    return FiniteGroup(table.tolist())
+    return FiniteGroup(table)
 
 
 def additive_group(field: FiniteField, cap: int = GROUP_CAP) -> FiniteGroup:

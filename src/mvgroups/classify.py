@@ -402,7 +402,7 @@ def classify_order3(g: MultivaluedGroup, cap: int = CLASSIFY_CAP) -> Verdict:
             f"classification requires a verified involutive group; witnesses: "
             f"{report.counterexamples[:3]}"
         )
-    sig = signature(g, report)
+    sig = signature(g)
 
     if sig.kind == SWAP_STAR:
         ratio = sig.ratios[0]

@@ -120,21 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_srg.add_argument(name, type=int)
 
     p_graph = bsub.add_parser("graph", parents=[common], help="build a named graph family")
-    p_graph.add_argument(
-        "name",
-        choices=[
-            "paley",
-            "tournament",
-            "cliques",
-            "grid",
-            "vls",
-            "polar",
-            "polar-plus-comp",
-            "bilinear",
-            "alternating",
-            "complement",
-        ],
-    )
+    p_graph.add_argument("name", choices=list(_GRAPH_FAMILIES))
     p_graph.add_argument("args", nargs="*", help="family arguments")
 
     p_cls = sub.add_parser("classify", parents=[common], help="decide whether an order-3 group is a coset group")
@@ -151,61 +137,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _int_args(raw, count, usage):
-    if len(raw) != count:
-        raise InputError(f"expected {usage}")
-    try:
-        return [int(x) for x in raw]
-    except ValueError:
-        raise InputError(f"expected integers: {usage}") from None
+def _polar(cap, q, e, eps_text):
+    if eps_text in ("+", "plus", "+1"):
+        eps = 1
+    elif eps_text in ("-", "minus", "-1"):
+        eps = -1
+    else:
+        raise InputError(f"EPS must be '+' or '-', got {eps_text!r}")
+    return srg.affine_polar(q, e, eps, cap=cap)
+
+
+def _complement(cap, path):
+    graph = _load_graph(path, cap)
+    if isinstance(graph, srg.DirectedGraph):
+        raise InputError("complement is defined for undirected graphs only")
+    return srg.complement(graph)
+
+
+# Each `build graph` family: its arguments, then its builder, called with
+# the cap and the arguments.  EPS and FILE are passed as text, every
+# other argument as an integer.
+_GRAPH_FAMILIES = {
+    "paley": ("Q", lambda cap, q: srg.paley_graph(srg.graph_field(q, cap=cap))),
+    "tournament": ("Q", lambda cap, q: srg.paley_tournament(srg.graph_field(q, cap=cap))),
+    "cliques": ("P T S", lambda cap, p, t, s: srg.clique_union(p, t, s, cap=cap)),
+    "grid": ("Q", lambda cap, q: srg.grid_graph(q, cap=cap)),
+    "vls": ("P C T", lambda cap, p, c, t: srg.vanlint_schrijver(p, c, t, cap=cap)),
+    "polar": ("Q E EPS", _polar),
+    "polar-plus-comp": ("E", lambda cap, e: srg.affine_polar_plus_complement(e, cap=cap)),
+    "bilinear": ("Q E", lambda cap, q, e: srg.bilinear_forms_graph(q, e, cap=cap)),
+    "alternating": ("Q", lambda cap, q: srg.alternating_forms_graph(q, cap=cap)),
+    "complement": ("FILE", _complement),
+}
 
 
 def _build_graph(args, cap: int):
-    name, raw = args.name, args.args
-    if name == "paley":
-        (q,) = _int_args(raw, 1, "paley Q")
-        return srg.paley_graph(srg.graph_field(q, cap=cap))
-    if name == "tournament":
-        (q,) = _int_args(raw, 1, "tournament Q")
-        return srg.paley_tournament(srg.graph_field(q, cap=cap))
-    if name == "cliques":
-        p, t, s = _int_args(raw, 3, "cliques P T S")
-        return srg.clique_union(p, t, s, cap=cap)
-    if name == "grid":
-        (q,) = _int_args(raw, 1, "grid Q")
-        return srg.grid_graph(q, cap=cap)
-    if name == "vls":
-        p, c, t = _int_args(raw, 3, "vls P C T")
-        return srg.vanlint_schrijver(p, c, t, cap=cap)
-    if name == "polar":
-        if len(raw) != 3:
-            raise InputError("expected polar Q E EPS")
-        q, e = _int_args(raw[:2], 2, "polar Q E EPS")
-        eps_text = raw[2]
-        if eps_text in ("+", "plus", "+1"):
-            eps = 1
-        elif eps_text in ("-", "minus", "-1"):
-            eps = -1
-        else:
-            raise InputError(f"EPS must be '+' or '-', got {eps_text!r}")
-        return srg.affine_polar(q, e, eps, cap=cap)
-    if name == "polar-plus-comp":
-        (e,) = _int_args(raw, 1, "polar-plus-comp E")
-        return srg.affine_polar_plus_complement(e, cap=cap)
-    if name == "bilinear":
-        q, e = _int_args(raw, 2, "bilinear Q E")
-        return srg.bilinear_forms_graph(q, e, cap=cap)
-    if name == "alternating":
-        (q,) = _int_args(raw, 1, "alternating Q")
-        return srg.alternating_forms_graph(q, cap=cap)
-    if name == "complement":
-        if len(raw) != 1:
-            raise InputError("expected complement FILE")
-        graph = _load_graph(raw[0], cap)
-        if isinstance(graph, srg.DirectedGraph):
-            raise InputError("complement is defined for undirected graphs only")
-        return srg.complement(graph)
-    raise InputError(f"unknown graph family {name!r}")
+    arguments, build = _GRAPH_FAMILIES[args.name]
+    usage = f"{args.name} {arguments}"
+    names = arguments.split()
+    if len(args.args) != len(names):
+        raise InputError(f"expected {usage}")
+    try:
+        values = [raw if name in ("EPS", "FILE") else int(raw) for name, raw in zip(names, args.args)]
+    except ValueError:
+        raise InputError(f"expected integers: {usage}") from None
+    return build(cap, *values)
 
 
 _REPORT_ROWS = (

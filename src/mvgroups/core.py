@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 
@@ -85,12 +85,14 @@ class MultivaluedGroup:
     """A finite multivalued group given by its full multiplicity table.
 
     Values are immutable after construction; all operations on them are
-    pure functions, so instances are safe to share between threads.
-    Element names are cosmetic (used for display and serialization) and
-    do not take part in equality.
+    pure functions.  The one stored write is validate's report, kept on
+    first use: every thread that computes it computes the same report,
+    so instances are safe to share between threads.  Element names are
+    cosmetic (used for display and serialization) and, like the stored
+    report, do not take part in equality.
     """
 
-    __slots__ = ("order", "n", "identity", "star", "table", "names", "_array")
+    __slots__ = ("order", "n", "identity", "star", "table", "names", "_array", "_report")
 
     def __init__(self, n, identity, star, table, names=None):
         order = len(table)
@@ -134,6 +136,7 @@ class MultivaluedGroup:
         self.table = tuple(rows)
         self.names = names
         self._array = array
+        self._report = None
 
     def product(self, x: int, y: int) -> Multiset:
         """The n-multiset x*y, read off the multiplicity table."""
@@ -259,24 +262,6 @@ class AxiomReport:
             self.reciprocity_holds,
         )
         return all(f is not False for f in flags)
-
-    def merge(self, other: "AxiomReport") -> "AxiomReport":
-        merged = AxiomReport(
-            associative=other.associative if other.associative is not None else self.associative,
-            has_identity=other.has_identity if other.has_identity is not None else self.has_identity,
-            has_inverses=other.has_inverses if other.has_inverses is not None else self.has_inverses,
-            involutive=other.involutive if other.involutive is not None else self.involutive,
-            reciprocity_holds=(
-                other.reciprocity_holds
-                if other.reciprocity_holds is not None
-                else self.reciprocity_holds
-            ),
-            assoc_generators=(
-                other.assoc_generators if other.associative is not None else self.assoc_generators
-            ),
-        )
-        merged.counterexamples = list(self.counterexamples) + list(other.counterexamples)
-        return merged
 
 
 @dataclass(frozen=True)
@@ -653,13 +638,8 @@ def check_reciprocity(g: MultivaluedGroup) -> bool:
     Requires an involutive group (the identity is stated in terms of the
     diagonal multiplicities m(x)).
     """
-    if not verify_involutive(g).involutive:
+    if not validate(g).involutive:
         raise InputError("reciprocity is only defined for involutive groups")
-    return _reciprocity_holds(g)
-
-
-def _reciprocity_holds(g: MultivaluedGroup) -> bool:
-    """check_reciprocity for a group already known to be involutive."""
     array = _int64_table(g)
     if array is not None:
         star = _np.array(g.star)
@@ -680,22 +660,29 @@ def _reciprocity_holds(g: MultivaluedGroup) -> bool:
 def validate(g: MultivaluedGroup) -> AxiomReport:
     """The axioms and involutivity in one report: the check that the
     builders, the coset construction and the classifier run before
-    trusting a table."""
-    return verify_axioms(g).merge(verify_involutive(g))
+    trusting a table.  The group is immutable, so the report depends on
+    its value alone: it is computed on first use and kept on g, and
+    each call returns its own copy, which the caller may change."""
+    if g._report is None:
+        report = verify_axioms(g)
+        involution = verify_involutive(g)
+        report.involutive = involution.involutive
+        report.counterexamples += involution.counterexamples
+        g._report = report
+    return replace(g._report, counterexamples=list(g._report.counterexamples))
 
 
 def verify_all(g: MultivaluedGroup) -> AxiomReport:
-    """Run every verification and merge the reports.
+    """validate's report with reciprocity added.
 
     Reciprocity is only evaluated when the group is involutive (its
     statement needs the diagonal multiplicities); otherwise the flag is
-    left None.  verify_involutive runs once.
+    left None.
     """
     report = validate(g)
     if report.involutive:
-        holds = _reciprocity_holds(g)
-        report.reciprocity_holds = holds
-        if not holds:
+        report.reciprocity_holds = check_reciprocity(g)
+        if not report.reciprocity_holds:
             report.counterexamples.append(("reciprocity", ()))
     return report
 
@@ -805,20 +792,17 @@ def scale(g: MultivaluedGroup, factor: int) -> MultivaluedGroup:
     return MultivaluedGroup(g.n * factor, g.identity, g.star, table, names=g.names)
 
 
-def signature(g: MultivaluedGroup, report: AxiomReport | None = None) -> Signature:
+def signature(g: MultivaluedGroup) -> Signature:
     """Reduced-ratio invariant deciding isomorphism for involutive order-3 groups.
 
     For a symmetric star the two nonidentity elements are ordered so the
     larger diagonal ratio m/n comes first, ties broken by the larger
-    a/n; the result is then independent of the labelling.  A caller
-    that has already run validate(g) passes that report, and
-    involutivity is read from it instead of being checked again.
+    a/n; the result is then independent of the labelling.  Involutivity
+    is read from validate(g).
     """
     if g.order != 3:
         raise InputError("signatures are defined for groups of order 3 only")
-    if report is None or report.involutive is None:
-        report = verify_involutive(g)
-    if not report.involutive:
+    if not validate(g).involutive:
         raise InputError("signatures are defined for involutive groups only")
     e, n, t = g.identity, g.n, g.table
     x, y = (i for i in range(3) if i != e)

@@ -4,6 +4,7 @@ construction."""
 import json
 import random
 
+import numpy as np
 import pytest
 
 from mvgroups import algebra, cli, core
@@ -194,6 +195,64 @@ def test_cyclic_group():
     assert z6.identity == 0
     assert z6.mul(4, 5) == 3
     assert z6.inverse(2) == 4
+
+
+def _same_group(g, h):
+    assert g.op.dtype == h.op.dtype and (g.op == h.op).all()
+    assert (g.size, g.identity, g.inv, g.generators) == (h.size, h.identity, h.inv, h.generators)
+
+
+def test_array_built_groups_match_the_list_route():
+    for m in range(1, 65):
+        _same_group(algebra.cyclic_group(m), algebra.FiniteGroup([[(i + j) % m for j in range(m)] for i in range(m)]))
+    for p in (2, 3, 5, 7):
+        for d in range(1, 7):
+            if p**d <= 64:
+                g = algebra.make_elementary_abelian(p, d)
+                _same_group(g, algebra.FiniteGroup(g.op.tolist()))
+                _same_group(g, algebra.FiniteGroup(_digitwise_sums(p, d)))
+    # base-2 digit sums are XOR; the list route at this size would hold
+    # 2**24 Python ints
+    g = algebra.make_elementary_abelian(2, 12)
+    elements = np.arange(2**12)
+    assert g.op.dtype == np.uint16 and (g.op == elements[:, None] ^ elements).all()
+    assert g.generators == tuple(2**k for k in range(12))
+
+
+def _digitwise_sums(p, d):
+    def digits(x):
+        return [x // p**k % p for k in range(d)]
+
+    return [
+        [sum((a + b) % p * p**k for k, (a, b) in enumerate(zip(digits(x), digits(y)))) for y in range(p**d)]
+        for x in range(p**d)
+    ]
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.eye(3, dtype=bool),
+        algebra.cyclic_group(3).op.astype(float),
+        np.array([[0, 1, 2], [1, 2, 3], [2, 0, 1]]),
+        np.array([[0, 1, 2], [1, 2, 0], [2, 0, -1]], dtype=np.int8),
+        np.array([[0, 1], [1, 2**63 + 1]], dtype=np.uint64),
+        np.zeros((3, 4), dtype=np.int64),
+        np.zeros((4, 3), dtype=np.int64),
+        np.arange(3),
+        np.zeros((2, 2, 2), dtype=np.int64),
+        np.array([[1, 1], [1, 1]]),
+        np.array([[0, 0], [0, 0]], dtype=object),
+    ],
+    ids=["bool", "float", "out of range", "negative", "past int64", "wide", "tall", "flat", "cube", "no identity",
+         "object"],
+)
+def test_array_tables_fail_as_their_lists(array):
+    with pytest.raises(InputError) as from_array:
+        algebra.FiniteGroup(array)
+    with pytest.raises(InputError) as from_list:
+        algebra.FiniteGroup(array.tolist())
+    assert str(from_array.value) == str(from_list.value)
 
 
 def test_close_action_mod7():

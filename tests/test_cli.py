@@ -616,6 +616,39 @@ def test_build_graph_polar_eps_parse(capsys):
     assert code == 3 and "EPS" in err
 
 
+GRAPH_ARGUMENTS = {
+    "paley": "Q",
+    "tournament": "Q",
+    "cliques": "P T S",
+    "grid": "Q",
+    "vls": "P C T",
+    "polar": "Q E EPS",
+    "polar-plus-comp": "E",
+    "bilinear": "Q E",
+    "alternating": "Q",
+    "complement": "FILE",
+}
+
+
+@pytest.mark.parametrize("name", GRAPH_ARGUMENTS)
+def test_build_graph_usage_messages(capsys, name):
+    usage = f"{name} {GRAPH_ARGUMENTS[name]}"
+    count = len(usage.split()) - 1
+    for argv in ([], ["1"] * (count + 1)):
+        assert run_cli(capsys, "build", "graph", name, *argv) == (3, "", f"error: expected {usage}\n")
+    if name != "complement":
+        code, out, err = run_cli(capsys, "build", "graph", name, *["1.5"] * count)
+        assert (code, out, err) == (3, "", f"error: expected integers: {usage}\n")
+
+
+def test_build_graph_help_lists_every_family(capsys):
+    families = "{" + ",".join(GRAPH_ARGUMENTS) + "}"
+    code, out, _ = run_cli(capsys, "build", "graph", "--help")
+    assert code == 0 and f"{families}\n" in out
+    code, _, err = run_cli(capsys, "build", "graph", "nosuch")
+    assert code == 2 and "invalid choice: 'nosuch'" in err
+
+
 def test_build_srg_degenerate_params_exit_3(capsys):
     code, _, err = run_cli(capsys, "build", "srg", "6", "3", "2", "0")
     assert code == 3

@@ -1,6 +1,7 @@
 """Multiplicity tables, axiom verification, order-3 builders,
 signatures, and isomorphism."""
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from mvgroups import algebra, cli, core
+from mvgroups import algebra, classify, cli, core, srg
 from mvgroups.errors import AxiomError, InputError
 
 from conftest import (
@@ -154,25 +155,63 @@ def test_reciprocity_requires_involutive():
         core.check_reciprocity(relabeled)
 
 
-def test_verify_all_runs_verify_involutive_once(monkeypatch, petersen_group):
+def test_each_group_is_verified_once(monkeypatch):
+    # Counted from construction on: the builder validates the group, and
+    # every later verifier reads the report the group keeps.
     calls = []
-    real = core.verify_involutive
 
-    def counting(g):
-        calls.append(g)
-        return real(g)
+    def counted(name, check):
+        def run(g):
+            calls.append((name, g))
+            return check(g)
 
-    monkeypatch.setattr(core, "verify_involutive", counting)
+        return run
+
+    for name in ("verify_axioms", "verify_involutive"):
+        monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
+    z7 = algebra.make_elementary_abelian(7, 1)
     xk1 = core.build_xk(1)
-    not_involutive = core.MultivaluedGroup(3, 0, (0, 1, 2), xk1.table)
-    for g, reciprocity in ((petersen_group, True), (xk1, True), (not_involutive, None)):
-        calls.clear()
+    groups = [
+        core.build_type1(6, 2, 1, 0),
+        xk1,
+        srg.mvgroup_from_params(srg.SrgParams(10, 3, 0, 1)),
+        algebra.coset_group(z7, algebra.close_action(z7, [[0, 2, 4, 6, 1, 3, 5]])),
+        core.MultivaluedGroup(3, 0, (0, 1, 2), xk1.table),
+    ]
+    for g in groups:
         report = core.verify_all(g)
-        assert len(calls) == 1
-        assert report.reciprocity_holds is reciprocity
-        assert report.involutive is (reciprocity is not None)
-    with pytest.raises(InputError):
-        core.check_reciprocity(not_involutive)
+        if report.involutive:
+            assert report.ok and core.check_reciprocity(g)
+            assert core.signature(g).kind in (core.SYMMETRIC_STAR, core.SWAP_STAR)
+            assert classify.classify_order3(g).kind in ("xk", "srg", "none")
+        else:
+            assert report.reciprocity_holds is None
+            for check in (core.check_reciprocity, core.signature, classify.classify_order3):
+                with pytest.raises(InputError):
+                    check(g)
+        assert [name for name, h in calls if h is g] == ["verify_axioms", "verify_involutive"]
+    assert len(calls) == 2 * len(groups)
+
+
+def test_validate_hands_each_caller_its_own_report():
+    g = core.MultivaluedGroup(3, 0, (0, 1, 2), core.build_xk(1).table)
+    first = core.validate(g)
+    want = copy.deepcopy(first)
+    assert not first.ok and first.counterexamples
+    first.involutive = True
+    first.reciprocity_holds = False
+    first.counterexamples.append(("reciprocity", ()))
+    first.counterexamples[0] = ("inverse", (0,))
+    assert core.validate(g) == want
+    assert core.verify_all(g) == want
+
+
+def test_a_validated_group_equals_an_unvalidated_one():
+    g = core.build_xk(2)
+    h = core.MultivaluedGroup(g.n, g.identity, g.star, [list(map(list, plane)) for plane in g.table])
+    assert g._report is not None and h._report is None
+    assert g == h and hash(g) == hash(h)
+    assert core.verify_all(h) == core.verify_all(g)
 
 
 def test_build_type1_petersen(petersen_group):
@@ -735,6 +774,20 @@ def another_involution(g, rng):
     return core.MultivaluedGroup(g.n, g.identity, star, [list(map(list, p)) for p in g.table])
 
 
+def moved_diagonal(g):
+    """g, with every element self-inverse, after one unit of x*x moves
+    from a self-inverse w != e to the identity: still involutive, but
+    m(x) changes alone, which breaks reciprocity."""
+    e, t = g.identity, g.table
+    x = next(x for x in range(g.order) if x != e)
+    w = next(w for w in range(g.order) if w != e and t[x][x][w])
+    assert all(g.star[i] == i for i in range(g.order))
+    table = [[list(row) for row in plane] for plane in t]
+    table[x][x][e] += 1
+    table[x][x][w] -= 1
+    return core.MultivaluedGroup(g.n, e, g.star, table)
+
+
 def involution_test_tables():
     """The associativity test tables, single-entry mutations of them and
     copies under another star: every kind of (a), (b) and (c) failure."""
@@ -754,8 +807,9 @@ def test_array_involution_and_reciprocity_match_the_loops(monkeypatch, path):
         monkeypatch.setattr(core, "_NUMPY_ORDER_THRESHOLD", max(g.order for _, g in cases))
     large = [g for _, g in cases if g.order > 6]
     assert large and all((core._int64_table(g) is not None) == (path == "array") for g in large)
+    moved = moved_diagonal(multiplier_coset(29, 4))
     outcomes = set()
-    for label, g in cases:
+    for label, g in cases + [("Z29 order-4 multipliers, diagonal moved", moved)]:
         got = core.verify_involutive(g)
         want = involutive_oracle(g)
         assert got.counterexamples == want, label
@@ -763,11 +817,16 @@ def test_array_involution_and_reciprocity_match_the_loops(monkeypatch, path):
         # Python ints print as the loops' witnesses did and serialise
         assert all(type(i) is int for _, witness in got.counterexamples for i in witness), label
         json.dumps(got.counterexamples)
-        holds = core._reciprocity_holds(g)
-        assert type(holds) is bool and holds == reciprocity_oracle(g), label
+        if got.involutive:
+            holds = core.check_reciprocity(g)
+            assert type(holds) is bool and holds == reciprocity_oracle(g), label
+        else:
+            holds = None
+            with pytest.raises(InputError, match="only defined for involutive groups"):
+                core.check_reciprocity(g)
         outcomes.add((g.order > 6, got.involutive, holds))
     # both verdicts of each check, on tables past the threshold too
-    assert {(True, True, True), (True, False, False)} <= outcomes
+    assert {(True, True, True), (True, True, False), (True, False, None)} <= outcomes
 
 
 def _table_with(g, x, y, row):
