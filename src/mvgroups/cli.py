@@ -54,6 +54,13 @@ def _load_mvg(path: str) -> core.MultivaluedGroup:
     return core.loads(_read(path))
 
 
+def _load_mvg_within(path: str, cap: int) -> core.MultivaluedGroup:
+    group = _load_mvg(path)
+    if group.order > cap:
+        raise CapError(f"group order {group.order} exceeds the cap {cap}")
+    return group
+
+
 def _load_graph(path: str, cap: int):
     text = _read(path)
     stripped = text.lstrip()
@@ -217,9 +224,7 @@ def _report_json(report: core.AxiomReport) -> dict:
 
 def _cmd_verify(args, cap) -> int:
     cap = cap if cap is not None else algebra.GROUP_CAP
-    group = _load_mvg(args.file)
-    if group.order > cap:
-        raise CapError(f"group order {group.order} exceeds the cap {cap}")
+    group = _load_mvg_within(args.file, cap)
     report = core.verify_all(group)
     if args.json:
         _write(args.output, _json_line(_report_json(report)))
@@ -228,9 +233,10 @@ def _cmd_verify(args, cap) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_iso(args) -> int:
-    g1 = _load_mvg(args.file1)
-    g2 = _load_mvg(args.file2)
+def _cmd_iso(args, cap) -> int:
+    cap = cap if cap is not None else algebra.GROUP_CAP
+    g1 = _load_mvg_within(args.file1, cap)
+    g2 = _load_mvg_within(args.file2, cap)
     bijection = core.are_isomorphic(g1, g2)
     if args.json:
         data = {"isomorphic": bijection is not None}
@@ -383,7 +389,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, args.cap)
         if args.command == "iso":
-            return _cmd_iso(args)
+            return _cmd_iso(args, args.cap)
         if args.command == "build":
             return _cmd_build(args, args.cap)
         if args.command == "classify":

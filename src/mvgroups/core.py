@@ -28,16 +28,18 @@ from .errors import AxiomError, CapError, InputError
 MVG_FORMAT = "mvg-v1"
 
 # Past this order the associativity proof and scan use vectorised int64
-# arithmetic.  Up to it, which covers every order-3 table, plain loops
-# are faster; they are also the exact path once o * n**2 >= 2**62, where
-# int64 sums of products would overflow.
+# arithmetic; the scan runs it as float64 BLAS products while n**2 < 2**53
+# (see _assoc_failures).  Up to it, which covers every order-3 table,
+# plain loops are faster; they are also the exact path once
+# o * n**2 >= 2**62, where int64 sums of products would overflow.  A
+# 1-valued table is scanned with one numpy gather at every order.
 _NUMPY_ORDER_THRESHOLD = 6
 
 # The prime of the rank certificate in _assoc_generators.
 _SPAN_PRIME = 2**26 - 5
 
-# _middle_associative_array works on blocks of at most this many int64
-# entries per temporary.
+# _middle_associative_array and the associativity scan work on blocks of
+# at most this many entries per temporary (at least one x each).
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -288,50 +290,54 @@ SYMMETRIC_STAR = "symmetric-star"
 SWAP_STAR = "swap-star"
 
 
-def _one_valued_products(g):
-    prod = []
-    for x in range(g.order):
-        row = []
-        for y in range(g.order):
-            row.append(next(z for z, c in enumerate(g.table[x][y]) if c))
-        prod.append(row)
-    return prod
-
-
 def _assoc_failures(g):
-    """All quadruples (x,y,z,t) where the two triple products disagree.
+    """All quadruples (x,y,z,t) where the two triple products disagree,
+    in lexicographic order.
 
     This full scan lists every witness.  verify_axioms runs it only when
     _assoc_generators cannot prove the law, and it is the oracle the
     proof is tested against.
+
+    A 1-valued table is a product map, and its witnesses are (x, y, z,
+    (xy)z) wherever (xy)z != x(yz), read from one gather.  Otherwise the
+    scan compares, for each x, lhs[y,z,t] = sum_w m[x][y][w] m[w][z][t]
+    with rhs[y,z,t] = sum_w m[y][z][w] m[x][w][t], as matrix products
+    over blocks of x.  They run in float64, which numpy hands to BLAS,
+    while n**2 < 2**53, and in int64 past that.  The float sums are
+    exact: a table is only built with nonnegative integer entries and
+    every row summing to n, so each product m[x][y][w] m[w][z][t] is an
+    integer at most n * m[x][y][w], and the sum of any subset of them,
+    which is every partial sum of the classical product in whatever
+    order and grouping BLAS (fused or not) adds them, is an integer at
+    most n * sum_w m[x][y][w] = n**2.  The same bound holds for rhs, with
+    m[y][z][w] in place of m[x][y][w].  Every integer up to 2**53 is a
+    float64, so no step rounds.  Other tables at or below
+    _NUMPY_ORDER_THRESHOLD, or with o * n**2 >= 2**62, take plain loops.
     """
     o, n, t = g.order, g.n, g.table
-    fails = []
-    if n == 1:
-        prod = _one_valued_products(g)
-        for x in range(o):
-            px = prod[x]
-            for y in range(o):
-                pxy = prod[px[y]]
-                for z in range(o):
-                    left = pxy[z]
-                    right = px[prod[y][z]]
-                    if left != right:
-                        fails.append((x, y, z, left))
-        return fails
-
     a = _int64_table(g)
+    if n == 1:
+        prod = (_np.array(t) if a is None else a).argmax(2)  # prod[x, y] = xy
+        left = prod[prod]  # (xy)z
+        right = prod[_np.arange(o)[:, None, None], prod[None]]  # x(yz)
+        diff = left != right
+        x, y, z = _np.nonzero(diff)
+        return list(zip(x.tolist(), y.tolist(), z.tolist(), left[diff].tolist()))
+
     if a is not None:
-        flat = a.reshape(o, o * o)  # w -> (z, t)
-        for x in range(o):
-            lhs = (a[x] @ flat).reshape(o, o, o)  # sum_w m[x][y][w] m[w][z][t]
-            rhs = _np.tensordot(a, a[x], axes=([2], [0]))  # sum_w m[y][z][w] m[x][w][t]
-            diff = lhs != rhs
-            if diff.any():
-                for y, z, tt in zip(*_np.nonzero(diff)):
-                    fails.append((x, int(y), int(z), int(tt)))
+        f = a.astype(_np.float64) if n * n < 2**53 else a
+        pairs = f.reshape(o * o, o)  # (x, y) -> w
+        flat = f.reshape(o, o * o)  # w -> (z, t)
+        block = max(1, _BLOCK_ENTRIES // o**3)
+        fails = []
+        for x0 in range(0, o, block):
+            lhs = _np.matmul(pairs[x0 * o : (x0 + block) * o], flat).reshape(-1, o, o, o)
+            rhs = _np.matmul(pairs, f[x0 : x0 + block]).reshape(-1, o, o, o)
+            x, y, z, tt = _np.nonzero(lhs != rhs)  # in lexicographic order
+            fails += zip((x + x0).tolist(), y.tolist(), z.tolist(), tt.tolist())
         return fails
 
+    fails = []
     rng = range(o)
     for x in rng:
         tx = t[x]

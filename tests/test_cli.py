@@ -96,6 +96,38 @@ def test_verify_cap(capsys, tmp_path, monkeypatch, group_cap, argv, code):
         assert "FAIL" not in out and err == ""
 
 
+@pytest.mark.parametrize(
+    "group_cap,orders,argv,code",
+    [
+        (3, (3, 3), (), 0),
+        (2, (3, 3), (), 4),
+        (3, (2, 3), ("--cap", "2"), 4),
+        (3, (3, 2), ("--cap", "2"), 4),
+        (2, (2, 2), (), 0),
+        (2, (2, 2), ("--cap", "1"), 4),
+        (2, (3, 3), ("--cap", "3"), 0),
+    ],
+)
+def test_iso_cap(capsys, tmp_path, monkeypatch, group_cap, orders, argv, code):
+    # both documents are checked against --cap, or the default GROUP_CAP
+    # when --cap is absent; above it no bijection is tried
+    groups = {2: core.MultivaluedGroup(1, 0, (0, 1), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]), 3: core.build_xk(1)}
+    paths = []
+    for i, order in enumerate(orders):
+        paths.append(tmp_path / f"g{i}.json")
+        paths[-1].write_text(core.dumps(groups[order]))
+    monkeypatch.setattr(algebra, "GROUP_CAP", group_cap)
+    if code == 4:
+        monkeypatch.setattr(core, "are_isomorphic", lambda g1, g2: pytest.fail("searched above the cap"))
+    got, out, err = run_cli(capsys, "iso", *map(str, paths), *argv)
+    assert got == code
+    if code == 4:
+        cap = int(argv[1]) if argv else group_cap
+        assert out == "" and err == f"error: group order {max(orders)} exceeds the cap {cap}\n"
+    else:
+        assert out.startswith("isomorphic") and err == ""
+
+
 def test_iso_positive_and_negative(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -537,6 +537,121 @@ def test_generator_proof_agrees_with_full_scan(monkeypatch):
             assert assoc_outcome(g) == with_numpy[label], label
 
 
+def assoc_oracle(g):
+    """Every quadruple (x, y, z, t) at which sum_w m[x][y][w] m[w][z][t]
+    and sum_w m[y][z][w] m[x][w][t] differ, summed in Python ints."""
+    m, r = g.table, range(g.order)
+    return [
+        (x, y, z, t)
+        for x in r
+        for y in r
+        for z in r
+        for t in r
+        if sum(m[x][y][w] * m[w][z][t] for w in r) != sum(m[y][z][w] * m[x][w][t] for w in r)
+    ]
+
+
+def random_composition(n, parts, rng):
+    cuts = sorted(rng.randrange(n + 1) for _ in range(parts - 1))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+def large_valency_tables(rng):
+    """Row-sum-n tables of orders 7-9 on both sides of n**2 = 2**53: the
+    circulant m[x][y][z] = c[z - x - y], which is associative, a
+    one-unit mutation of it, whose sums differ by far less than n**2,
+    and a table of random rows."""
+    cases = []
+    for o in (7, 8, 9):
+        for n in (94906265, 94906266):
+            c = random_composition(n, o, rng)
+            table = [[[c[(z - x - y) % o] for z in range(o)] for y in range(o)] for x in range(o)]
+            circulant = core.MultivaluedGroup(n, 0, range(o), table)
+            rows = [[random_composition(n, o, rng) for _ in range(o)] for _ in range(o)]
+            cases += [
+                (f"circulant {o} {n}", circulant),
+                (f"circulant {o} {n} mutated", single_entry_mutation(circulant, rng)),
+                (f"random {o} {n}", core.MultivaluedGroup(n, 0, range(o), rows)),
+            ]
+    return cases
+
+
+def scan_with_dtypes(monkeypatch, g):
+    """_assoc_failures(g), and the dtypes of the numpy.matmul calls it made."""
+    dtypes = set()
+    matmul = core._np.matmul
+
+    def spy(a, b):
+        dtypes.update((a.dtype.name, b.dtype.name))
+        return matmul(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core._np, "matmul", spy)
+        return core._assoc_failures(g), dtypes
+
+
+def test_full_scan_paths_agree_with_a_plain_oracle(monkeypatch):
+    # float64 BLAS products while n**2 < 2**53, int64 past that, plain
+    # loops up to order 6 (or when forced): each lists exactly the
+    # oracle's witnesses, in its order, with one x or many per block
+    rng = random.Random(16)
+    cases = [(label, g) for label, g in assoc_test_tables() if g.n > 1 and g.order <= 15]
+    cases += [(f"{label} mutated {i}", single_entry_mutation(g, rng)) for label, g in list(cases) for i in range(2)]
+    cases += large_valency_tables(rng)
+    want = {label: assoc_oracle(g) for label, g in cases}
+    seen = set()
+    for block_entries, threshold in ((core._BLOCK_ENTRIES, 6), (1, 6), (core._BLOCK_ENTRIES, 15)):
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(core, "_NUMPY_ORDER_THRESHOLD", threshold)
+        for label, g in cases:
+            got, dtypes = scan_with_dtypes(monkeypatch, g)
+            assert got == want[label], (label, block_entries, threshold)
+            assert all(type(i) is int for witness in got for i in witness), label
+            path = "loops" if g.order <= threshold else "float64" if g.n**2 < 2**53 else "int64"
+            assert dtypes == (set() if path == "loops" else {path}), label
+            seen.add((path, g.order > 6, want[label] == []))
+    # every path, past order 6 too, with and without witnesses
+    assert {(path, True, empty) for path in ("loops", "float64", "int64") for empty in (True, False)} <= seen
+    assert 94906265**2 < 2**53 < 94906266**2
+
+
+def one_valued_assoc_oracle(g):
+    """(x, y, z, (xy)z) for every triple of a 1-valued table at which
+    (xy)z != x(yz), by a triple loop over the product map."""
+    prod = [[row.index(1) for row in plane] for plane in g.table]
+    r = range(g.order)
+    return [
+        (x, y, z, prod[prod[x][y]][z])
+        for x in r
+        for y in r
+        for z in r
+        if prod[prod[x][y]][z] != prod[x][prod[y][z]]
+    ]
+
+
+def test_one_valued_scan_matches_a_triple_loop():
+    rng = random.Random(16)
+    tables = [
+        ("Z3", core.MultivaluedGroup(1, 0, (0, 2, 1), cyclic3_table())),
+        ("xk(0)", core.build_xk(0)),
+        ("S3", permutation_group_table(3)),
+        ("Z7", one_valued(range(7), lambda a, b: (a + b) % 7)),
+        ("Z12 trivial", dict(assoc_test_tables())["Z12 trivial"]),
+        ("S4", permutation_group_table(4)),
+    ]
+    cases = list(tables)
+    cases += [(f"{label} mutated {i}", single_entry_mutation(g, rng)) for label, g in tables for i in range(3)]
+    seen = set()
+    for label, g in cases:
+        assert g.n == 1, label
+        want = one_valued_assoc_oracle(g)
+        got = core._assoc_failures(g)
+        assert got == want, label
+        assert all(type(i) is int for witness in got for i in witness), label
+        seen.add((g.order > 6, want == []))
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}
+
+
 def test_generator_proof_needs_the_identity_axiom():
     # Element 1 passes Light's test and its words span Q^3, but e is not
     # an identity, so e need not be middle-associative and the table is
