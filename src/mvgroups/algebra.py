@@ -676,9 +676,10 @@ def group_to_json_dict(group: FiniteGroup) -> dict:
     return {"format": GRP_FORMAT, "size": group.size, "op": [list(map(int, r)) for r in group.op]}
 
 
-def group_from_json_dict(data) -> FiniteGroup:
-    """The group of a grp-v1 document.  FiniteGroup checks the rows and
-    their entries; the document's own fields are checked here."""
+def group_from_json_dict(data, cap: int = GROUP_CAP) -> FiniteGroup:
+    """The group of a grp-v1 document, whose "op" is a list of rows or an
+    integer array.  The document's own fields are checked here, then its
+    size against cap; FiniteGroup checks the rows and their entries."""
     if not isinstance(data, dict) or data.get("format") != GRP_FORMAT:
         raise InputError(f'expected "format": "{GRP_FORMAT}"')
     try:
@@ -687,10 +688,12 @@ def group_from_json_dict(data) -> FiniteGroup:
         raise InputError(f"missing field {missing} in group document") from None
     if type(size) is not int:
         raise InputError('"size" must be an integer')
-    if not isinstance(op, list):
+    if not isinstance(op, (list, _np.ndarray)):
         raise InputError('"op" must be a list of rows')
     if len(op) != size:
         raise InputError("op table size does not match the declared size")
+    if size > cap:
+        raise CapError(f"group size {size} exceeds the cap {cap}")
     return FiniteGroup(op)
 
 
@@ -719,8 +722,8 @@ def generators_to_json_dict(generators) -> dict:
     return {"format": ACT_FORMAT, "generators": [list(g.perm) for g in generators]}
 
 
-def group_loads(text: str) -> FiniteGroup:
-    return group_from_json_dict(parse_json(text))
+def group_loads(text: str, cap: int = GROUP_CAP) -> FiniteGroup:
+    return group_from_json_dict(parse_json(text, "op"), cap)
 
 
 def generators_loads(text: str) -> list[Automorphism]:

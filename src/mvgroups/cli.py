@@ -261,7 +261,7 @@ def _cmd_build(args, cap) -> int:
         _write(args.output, srg.graph_dumps(graph))
         return 0
     if args.builder == "coset":
-        group = algebra.group_loads(_read(args.group))
+        group = algebra.group_loads(_read(args.group), cap if cap is not None else algebra.GROUP_CAP)
         generators = algebra.generators_loads(_read(args.action))
         action = algebra.close_action(group, generators, cap=action_cap)
         result = algebra.coset_group(group, action, check_representatives=args.check_representatives)

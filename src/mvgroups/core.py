@@ -16,10 +16,12 @@ which report every failing witness instead of raising.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
+from math import prod
 
 import numpy as _np
 
@@ -39,7 +41,8 @@ _NUMPY_ORDER_THRESHOLD = 6
 _SPAN_PRIME = 2**26 - 5
 
 # _middle_associative_array and the associativity scan work on blocks of
-# at most this many entries per temporary (at least one x each).
+# at most this many entries per temporary (at least one x each), and
+# _int_array reads a document's array in blocks of about this many.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -91,7 +94,9 @@ class MultivaluedGroup:
     first use: every thread that computes it computes the same report,
     so instances are safe to share between threads.  Element names are
     cosmetic (used for display and serialization) and, like the stored
-    report, do not take part in equality.
+    report, do not take part in equality.  The table may be given as
+    nested lists or as an order**3 integer array; the stored table holds
+    Python ints either way.
     """
 
     __slots__ = ("order", "n", "identity", "star", "table", "names", "_array", "_report")
@@ -108,6 +113,8 @@ class MultivaluedGroup:
         array = None
         if order > _NUMPY_ORDER_THRESHOLD and order * n * n < 2**62:
             array = _table_array(table, order, n)
+        if isinstance(table, _np.ndarray):
+            table = table.tolist()  # rows and messages hold Python ints
         if array is not None:
             rows = [tuple(map(tuple, plane)) for plane in table]
         else:
@@ -171,24 +178,30 @@ class MultivaluedGroup:
 
 def _table_array(table, order, n):
     """The table as a read-only int64 array, when it is order lists (or
-    tuples) of order lists of order ints (bool is not an int here), all
-    nonnegative, with every row summing to n; else None.  Types are
-    checked before the conversion, which would coerce True and 1.0.  The
-    caller keeps o * n**2 < 2**62, so that no row sum overflows."""
-    if not all(type(plane) in (list, tuple) and len(plane) == order for plane in table):
-        return None
-    rows = list(chain.from_iterable(table))
-    if not all(type(row) in (list, tuple) and len(row) == order for row in rows):
-        return None
-    if set(map(type, chain.from_iterable(rows))) != {int}:
-        return None
-    try:
-        flat = _np.fromiter(chain.from_iterable(rows), _np.int64, order**3)
-    except OverflowError:  # beyond int64, so above n
-        return None
-    if flat.min() < 0 or flat.max() > n:
-        return None
-    array = flat.reshape(order, order, order)
+    tuples) of order lists of order ints (bool is not an int here), or an
+    order**3 integer array, all nonnegative, with every row summing to n;
+    else None.  List types are checked before the conversion, which would
+    coerce True and 1.0.  The caller keeps o * n**2 < 2**62, so that no
+    row sum overflows."""
+    if isinstance(table, _np.ndarray):
+        if table.shape != (order,) * 3 or table.dtype.kind not in "iu" or table.min() < 0 or table.max() > n:
+            return None
+        array = table.astype(_np.int64)
+    else:
+        if not all(type(plane) in (list, tuple) and len(plane) == order for plane in table):
+            return None
+        rows = list(chain.from_iterable(table))
+        if not all(type(row) in (list, tuple) and len(row) == order for row in rows):
+            return None
+        if set(map(type, chain.from_iterable(rows))) != {int}:
+            return None
+        try:
+            flat = _np.fromiter(chain.from_iterable(rows), _np.int64, order**3)
+        except OverflowError:  # beyond int64, so above n
+            return None
+        if flat.min() < 0 or flat.max() > n:
+            return None
+        array = flat.reshape(order, order, order)
     if (array.sum(axis=2) != n).any():
         return None
     array.flags.writeable = False
@@ -939,7 +952,7 @@ def from_json_dict(data) -> MultivaluedGroup:
         table = data["table"]
     except KeyError as missing:
         raise InputError(f"missing field {missing} in multivalued-group document") from None
-    if not isinstance(elements, list) or not isinstance(star, list) or not isinstance(table, list):
+    if not isinstance(elements, list) or not isinstance(star, list) or not isinstance(table, (list, _np.ndarray)):
         raise InputError('"elements", "star" and "table" must be lists')
     if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, identity)):
         raise InputError('"n" and "identity" must be integers')
@@ -948,15 +961,172 @@ def from_json_dict(data) -> MultivaluedGroup:
     return MultivaluedGroup(n, identity, star, table, names=elements)
 
 
-def parse_json(text: str):
+# The integer array of a document is read as compact ASCII text: its JSON
+# whitespace deleted, and each byte given one of six classes.
+_JSON_WS = b" \t\n\r"
+_CLASSES = bytes.maketrans(b"1234567890-,[]", bytes([0] * 9 + [1, 2, 3, 4, 5]))
+# The bytes of a token (digits and minus) as "a", JSON whitespace as " ":
+# a run of "a" is one token, and "a  *a" two tokens with only whitespace
+# between them.
+_TOKEN_BYTES = bytes.maketrans(b"0123456789-" + _JSON_WS, b"a" * 11 + b" " * 4)
+_SPLIT_TOKEN = re.compile(rb"a  *a")
+_LONG_TOKEN = b"a" * 19
+# In the text that _read_document decodes, the array's place holds the
+# one -Infinity, which _MARKED reads as _MARK; NaN and Infinity read as
+# the objects json.loads gives.
+_MARK = object()
+_MARKED = json.JSONDecoder(
+    parse_constant={"NaN": json.loads("NaN"), "Infinity": json.loads("Infinity"), "-Infinity": _MARK}.__getitem__
+)
+_skip_ws = json.decoder.WHITESPACE.match
+
+
+def _array_trigrams():
+    """As bytes, the codes 36a + 6b + c of the classes a, b, c of three
+    consecutive bytes that may stand in the compact text of an array of
+    JSON integers: a token is -?(0|[1-9][0-9]*), an array holds tokens
+    or arrays one comma apart, and no array is empty."""
+    digit, zero, minus, comma, opening, closing = range(6)
+    follows = {
+        digit: (digit, zero, comma, closing),
+        zero: (digit, zero, comma, closing),
+        minus: (digit, zero),
+        comma: (digit, zero, minus, opening),
+        opening: (digit, zero, minus, opening),
+        closing: (comma, closing),
+    }
+    pairs = _np.zeros((6, 6), bool)
+    for a, bs in follows.items():
+        pairs[a, list(bs)] = True
+    trigrams = pairs[:, :, None] & pairs[None, :, :]
+    trigrams[minus : opening + 1, zero, digit : zero + 1] = False  # a leading zero
+    return bytes(_np.flatnonzero(trigrams).tolist())
+
+
+_ARRAY_TRIGRAMS = _array_trigrams()
+
+
+def _int_array(text: str, pos: int):
+    """The JSON array at text[pos] == "[" as an int64 array and the index
+    past it, or None unless it is a rectangular array, of at least two
+    dimensions and none of them empty, of integers of at most 18
+    characters.
+
+    Its first element, read by the JSON decoder, gives the shape of each
+    row; its end is the last "]" before the next quote or brace.  Between
+    them the text is read in blocks of about _BLOCK_ENTRIES integers,
+    each cut after a comma.  A block is checked before numpy converts it:
+    ASCII only, no token split by whitespace or longer than 18
+    characters, its brackets and commas where the shape puts them, and
+    every three consecutive bytes allowed by _ARRAY_TRIGRAMS.  So numpy,
+    which would read '01', '+1' or '1 2' and saturate past int64, only
+    sees integers that it converts exactly, each where json.loads puts
+    it.  A first element that is not JSON, or a block that is not ASCII,
+    raises a ValueError."""
+    first, first_end = _MARKED.raw_decode(text, _skip_ws(text, pos + 1).end())
+    shape, leaf = [], first
+    while type(leaf) is list and leaf:
+        shape.append(len(leaf))
+        leaf = leaf[0]
+    if not shape or type(leaf) is not int:
+        return None
+    row = ""  # the brackets and commas of one row
+    for size in reversed(shape):
+        row = "[" + ",".join([row] * size) + "]"
+    tile = row + ","
+    stop = min((i for i in (text.find('"', pos), text.find("}", pos)) if i >= 0), default=len(text))
+    end = text.rfind("]", pos, stop) + 1
+    rows, extra = divmod(text.count("[", pos, end) - 1, row.count("["))
+    # Each integer takes a digit and a comma or bracket, so text too short
+    # for the entries the bracket count and the first row promise is
+    # declined before the result is allocated.
+    if extra or rows < 1 or rows * prod(shape) > (end - pos) // 2:
+        return None
+    out = _np.empty(rows * prod(shape), dtype=_np.int64)
+    span = (first_end - pos) * _BLOCK_ENTRIES // prod(shape) + 1
+    at, filled, seen = pos, 0, 0  # seen: the array's brackets and commas so far
+    while at < end:
+        cut = text.find(",", at + span, end) + 1 or end
+        raw = text[at:cut].encode("ascii")
+        tokens = raw.translate(_TOKEN_BYTES)
+        compact = raw.translate(None, _JSON_WS)
+        if _LONG_TOKEN in tokens or (len(compact) < len(raw) and _SPLIT_TOKEN.search(tokens)):
+            return None
+        # The array's brackets and commas are "[" + tile * rows, with the
+        # last comma a "]"; its text starts at a "[" and ends at a "]".
+        skeleton = compact.translate(None, b"0123456789-").decode("ascii")
+        if cut == end:
+            skeleton = skeleton[:-1] + ","
+        phase, body = (0, skeleton[1:]) if seen == 0 else ((seen - 1) % len(tile), skeleton)
+        if body != (tile * ((phase + len(body)) // len(tile) + 1))[phase : phase + len(body)]:
+            return None
+        # Past the skeleton check the block holds digits, minus, commas and
+        # brackets only; a block after the first is cut after a comma.
+        classes = _np.frombuffer((compact if seen == 0 else b"," + compact).translate(_CLASSES), _np.uint8)
+        codes = classes[:-2] * 36
+        codes += classes[1:-1] * 6
+        codes += classes[2:]
+        if codes.tobytes().translate(None, _ARRAY_TRIGRAMS):
+            return None
+        values = _np.fromstring(compact.translate(None, b"[]").rstrip(b","), dtype=_np.int64, sep=",")
+        out[filled : filled + values.size] = values
+        filled += values.size
+        seen += len(skeleton)
+        at = cut
+    if filled != out.size:  # never hand back entries np.empty left unset
+        return None
+    return out.reshape(rows, *shape), end
+
+
+def _read_document(text, array_field: str):
+    """json.loads(text) with the top-level array_field's value as the
+    array _int_array reads, when it reads one; else None.
+
+    The array is the first '"array_field": [' in the text.  The text is
+    decoded with the array replaced by -Infinity in brackets nested as
+    deep, so every other value, the keys and their order, and whether
+    the text is valid JSON at all (trailing data, a BOM, nesting past
+    the recursion limit) are the decoder's own, each decoded once.  The
+    array is the field's value only if the decoded field is that
+    -Infinity in its brackets: a match inside another value, or a field
+    repeated after it, declines, as does -Infinity anywhere else."""
+    if not isinstance(text, str):
+        return None
+    try:
+        found = re.search(rf'"{array_field}"[ \t\n\r]*:[ \t\n\r]*\[', text)
+        if found is None:
+            return None
+        pos = found.end() - 1
+        read = _int_array(text, pos)
+        if read is None:
+            return None
+        array, end = read
+        if text.find("-Infinity", 0, pos) >= 0 or text.find("-Infinity", end) >= 0:
+            return None
+        marked = "[" * array.ndim + "-Infinity" + "]" * array.ndim
+        data = _MARKED.decode(text[:pos] + marked + text[end:])
+        mark = _MARK
+        for _ in range(array.ndim):
+            mark = [mark]
+        if type(data) is not dict or data.get(array_field) != mark:
+            return None
+    except (ValueError, RecursionError):
+        return None
+    data[array_field] = array
+    return data
+
+
+def parse_json(text: str, array_field: str | None = None):
     """json.loads, with its errors as InputError: malformed JSON, an
     integer past Python's digit limit, or nesting past the recursion
-    limit."""
+    limit.  With array_field, the value of that top-level field comes
+    back as an int64 numpy array when _int_array can read it."""
     try:
-        return json.loads(text)
+        data = None if array_field is None else _read_document(text, array_field)
+        return json.loads(text) if data is None else data
     except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from None
 
 
 def loads(text: str) -> MultivaluedGroup:
-    return from_json_dict(parse_json(text))
+    return from_json_dict(parse_json(text, "table"))

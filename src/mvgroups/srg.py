@@ -884,14 +884,15 @@ def graph_from_json_dict(data, cap: int = GRAPH_CAP):
     _check_graph_size(v, cap)
     cls = DirectedGraph if data.get("directed") else Graph
     try:
-        # unpacking a JSON list is unpacking its tuple, so a list goes as it is
-        return cls(v, edges if isinstance(edges, list) else [tuple(e) for e in edges])
+        # unpacking a JSON list is unpacking its tuple, so a list goes as it
+        # is, and so does the integer array parse_json may read edges into
+        return cls(v, edges if isinstance(edges, (list, _np.ndarray)) else [tuple(e) for e in edges])
     except (TypeError, ValueError):
         raise InputError("every edge must be a pair of integer vertex indices") from None
 
 
 def graph_loads(text: str, cap: int = GRAPH_CAP):
-    return graph_from_json_dict(parse_json(text), cap)
+    return graph_from_json_dict(parse_json(text, "edges"), cap)
 
 
 # The edge-list text that graph_from_edge_list reads in one array pass:

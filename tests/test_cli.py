@@ -128,6 +128,34 @@ def test_iso_cap(capsys, tmp_path, monkeypatch, group_cap, orders, argv, code):
         assert out.startswith("isomorphic") and err == ""
 
 
+@pytest.mark.parametrize(
+    "group_cap,argv,code",
+    [
+        (7, (), 0),
+        (6, (), 4),
+        (4096, ("--cap", "7"), 0),
+        (4096, ("--cap", "6"), 4),
+        (5, ("--cap", "7"), 0),
+    ],
+)
+def test_build_coset_cap(capsys, tmp_path, monkeypatch, group_cap, argv, code):
+    # the group's size is checked against --cap, or the default GROUP_CAP
+    # when --cap is absent; above it the table is not read into a group
+    gpath, apath = tmp_path / "z7.json", tmp_path / "act.json"
+    gpath.write_text(json.dumps(algebra.group_to_json_dict(algebra.cyclic_group(7))))
+    apath.write_text(json.dumps({"format": "act-v1", "generators": [[-x % 7 for x in range(7)]]}))
+    monkeypatch.setattr(algebra, "GROUP_CAP", group_cap)
+    if code == 4:
+        monkeypatch.setattr(algebra, "FiniteGroup", lambda op: pytest.fail("read a group above the cap"))
+    got, out, err = run_cli(capsys, "build", "coset", "--group", str(gpath), "--action", str(apath), *argv)
+    assert got == code
+    if code == 4:
+        cap = int(argv[1]) if argv else group_cap
+        assert out == "" and err == f"error: group size 7 exceeds the cap {cap}\n"
+    else:
+        assert core.loads(out).order == 4 and err == ""
+
+
 def test_iso_positive_and_negative(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

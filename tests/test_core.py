@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from mvgroups import algebra, classify, cli, core, srg
@@ -1008,4 +1009,65 @@ def test_int_subclass_tables_take_the_entry_loop_and_keep_the_array_path():
     h = core.MultivaluedGroup(g.n, g.identity, g.star, table)
     assert h == g and h._array is None
     assert core._int64_table(h).tolist() == core._int64_table(g).tolist()
+    assert core.verify_all(h) == core.verify_all(g)
+
+
+def _coset8():
+    # Z29 under the order-4 multipliers: order 8, n = 4, past the threshold
+    return multiplier_coset(29, 4)
+
+
+def _with(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+@pytest.mark.parametrize(
+    "group, edit",
+    [
+        (_coset8, lambda t: _with(t, (1, 2, 0), -1)),
+        (_coset8, lambda t: _with(t, (3, 3, 0), 2**62)),
+        (_coset8, lambda t: _with(t, (3, 3, 0), 2**63 - 1)),
+        (_coset8, lambda t: _with(t.astype(np.uint64), (3, 3, 0), 2**63 + 1)),
+        (_coset8, lambda t: _with(t, (6, 0, 0), t[6, 0, 0] + 1)),
+        (_coset8, lambda t: np.concatenate((t, t[:, :, :1]), axis=2)),
+        (_coset8, lambda t: t[:, :, 0]),
+        (_coset8, lambda t: t[..., None]),
+        (_coset8, lambda t: t[:, :-1]),
+        (_coset8, lambda t: t.astype(float)),
+        (lambda: multiplier_coset(31, 1), lambda t: t.astype(bool)),
+        (lambda: core.build_xk(1), lambda t: _with(t, (1, 2, 0), -1)),
+        (lambda: core.scale(_coset8(), 2**31), lambda t: _with(t, (6, 0, 0), t[6, 0, 0] + 1)),
+    ],
+    ids=["negative", "past n", "int64 max", "past int64 unsigned", "row sum", "wide", "flat", "deep", "short block",
+         "float", "bool", "order 3", "o*n*n past 2**62"],
+)
+def test_array_tables_fail_as_their_lists(group, edit):
+    g = group()
+    array = edit(np.array(g.table, dtype=np.int64))
+    with pytest.raises(InputError) as from_array:
+        core.MultivaluedGroup(g.n, g.identity, g.star, array)
+    with pytest.raises(InputError) as from_list:
+        core.MultivaluedGroup(g.n, g.identity, g.star, array.tolist())
+    assert str(from_array.value) == str(from_list.value)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int32, object])
+@pytest.mark.parametrize(
+    "group", [lambda: core.build_xk(1), _coset8, lambda: core.scale(_coset8(), 50)],
+    ids=["order 3", "order 8", "n = 200"],
+)
+def test_array_tables_build_the_list_group(group, dtype):
+    g = group()
+    array = np.array(g.table, dtype=dtype)
+    h = core.MultivaluedGroup(g.n, g.identity, g.star, array, names=g.names)
+    array[0, 0, 0] = 7  # the group keeps its own table
+    assert h == g and hash(h) == hash(g)
+    assert {type(m) for plane in h.table for row in plane for m in row} == {int}
+    assert core.dumps(h) == core.dumps(g)
+    assert all(repr(h.product(x, y)) == repr(g.product(x, y)) for x in range(g.order) for y in range(g.order))
+    assert (core._int64_table(h) is None) == (core._int64_table(g) is None)
+    if core._int64_table(g) is not None:
+        assert core._int64_table(h).tolist() == core._int64_table(g).tolist()
     assert core.verify_all(h) == core.verify_all(g)

@@ -489,6 +489,44 @@ def test_refused_graph_documents_keep_their_message(edges, directed):
         srg.graph_loads(json.dumps(doc))
 
 
+_EDGE_ARRAYS = {
+    "out of range": [[0, 1], [1, 10]],
+    "negative": [[0, 1], [-1, 2]],
+    "loop": [[0, 1], [3, 3]],
+    "int64 max": [[0, 2**63 - 1]],
+    "triple": [[0, 1, 2]],
+    "single": [[0], [1]],
+    "nested": [[[0, 1], [1, 2]]],
+    "flat": [0, 1],
+    "none": np.zeros((0, 2), np.int64),
+    "petersen": sorted(petersen_graph().edges()),
+}
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("edges", _EDGE_ARRAYS.values(), ids=_EDGE_ARRAYS)
+def test_array_edges_fail_as_their_lists(edges, directed):
+    """The int64 edges parse_json may hand to graph_from_json_dict give
+    the graph, or the message, of their list; Graph and DirectedGraph
+    name a bad pair in Python ints."""
+    array = np.array(edges, dtype=np.int64)
+    doc = {"format": "graph-v1", "v": 10, "edges": array}
+    if directed:
+        doc["directed"] = True
+
+    def outcome(build, *args):
+        try:
+            graph = build(*args)
+        except InputError as exc:
+            return str(exc)
+        return type(graph), graph.v, graph.rows
+
+    assert outcome(srg.graph_from_json_dict, doc) == outcome(srg.graph_from_json_dict, dict(doc, edges=array.tolist()))
+    if array.ndim == 2 and array.shape[1] == 2:
+        cls = srg.DirectedGraph if directed else srg.Graph
+        assert outcome(cls, 10, array) == outcome(cls, 10, array.tolist())
+
+
 def test_bool_pairs_are_read_as_integers():
     # numpy reads an all-bool list as bools, which the pass refuses; the
     # loop, like int, takes True as 1
