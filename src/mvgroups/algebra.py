@@ -630,30 +630,43 @@ def coset_group(
     multiplicity by the kernel size, which gives an isomorphic group, so
     working with concrete automorphism groups loses no generality.  The
     output is re-verified; any failure is a bug, not bad input.
+
+    The counts are one numpy gather of the orbits of g0 * a(h0) over every
+    (x, y, a), counted per (x, y).  check_representatives runs the same
+    count for every g in each orbit x against every h, and names the
+    first pair that differs in (x, y, g, h) order.
     """
     part = orbits(group, action)
     count = len(part.orbits)
     reps = [orb[0] for orb in part.orbits]
     n = action.n
+    orbit_of = _np.array(part.orbit_of)
 
-    def row(gx, hy):
-        counts = [0] * count
-        for auto in action:
-            counts[part.orbit_of[group.mul(gx, auto(hy))]] += 1
-        return counts
+    def counts(gs, images):
+        """counts[i, j, z] = #{a : gs[i] * a(h_j) in orbit z}, where
+        images[a, j] = a(h_j)."""
+        shape = (len(gs), images.shape[1], count)
+        orbit = orbit_of[group.op[_np.asarray(gs)[:, None, None], images.T[None]]]
+        orbit += _np.arange(0, shape[0] * shape[1] * count, count).reshape(shape[:2] + (1,))
+        return _np.bincount(orbit.ravel(), minlength=_np.prod(shape)).reshape(shape)
 
-    table = [[row(reps[x], reps[y]) for y in range(count)] for x in range(count)]
+    table = counts(reps, _np.array([[auto(h) for h in reps] for auto in action]))
 
     if check_representatives:
-        for x in range(count):
-            for y in range(count):
-                for gx in part.orbits[x]:
-                    for hy in part.orbits[y]:
-                        if row(gx, hy) != table[x][y]:
-                            raise InternalError(
-                                "multiplicities depend on the representatives at "
-                                f"orbits ({x}, {y}), pair ({gx}, {hy})"
-                            )
+        members = [h for orbit in part.orbits for h in orbit]  # by orbit, each ascending
+        ys = _np.repeat(_np.arange(count), [len(orbit) for orbit in part.orbits])
+        images = _np.array([auto.perm for auto in action])[:, members]
+        for x, orbit in enumerate(part.orbits):
+            want = table[x, ys]
+            bad = _np.array([(counts([g], images)[0] != want).any(axis=1) for g in orbit])
+            if bad.any():
+                i, j = _np.nonzero(bad)
+                y, i, j = min(zip(ys[j].tolist(), i.tolist(), j.tolist()))
+                raise InternalError(
+                    "multiplicities depend on the representatives at "
+                    f"orbits ({x}, {y}), pair ({orbit[i]}, {members[j]})"
+                )
+    table = table.tolist()
 
     star = tuple(part.orbit_of[group.inverse(rep)] for rep in reps)
     try:

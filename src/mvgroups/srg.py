@@ -7,10 +7,10 @@ the check for any graph.  It first tries to prove the graph
 translation-invariant: when the rows are those of a Cayley graph on some
 Z_n^dim in base-n labelling (row j the e_i-translate of row j - n^i),
 every translation is an automorphism and only the v-1 pairs (0, d) are
-counted.  Any other graph, a relabelled copy of one included, has the
-common neighbours of every vertex pair counted, a pair of blocks of rows
-at a time, packed into 64-bit words (AND, popcount, sum over the words),
-in a fixed amount of scratch memory.
+counted.  Any other graph, a relabelled copy of one included, is checked
+against A A^T = kI + lambda A + mu (J - I - A) a pair of blocks of rows
+at a time, as exact float products through BLAS (every count is an
+integer of at most v), in a fixed amount of scratch memory.
 
 Every family is a Cayley graph on Z_n^N in that labelling.  Its vertex
 count is checked against the cap before any primality test or factoring
@@ -248,9 +248,13 @@ class SrgParams:
 
 
 # srg_check's numpy kernel holds at most this many bytes of scratch at
-# once: the words of two blocks of rows and the per-pair counts of one
-# pair of blocks.
+# once: the bytes of two blocks of rows, one column chunk of each as
+# floats and the common-neighbour counts of one pair of blocks.
 _SCRATCH_BYTES = 512 * 1024
+
+# Every integer up to 2**24 is a float32, and the kernel's counts are at
+# most v: it runs in float32 below this many vertices, float64 above.
+_FLOAT32_EXACT = 1 << 24
 
 
 def srg_check(graph: Graph):
@@ -305,87 +309,83 @@ def _translation_invariant(rows) -> bool:
     return False
 
 
-def _block_rows(v: int, words: int) -> int:
-    """Rows per block so that one call's scratch fits _SCRATCH_BYTES.
-
-    Per pair of rows: one word ANDed (8 bytes) and popcounted (1 byte),
-    plus 13 bytes of counts and masks.  Per row, 8 * words bytes for each
-    packed copy: three while the AND runs (block i as bytes and
-    transposed, block j transposed), when numpy also buffers the two
-    broadcast inputs (bufsize elements of 8 bytes each), and five while
-    block j is packed.  Only past about 800,000 vertices does a single
-    row outgrow the budget; b is then 1.
-    """
-    buffers = 2 * 8 * _np.getbufsize()
-    b = min(v, isqrt(_SCRATCH_BYTES // 22))
-    while b > 1:
-        pairs = 22 * b * b
-        row = 8 * words * b
-        if max(pairs + 3 * row + buffers, pairs + 5 * row) <= _SCRATCH_BYTES:
-            break
-        b -= 1
-    return b
+def _kernel_shape(v: int, itemsize: int) -> tuple[int, int]:
+    """(rows per block, bytes per column chunk) keeping one call's scratch
+    within _SCRATCH_BYTES for floats of itemsize bytes; a 256-vertex chunk
+    keeps each product large enough for BLAS.  Per row: two blocks of bytes
+    and a chunk of two blocks unpacked and as floats, plus 16 bytes for the
+    row list slice and array headers; per pair: two floats and a byte."""
+    nbytes = (v + 7) // 8
+    chunk = min(nbytes, 32)
+    per_row = 2 * nbytes + (2 * itemsize + 2) * 8 * chunk + 16
+    per_pair = 2 * itemsize + 1
+    b = (isqrt(per_row * per_row + 4 * per_pair * _SCRATCH_BYTES) - per_row) // (2 * per_pair)
+    return max(1, min(v, b)), chunk
 
 
 def _pair_counts_blocked(rows):
-    """(lambda, mu) if the common-neighbour count is constant on the
-    adjacent and on the non-adjacent pairs x < y, else None; counted a
-    pair of vertex blocks (i, j >= i) at a time.
+    """(lambda, mu) if A A^T = kI + lambda A + mu (J - I - A), else None,
+    for the rows of a k-regular graph with 0 < k < v-1, checked a pair of
+    vertex blocks (i, j >= i) at a time.  A A^T counts common neighbours,
+    so the identity says lambda on every edge and mu on every other pair
+    x != y; lambda and mu are read from vertex 0 with its first neighbour
+    and its first non-neighbour.  A block pair's counts F_i F_j^T, F the
+    rows' little-endian bytes unpacked to 0/1 floats, are summed over
+    column chunks and compared with mu + (lambda - mu) A_ij, A_ij the
+    pair's own adjacency bits; the diagonal is the degree k.
 
-    A block is b rows packed into W = ceil(v/64) little-endian 64-bit
-    words and transposed to (W, b).  The common-neighbour counts of the
-    block pair are the sums over the W words of popcount(row x & row y).
-    The bits of block j's vertices in the rows of block i say which pairs
-    are adjacent; on a diagonal block only x < y counts.  Every scratch
-    view is contiguous, so that numpy buffers no output.
+    The float32 products, which numpy hands to BLAS, are exact: each term
+    F[x, w] F[y, w] is 0 or 1, so every partial sum, in whatever order and
+    grouping BLAS (fused or not) adds the terms and the chunk totals, is
+    an integer from 0 to v, as are lambda, mu and k.  Every integer up to
+    2**24 is a float32, so no step rounds; from _FLOAT32_EXACT vertices
+    on the floats are float64, exact to 2**53.
     """
     np = _np
     v = len(rows)
-    words = (v + 63) // 64
-    nbytes = 8 * words
-    b = _block_rows(v, words)
-    anded = np.empty(b * b, np.uint64)
-    popcounts = np.empty(b * b, np.uint8)
-    common = np.empty(b * b, np.int32)
-    upper = np.triu(np.ones((b, b), bool), 1)
+    row0 = rows[0]
+    other = ~row0 & -2  # the non-neighbours of 0 other than 0
+    lam = (row0 & rows[(row0 & -row0).bit_length() - 1]).bit_count()
+    mu = (row0 & rows[(other & -other).bit_length() - 1]).bit_count()
+    dtype = np.float32 if v < _FLOAT32_EXACT else np.float64
+    b, chunk = _kernel_shape(v, np.dtype(dtype).itemsize)
+    nbytes = (v + 7) // 8
+    data = bytearray(2 * b * nbytes)  # block i's rows, then block j's
+    bits = np.frombuffer(data, np.uint8).reshape(2 * b, nbytes)
+    floats = np.empty(2 * b * 8 * chunk, dtype)
+    counts, want = np.empty((2, b * b), dtype)
 
-    def packed(lo):
-        data = b"".join(row.to_bytes(nbytes, "little") for row in rows[lo : lo + b])
-        return np.frombuffer(data, "<u8").reshape(-1, words)
+    def packed(lo, at):
+        block = rows[lo : lo + b]
+        for r, row in enumerate(block, at):
+            data[r * nbytes : (r + 1) * nbytes] = row.to_bytes(nbytes, "little")
+        return len(block)
 
-    found = [None, None]  # lambda, mu
     for lo_i in range(0, v, b):
-        rows_i = packed(lo_i)
-        bits_i = rows_i.view(np.uint8)
-        cols_i = rows_i.T.copy()
-        ni = len(rows_i)
+        ni = packed(lo_i, 0)
         for lo_j in range(lo_i, v, b):
-            cols_j = cols_i if lo_j == lo_i else packed(lo_j).T.copy()
-            nj = cols_j.shape[1]
-            anded_ij = anded[: ni * nj].reshape(ni, nj)
-            popcounts_ij = popcounts[: ni * nj].reshape(ni, nj)
-            counts = common[: ni * nj].reshape(ni, nj)
-            counts.fill(0)
-            for word_i, word_j in zip(cols_i, cols_j):
-                np.bitwise_and(word_i[:, None], word_j[None, :], out=anded_ij)
-                counts += np.bitwise_count(anded_ij, out=popcounts_ij)
-            first = lo_j // 8
-            shift = lo_j - 8 * first
-            adjacent = np.unpackbits(
-                bits_i[:, first : (lo_j + nj + 7) // 8], axis=1, bitorder="little"
-            )[:, shift : shift + nj].view(bool)
-            non_adjacent = ~adjacent
+            nj = ni if lo_j == lo_i else packed(lo_j, b)  # then ni == b
+            pair = bits[: ni if lo_j == lo_i else b + nj]
+            common = counts[: ni * nj].reshape(ni, nj)
+            expected = want[: ni * nj].reshape(ni, nj)
+            for lo in range(0, nbytes, chunk):
+                cols = pair[:, lo : lo + chunk]
+                f = floats[: cols.size * 8].reshape(len(cols), -1)
+                f[...] = np.unpackbits(cols, axis=1, bitorder="little")
+                np.matmul(f[:ni], f[-nj:].T, out=expected if lo else common)
+                if lo:
+                    common += expected
+            first, shift = divmod(lo_j, 8)
+            cols = pair[:ni, first : (lo_j + nj + 7) // 8]
+            expected[...] = np.unpackbits(cols, axis=1, bitorder="little")[:, shift : shift + nj]
+            expected *= lam - mu
+            expected += mu
             if lo_j == lo_i:
-                adjacent &= upper[:ni, :nj]
-                non_adjacent &= upper[:ni, :nj]
-            for which, mask in enumerate((adjacent, non_adjacent)):
-                low = int(counts.min(initial=v, where=mask))
-                if low == v:  # no pair of this kind in the block pair
-                    continue
-                if low != counts.max(initial=0, where=mask) or found[which] not in (None, low):
-                    return None
-                found[which] = low
-    return tuple(found)
+                np.fill_diagonal(expected, row0.bit_count())
+            common -= expected
+            if common.any():
+                return None
+    return lam, mu
 
 
 def complement(graph: Graph) -> Graph:

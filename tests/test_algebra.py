@@ -398,6 +398,125 @@ def test_coset_representative_independence_randomized():
                 )
 
 
+def _coset_table_by_loop(group, action, check_representatives=False):
+    """coset_group's table from one group.mul per (x, y, a), and its
+    representative check over every pair of orbit members, as plain
+    loops: the oracle of the numpy count."""
+    part = algebra.orbits(group, action)
+    count = len(part.orbits)
+    reps = [orb[0] for orb in part.orbits]
+
+    def row(gx, hy):
+        counts = [0] * count
+        for auto in action:
+            counts[part.orbit_of[group.mul(gx, auto(hy))]] += 1
+        return counts
+
+    table = [[row(reps[x], reps[y]) for y in range(count)] for x in range(count)]
+    if check_representatives:
+        for x in range(count):
+            for y in range(count):
+                for gx in part.orbits[x]:
+                    for hy in part.orbits[y]:
+                        if row(gx, hy) != table[x][y]:
+                            raise InternalError(
+                                "multiplicities depend on the representatives at "
+                                f"orbits ({x}, {y}), pair ({gx}, {hy})"
+                            )
+    return table
+
+
+def _multiplier_action(p, d):
+    """Z_p under the multipliers of order d."""
+    field = algebra.make_field(p, 1)
+    group = algebra.additive_group(field)
+    u = field.pow(field.generator, (p - 1) // d)
+    return group, algebra.close_action(group, [algebra.multiplier_automorphism(field, u)])
+
+
+def _as_lists(table):
+    return [[list(cell) for cell in row] for row in table]
+
+
+# the six cosets of the documents benchmark, then small ones
+_MULTIPLIER_CASES = [(251, 10), (127, 7), (67, 6), (257, 16), (521, 20), (1021, 60)]
+_MULTIPLIER_CASES += [(2, 1), (5, 1), (5, 2), (7, 3), (13, 4), (13, 12), (31, 5)]
+
+
+@pytest.mark.parametrize("p, d", _MULTIPLIER_CASES)
+def test_coset_gather_matches_the_per_pair_loop(p, d):
+    group, action = _multiplier_action(p, d)
+    g = algebra.coset_group(group, action)
+    assert g.order == (p - 1) // d + 1 and g.n == d
+    assert _as_lists(g.table) == _coset_table_by_loop(group, action)
+    if p < 100:
+        assert _coset_table_by_loop(group, action, check_representatives=True)
+    if p < 300:
+        assert algebra.coset_group(group, action, check_representatives=True) == g
+
+
+def test_coset_gather_matches_the_loop_on_small_groups():
+    klein = algebra.make_elementary_abelian(2, 2)
+    s3, s3_gens = s3_group()
+    f8 = algebra.make_elementary_abelian(2, 3)
+    cases = [
+        (klein, algebra.close_action(klein, [])),
+        (klein, algebra.close_action(klein, [algebra.Automorphism((0, 2, 1, 3))])),
+        (s3, algebra.close_action(s3, s3_gens)),
+        (s3, algebra.close_action(s3, [])),
+        residue_action(algebra.make_field(3, 2)),
+        residue_action(algebra.make_field(5, 2)),
+        (f8, algebra.close_action(f8, [algebra.Automorphism((0, 2, 4, 6, 3, 1, 7, 5))])),
+    ]
+    for group, action in cases:
+        g = algebra.coset_group(group, action, check_representatives=True)
+        assert _as_lists(g.table) == _coset_table_by_loop(group, action, check_representatives=True)
+
+
+def _not_closed(*multipliers):
+    """A hand-built action on Z_7 by these multipliers, not closed under
+    composition."""
+    return algebra.ActionGroup(tuple(algebra.Automorphism(tuple(u * x % 7 for x in range(7))) for u in multipliers))
+
+
+@pytest.mark.parametrize(
+    "multipliers, message",
+    [((1, 2), r"orbits \(0, 3\), pair \(0, 4\)"), ((1, 6, 2), r"orbits \(0, 1\), pair \(0, 2\)")],
+)
+def test_coset_check_names_the_loops_first_pair_for_an_unclosed_action(multipliers, message):
+    z7 = algebra.make_elementary_abelian(7, 1)
+    action = _not_closed(*multipliers)
+    with pytest.raises(InternalError, match=message) as loop:
+        _coset_table_by_loop(z7, action, check_representatives=True)
+    with pytest.raises(InternalError, match=message) as gather:
+        algebra.coset_group(z7, action, check_representatives=True)
+    assert str(gather.value) == str(loop.value)
+    assert str(loop.value).startswith("multiplicities depend on the representatives at ")
+
+
+def test_coset_check_agrees_with_the_loop_on_random_unclosed_actions():
+    # each action holds the identity, so that every element has an orbit
+    rng = random.Random(5)
+    for p in (7, 11, 13):
+        group = algebra.make_elementary_abelian(p, 1)
+        for _ in range(12):
+            units = [1] + rng.sample(range(2, p), rng.randrange(1, 4))
+            action = algebra.ActionGroup(
+                tuple(algebra.Automorphism(tuple(u * x % p for x in range(p))) for u in units)
+            )
+            try:
+                _coset_table_by_loop(group, action, check_representatives=True)
+                expected = None
+            except InternalError as exc:
+                expected = str(exc)
+            try:
+                algebra.coset_group(group, action, check_representatives=True)
+                got = None
+            except InternalError as exc:
+                got = str(exc) if "representatives" in str(exc) else None
+            assert got == expected, (p, units)
+
+
 def test_kernel_scaling_isomorphism():
     # a non-faithful action multiplies each multiplicity by the kernel
     # size; the scaled table is isomorphic to the original

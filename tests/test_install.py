@@ -14,5 +14,5 @@ def test_numpy_2_is_required():
     project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
     assert "numpy>=2.0" in project["dependencies"]
     assert "fast" not in project.get("optional-dependencies", {})
-    # srg_check's kernel counts bits with numpy.bitwise_count, new in 2.0
+    # numpy.bitwise_count is new in 2.0: the installed numpy meets the requirement
     assert hasattr(numpy, "bitwise_count")

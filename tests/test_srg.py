@@ -958,7 +958,14 @@ def _kernels_agree(graph):
     """(lambda, mu) from the blocked kernel called directly, after
     checking that the per-pair loop gives the same.  srg_check sends a
     labelled Cayley graph to the translation probe instead, so this is
-    what keeps the kernels tested on the builders' own labelling."""
+    what keeps the kernels tested on the builders' own labelling.
+
+    The kernel takes only what srg_check hands it, a k-regular graph
+    with 0 < k < v-1; on any other graph srg_check must say None."""
+    k = graph.degree(0)
+    if any(graph.degree(u) != k for u in range(graph.v)) or k in (0, graph.v - 1):
+        assert srg.srg_check(graph) is None
+        return None
     found = srg._pair_counts_blocked(graph.rows)
     assert found == _pair_counts_bitset(graph.rows)
     return found
@@ -1066,16 +1073,33 @@ def test_kernel_agrees_on_regular_non_srgs(graph):
     assert _kernels_agree(graph) is None
 
 
+def _force_shape(monkeypatch, rows=None, chunk=None):
+    """Make the kernel use blocks of this many rows and column chunks of
+    this many bytes; None keeps the size the budget gives."""
+    shape = srg._kernel_shape
+
+    def forced(v, itemsize):
+        b, c = shape(v, itemsize)
+        return rows or b, chunk or c
+
+    monkeypatch.setattr(srg, "_kernel_shape", forced)
+
+
+def _single_block_edge():
+    """The largest v whose rows the kernel takes as one float32 block."""
+    return next(v for v in range(1024, 0, -1) if srg._kernel_shape(v, 4)[0] == v)
+
+
 def _block_edge_sizes():
-    b = srg._block_rows(10**6, 3)
-    return [2, 5, 63, 64, 65, 127, 129, b, b + 1]
+    """Byte and chunk edges, and the largest single block and one more."""
+    b = _single_block_edge()
+    return [2, 5, 7, 8, 9, 63, 64, 65, 127, 129, b, b + 1, 255, 256, 257]
 
 
 @pytest.mark.parametrize("v", _block_edge_sizes())
 def test_kernel_agrees_at_word_and_block_edges(v):
-    if v > 129:  # the default block size for 3 words, and one row more
-        b = srg._block_rows(10**6, 3)
-        assert srg._block_rows(v, 3) == b and v in (b, b + 1)
+    if 129 < v < 255:  # one block, and two
+        assert (srg._kernel_shape(v, 4)[0] == v) == (v == _single_block_edge())
     graphs = [_circulant(v, [1]), _circulant(v, [d for d in (1, 2, v // 3) if 0 < d < v])]
     for size in (s for s in range(2, v) if v % s == 0):
         cliques = _union(*[_clique(size)] * (v // size))
@@ -1101,21 +1125,22 @@ _LOCAL_FAILURES = {
 }
 
 
+@pytest.mark.parametrize("chunk_bytes", [1, 2, None])
 @pytest.mark.parametrize("rows_per_block", [1, 6, 7, 8, 13, None])
 @pytest.mark.parametrize("name", list(_LOCAL_FAILURES))
-def test_kernel_finds_a_failure_in_any_block_pair(monkeypatch, name, rows_per_block):
+def test_kernel_finds_a_failure_in_any_block_pair(monkeypatch, name, rows_per_block, chunk_bytes):
     graph = _LOCAL_FAILURES[name]
     assert len({graph.degree(u) for u in range(graph.v)}) == 1
-    if rows_per_block is not None:
-        monkeypatch.setattr(srg, "_block_rows", lambda v, words: rows_per_block)
+    _force_shape(monkeypatch, rows_per_block, chunk_bytes)
     assert srg.srg_check(graph) is None
     assert _bitset_check(graph) is None
     assert _kernels_agree(graph) is None
 
 
+@pytest.mark.parametrize("chunk_bytes", [1, 2, None])
 @pytest.mark.parametrize("rows_per_block", [1, 3, 6, 7, 8, 13])
-def test_kernel_agrees_for_any_block_size(monkeypatch, rows_per_block):
-    monkeypatch.setattr(srg, "_block_rows", lambda v, words: rows_per_block)
+def test_kernel_agrees_for_any_block_size(monkeypatch, rows_per_block, chunk_bytes):
+    _force_shape(monkeypatch, rows_per_block, chunk_bytes)
     for graph in (
         petersen_graph(),
         _shuffled(srg.grid_graph(5), 7),
@@ -1160,6 +1185,75 @@ def test_kernel_scratch_stays_bounded_on_relabelled_input():
     assert found == srg.polar_params(2, 5, -1)
     assert direct == (found.lam, found.mu)
     assert 1 << 16 < peak <= srg._SCRATCH_BYTES
+
+
+def _shuffled_in_numpy(graph, seed):
+    """_shuffled(graph, seed), relabelled as one bit matrix: a list of
+    every edge of a dense 4096-vertex graph would take hundreds of MB."""
+    v, nbytes = graph.v, (graph.v + 7) // 8
+    perm = list(range(v))
+    random.Random(seed).shuffle(perm)
+    back = np.argsort(perm)
+    data = b"".join(row.to_bytes(nbytes, "little") for row in graph.rows)
+    bits = np.unpackbits(np.frombuffer(data, np.uint8).reshape(v, nbytes), axis=1, bitorder="little")
+    packed = np.packbits(bits[back][:, back], axis=1, bitorder="little")
+    return srg.Graph._from_rows(v, [int.from_bytes(row.tobytes(), "little") for row in packed])
+
+
+def test_kernel_decides_a_relabelled_graph_at_the_cap():
+    # 4096 vertices, 36 blocks of rows and 16 column chunks
+    shuffled = _shuffled_in_numpy(srg.affine_polar(2, 6, -1), 6)
+    assert _shuffled_in_numpy(petersen_graph(), 6) == _shuffled(petersen_graph(), 6)
+    assert shuffled.v == srg.GRAPH_CAP and not srg._translation_invariant(shuffled.rows)
+    tracemalloc.start()
+    try:
+        found = srg.srg_check(shuffled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == srg.polar_params(2, 6, -1) == srg.SrgParams(4096, 2015, 990, 992)
+    assert peak <= srg._SCRATCH_BYTES
+
+
+# Graphs whose v is a multiple of neither 8 nor the chunk width, so the
+# last byte and the last chunk of every row are partly padding.
+_RAGGED = {
+    "triangular 10": (_shuffled(_triangular(10), 3), (8, 4)),
+    "rook 9": (_shuffled(srg.grid_graph(9), 3), (7, 2)),
+    "paley 29": (_shuffled(srg.paley_graph(algebra.make_field(29, 1)), 3), (6, 7)),
+    "rook 17": (_shuffled(srg.grid_graph(17), 3), (15, 2)),
+    # a hexagon across the chunk edge at 256 and in the ragged last chunk
+    "hexagon last": (_union(*[_clique(3)] * 85, cycle_graph(6)), None),
+    "hexagon last, 21": (_union(*[_clique(3)] * 5, cycle_graph(6)), None),
+}
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 2, None])
+@pytest.mark.parametrize("name", list(_RAGGED))
+def test_kernel_agrees_when_v_is_not_a_multiple_of_the_chunk(monkeypatch, name, chunk_bytes):
+    graph, expected = _RAGGED[name]
+    assert graph.v % 8 and graph.v % 256
+    _force_shape(monkeypatch, chunk=chunk_bytes)
+    assert _kernels_agree(graph) == expected
+    assert _bitset_check(graph) == srg.srg_check(graph)
+
+
+def test_kernel_multiplies_float32_below_the_guard_and_float64_past_it(monkeypatch):
+    graph = _shuffled(srg.grid_graph(5), 2)
+    seen = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        seen.append((a.dtype, b.dtype, kwargs["out"].dtype))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    assert srg._pair_counts_blocked(graph.rows) == (3, 2)
+    assert seen and set(seen) == {(np.dtype(np.float32),) * 3}
+    seen.clear()
+    monkeypatch.setattr(srg, "_FLOAT32_EXACT", graph.v)
+    assert srg._pair_counts_blocked(graph.rows) == (3, 2)
+    assert seen and set(seen) == {(np.dtype(np.float64),) * 3}
 
 
 # ---------------------------------------------------------------------------
