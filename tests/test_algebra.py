@@ -3,6 +3,7 @@ construction."""
 
 import json
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -492,6 +493,25 @@ def test_coset_check_names_the_loops_first_pair_for_an_unclosed_action(multiplie
         algebra.coset_group(z7, action, check_representatives=True)
     assert str(gather.value) == str(loop.value)
     assert str(loop.value).startswith("multiplicities depend on the representatives at ")
+
+
+@pytest.mark.parametrize("p, moved", [(5, 2), (7, 2), (8, 2), (7, 3)])
+def test_coset_check_agrees_with_the_loop_when_a_later_orbit_fails(p, moved):
+    # the powers of one swap or 3-cycle: closed, so orbit 0 passes, but no
+    # automorphism, so a later orbit's other members disagree; with
+    # 3-cycles the first failure depends on the (x, y, g, h) order
+    group = algebra.make_elementary_abelian(2, 3) if p == 8 else algebra.make_elementary_abelian(p, 1)
+    for cycle in combinations(range(1, p), moved):
+        perm = list(range(p))
+        for u, w in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[u] = w
+        powers = [tuple(range(p)), tuple(perm), tuple(perm[perm[u]] for u in range(p))][:moved]
+        action = algebra.ActionGroup(tuple(map(algebra.Automorphism, powers)))
+        with pytest.raises(InternalError) as loop:
+            _coset_table_by_loop(group, action, check_representatives=True)
+        with pytest.raises(InternalError) as gather:
+            algebra.coset_group(group, action, check_representatives=True)
+        assert str(gather.value) == str(loop.value)
 
 
 def test_coset_check_agrees_with_the_loop_on_random_unclosed_actions():

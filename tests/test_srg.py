@@ -1201,7 +1201,7 @@ def _shuffled_in_numpy(graph, seed):
 
 
 def test_kernel_decides_a_relabelled_graph_at_the_cap():
-    # 4096 vertices, 36 blocks of rows and 16 column chunks
+    # 4096 vertices, 37 blocks of rows and 16 column chunks
     shuffled = _shuffled_in_numpy(srg.affine_polar(2, 6, -1), 6)
     assert _shuffled_in_numpy(petersen_graph(), 6) == _shuffled(petersen_graph(), 6)
     assert shuffled.v == srg.GRAPH_CAP and not srg._translation_invariant(shuffled.rows)
