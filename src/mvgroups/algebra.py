@@ -22,7 +22,7 @@ from math import gcd, isqrt
 
 import numpy as _np
 
-from .core import MultivaluedGroup, parse_json, validate
+from .core import _BLOCK_ENTRIES, MultivaluedGroup, parse_json, validate
 from .errors import CapError, InputError, InternalError
 
 GROUP_CAP = 4096
@@ -31,11 +31,6 @@ FIELD_CAP = 4096
 
 GRP_FORMAT = "grp-v1"
 ACT_FORMAT = "act-v1"
-
-# Group laws and automorphisms are proved exactly from a generating set
-# (Light's test), with a full scan for the witness when the proof fails.
-# The vectorised checks work on blocks of at most this many table entries.
-_BLOCK_ENTRIES = 1 << 16
 
 
 def _least_prime_factor(n: int) -> int:
@@ -300,8 +295,9 @@ class FiniteGroup:
     The set is kept in generators: the least element outside the closure
     of the identity under right multiplication by the set so far, added
     until that closure is everything, at most log2(size) of them for a
-    group.  The proof costs O(size**2 * len(generators)); when it fails,
-    a full scan reports the lexicographically first failing triple.
+    group.  The proof is _nonassociative_triple over the generators, in
+    O(size**2 * len(generators)); when it fails, the same scan over every
+    element reports the lexicographically first failing triple.
     """
 
     __slots__ = ("size", "op", "identity", "inv", "generators")
@@ -315,8 +311,10 @@ class FiniteGroup:
         self.identity = identity = _identity(op)
         self.inv = _inverses(op, identity)
         self.generators = _generating_set(op, identity)
-        if self.generators is None or not all(_middle_associative(op, a) for a in self.generators):
-            triple = _first_nonassociative_triple(op)
+        if self.generators is None or _nonassociative_triple(op, sorted(self.generators)):
+            triple = _nonassociative_triple(op, range(size))
+            if triple is None:
+                raise InternalError("Light's test failed on an associative table")
             raise InputError(f"multiplication table is not associative at {triple}")
 
     def mul(self, a: int, b: int) -> int:
@@ -425,29 +423,24 @@ def _generating_set(op, identity):
     return tuple(gens)
 
 
-def _middle_associative(op, a) -> bool:
-    """(x*a)*y == x*(a*y) for all x and y."""
-    size = len(op)
-    times_a, a_times = op[:, a], op[a]
-    block = max(1, _BLOCK_ENTRIES // size)
-    return all(
-        _np.array_equal(op[times_a[start : start + block]], op[start : start + block][:, a_times])
-        for start in range(0, size, block)
-    )
-
-
-def _first_nonassociative_triple(op):
-    """The lexicographically first (a, b, c) with (ab)c != a(bc)."""
+def _nonassociative_triple(op, ys):
+    """The lexicographically first (x, y, z) with y in ys (ascending) and
+    (xy)z != x(yz), or None.  Over a generating set this is Light's test,
+    over every element the full scan.  Each comparison covers one y and a
+    block of rows x of at most _BLOCK_ENTRIES table entries; once a y
+    fails at row x, the later y are compared on the rows before x only."""
     size = len(op)
     block = max(1, _BLOCK_ENTRIES // size)
-    for a in range(size):
-        row = op[a]
-        for start in range(0, size, block):
-            diff = op[row[start : start + block]] != row[op[start : start + block]]
+    for x0 in range(0, size, block):
+        xs, first = op[x0 : x0 + block], None
+        for y in ys:
+            diff = op[xs[:, y]] != xs[:, op[y]]
             if diff.any():
-                b, c = divmod(int(diff.argmax()), size)
-                return (a, start + b, c)
-    raise InternalError("Light's test failed on an associative table")
+                x, z = divmod(int(diff.argmax()), size)
+                first, xs = (x0 + x, y, z), xs[:x]
+        if first:
+            return first
+    return None
 
 
 def cyclic_group(m: int, cap: int = GROUP_CAP) -> FiniteGroup:
@@ -599,12 +592,17 @@ class OrbitPartition:
 
 
 def orbits(group: FiniteGroup, action: ActionGroup) -> OrbitPartition:
+    """The orbits of action on group.  InputError when an element is not
+    in its own orbit, which happens only when action lacks the identity
+    (close_action always adds it)."""
     size = group.size
     orbit_of = [-1] * size
     orbit_lists = []
 
     def add_orbit(start):
         members = sorted({auto(start) for auto in action})
+        if start not in members:
+            raise InputError(f"element {start} is not in its own orbit: the action lacks the identity")
         idx = len(orbit_lists)
         for member in members:
             orbit_of[member] = idx
@@ -634,7 +632,8 @@ def coset_group(
     The counts are one numpy gather of the orbits of g0 * a(h0) over every
     (x, y, a), counted per (x, y).  check_representatives runs the same
     count for every g in each orbit x against every h, and names the
-    first pair that differs in (x, y, g, h) order.
+    first pair that differs in (x, y, g, h) order.  MultivaluedGroup
+    takes the int64 count array as it is.
     """
     part = orbits(group, action)
     count = len(part.orbits)
@@ -666,7 +665,6 @@ def coset_group(
                     "multiplicities depend on the representatives at "
                     f"orbits ({x}, {y}), pair ({orbit[i]}, {members[j]})"
                 )
-    table = table.tolist()
 
     star = tuple(part.orbit_of[group.inverse(rep)] for rep in reps)
     try:

@@ -40,9 +40,10 @@ _NUMPY_ORDER_THRESHOLD = 6
 # The prime of the rank certificate in _assoc_generators.
 _SPAN_PRIME = 2**26 - 5
 
-# _middle_associative_array and the associativity scan work on blocks of
-# at most this many entries per temporary (at least one x each), and
-# _int_array reads a document's array in blocks of about this many.
+# The associativity scan works on blocks of at most this many entries
+# per temporary (at least one x each), algebra's group checks on blocks
+# of at most this many table entries, and _int_array reads a document's
+# array in blocks of about this many.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -303,13 +304,15 @@ SYMMETRIC_STAR = "symmetric-star"
 SWAP_STAR = "swap-star"
 
 
-def _assoc_failures(g):
-    """All quadruples (x,y,z,t) where the two triple products disagree,
-    in lexicographic order.
+def _assoc_failures(g, ys=None):
+    """All quadruples (x,y,z,t) with y in ys where the two triple products
+    disagree, in lexicographic order.  ys must be ascending; None means
+    every element.
 
-    This full scan lists every witness.  verify_axioms runs it only when
-    _assoc_generators cannot prove the law, and it is the oracle the
-    proof is tested against.
+    Over every y this full scan lists every witness.  verify_axioms runs
+    it only when _assoc_generators cannot prove the law, and it is the
+    oracle the proof is tested against.  Over a generating set it is
+    that proof (Light's test, see _assoc_generators).
 
     A 1-valued table is a product map, and its witnesses are (x, y, z,
     (xy)z) wherever (xy)z != x(yz), read from one gather.  Otherwise the
@@ -323,38 +326,42 @@ def _assoc_failures(g):
     which is every partial sum of the classical product in whatever
     order and grouping BLAS (fused or not) adds them, is an integer at
     most n * sum_w m[x][y][w] = n**2.  The same bound holds for rhs, with
-    m[y][z][w] in place of m[x][y][w].  Every integer up to 2**53 is a
-    float64, so no step rounds.  Other tables at or below
+    m[y][z][w] in place of m[x][y][w], and for any ys.  Every integer up
+    to 2**53 is a float64, so no step rounds.  Other tables at or below
     _NUMPY_ORDER_THRESHOLD, or with o * n**2 >= 2**62, take plain loops.
     """
     o, n, t = g.order, g.n, g.table
+    ys = list(range(o) if ys is None else ys)
+    if not ys:
+        return []
     a = _int64_table(g)
     if n == 1:
         prod = (_np.array(t) if a is None else a).argmax(2)  # prod[x, y] = xy
-        left = prod[prod]  # (xy)z
-        right = prod[_np.arange(o)[:, None, None], prod[None]]  # x(yz)
+        left = prod[prod[:, ys]]  # (xy)z
+        right = prod[_np.arange(o)[:, None, None], prod[ys][None]]  # x(yz)
         diff = left != right
         x, y, z = _np.nonzero(diff)
-        return list(zip(x.tolist(), y.tolist(), z.tolist(), left[diff].tolist()))
+        return list(zip(x.tolist(), _np.take(ys, y).tolist(), z.tolist(), left[diff].tolist()))
 
     if a is not None:
         f = a.astype(_np.float64) if n * n < 2**53 else a
-        pairs = f.reshape(o * o, o)  # (x, y) -> w
         flat = f.reshape(o, o * o)  # w -> (z, t)
-        block = max(1, _BLOCK_ENTRIES // o**3)
+        middle = (f if len(ys) == o else f[ys]).reshape(-1, o)  # (y, z) -> w
+        block = max(1, _BLOCK_ENTRIES // (len(ys) * o * o))
         fails = []
         for x0 in range(0, o, block):
-            lhs = _np.matmul(pairs[x0 * o : (x0 + block) * o], flat).reshape(-1, o, o, o)
-            rhs = _np.matmul(pairs, f[x0 : x0 + block]).reshape(-1, o, o, o)
+            fx = f[x0 : x0 + block]
+            lhs = _np.matmul(fx[:, ys].reshape(-1, o), flat).reshape(-1, len(ys), o, o)
+            rhs = _np.matmul(middle, fx).reshape(-1, len(ys), o, o)
             x, y, z, tt = _np.nonzero(lhs != rhs)  # in lexicographic order
-            fails += zip((x + x0).tolist(), y.tolist(), z.tolist(), tt.tolist())
+            fails += zip((x + x0).tolist(), _np.take(ys, y).tolist(), z.tolist(), tt.tolist())
         return fails
 
     fails = []
     rng = range(o)
     for x in rng:
         tx = t[x]
-        for y in rng:
+        for y in ys:
             txy = tx[y]
             for z in rng:
                 for tt in rng:
@@ -381,9 +388,10 @@ def _assoc_generators(g):
     at most o.bit_length() of them.  The span is certified by rank o
     modulo _SPAN_PRIME; full rank mod a prime implies full rank over Q,
     and every vector computed is the reduction of a combination of
-    integer words, so the proof is exact.  Testing one a costs
-    2 * o**3 * s products, s the largest support of a row x*a or a*y,
-    against o**5 for the full scan.
+    integer words, so the proof is exact.  An a passes exactly when the
+    full scan finds no witness with y = a, so S is tested as
+    _assoc_failures(g, S): about 2 * o**4 multiply-adds per generator,
+    against 2 * o**5 for the full scan.
 
     Returns S, or None when no such S exists within the bound or some a
     in S fails; the caller then runs the full scan.
@@ -392,11 +400,8 @@ def _assoc_generators(g):
     t = _int64_table(g)
     if t is not None and o * (_SPAN_PRIME - 1) ** 2 < 2**63:
         span = _ArraySpan(t, g.identity)
-        middle_associative = _middle_associative_array
     else:
-        t = g.table
-        span = _ListSpan(t, g.identity)
-        middle_associative = _middle_associative_lists
+        span = _ListSpan(g.table, g.identity)
     gens = []
     done = 0  # span.vectors[:done] have been multiplied by every generator
     while span.rank < o:
@@ -410,9 +415,7 @@ def _assoc_generators(g):
             for s in gens:
                 span.insert(span.times(span.vectors[done], s))
             done += 1
-    if all(middle_associative(t, a) for a in gens):
-        return tuple(gens)
-    return None
+    return None if _assoc_failures(g, sorted(gens)) else tuple(gens)
 
 
 class _ListSpan:
@@ -515,50 +518,6 @@ class _ArraySpan:
 
     def times(self, v, a):
         return v @ self.right[:, a, :] % _SPAN_PRIME
-
-
-def _middle_associative_lists(t, a):
-    """(x*a)*y == x*(a*y) as n^2-multisets for every x and y."""
-    o = len(t)
-    ta = t[a]
-    right = [[(w, c) for w, c in enumerate(ta[y]) if c] for y in range(o)]
-    for x in range(o):
-        tx = t[x]
-        left = [(w, c) for w, c in enumerate(tx[a]) if c]
-        for y in range(o):
-            lhs = [0] * o
-            for w, c in left:
-                lhs = [s + c * m for s, m in zip(lhs, t[w][y])]
-            rhs = [0] * o
-            for w, c in right[y]:
-                rhs = [s + c * m for s, m in zip(rhs, tx[w])]
-            if lhs != rhs:
-                return False
-    return True
-
-
-def _middle_associative_array(t, a):
-    """_middle_associative_lists on the int64 table, in blocks of x."""
-    o = t.shape[0]
-    left_at, left_coef = _row_supports(t[:, a, :])
-    right_at, right_coef = _row_supports(t[a])
-    block = max(1, _BLOCK_ENTRIES // (o * o))
-    for start in range(0, o, block):
-        xs = slice(start, start + block)
-        tx = t[xs]
-        lhs = sum(left_coef[xs, j, None, None] * t[left_at[xs, j]] for j in range(left_at.shape[1]))
-        rhs = sum(right_coef[None, :, j, None] * tx[:, right_at[:, j]] for j in range(right_at.shape[1]))
-        if not _np.array_equal(lhs, rhs):
-            return False
-    return True
-
-
-def _row_supports(m):
-    """Column indices of the nonzero entries of each row of m, and those
-    entries, padded to a common width with zero coefficients."""
-    width = max(1, int(_np.count_nonzero(m, axis=1).max()))
-    at = _np.argsort(m == 0, axis=1, kind="stable")[:, :width]
-    return at, _np.take_along_axis(m, at, axis=1)
 
 
 def verify_axioms(g: MultivaluedGroup) -> AxiomReport:

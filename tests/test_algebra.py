@@ -3,7 +3,7 @@ construction."""
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -317,6 +317,19 @@ def test_orbits_trivial_action():
     z5 = algebra.make_elementary_abelian(5, 1)
     part = algebra.orbits(z5, algebra.close_action(z5, []))
     assert part.orbits == ((0,), (1,), (2,), (3,), (4,))
+
+
+@pytest.mark.parametrize("multipliers", [(4, 2), (2,), (6, 3)])
+def test_orbits_reject_an_element_outside_its_own_orbit(multipliers):
+    # without the identity, 1 under (4, 2) has the orbit {2, 4}; the coset
+    # table used to read orbit -1 for it and fail validation
+    z7 = algebra.make_elementary_abelian(7, 1)
+    action = algebra.ActionGroup(tuple(algebra.Automorphism(tuple(u * x % 7 for x in range(7))) for u in multipliers))
+    message = r"^element 1 is not in its own orbit: the action lacks the identity$"
+    with pytest.raises(InputError, match=message):
+        algebra.orbits(z7, action)
+    with pytest.raises(InputError, match=message):
+        algebra.coset_group(z7, action)
 
 
 def test_orbits_klein_full_automorphisms():
@@ -729,6 +742,62 @@ def test_group_proof_agrees_with_brute_force(monkeypatch):
     assert sum(isinstance(o, str) and "inverse" in o for o in with_numpy) >= 3
     monkeypatch.setattr(algebra, "_BLOCK_ENTRIES", 7)  # blocks of one or a few rows
     assert [group_outcome(op) for op in cases] == with_numpy
+
+
+def brute_force_triple(op, ys):
+    """The first (x, y, z) with y in ys and (xy)z != x(yz), by a triple loop."""
+    r = range(len(op))
+    return next(((x, y, z) for x in r for y in ys for z in r if op[op[x][y]][z] != op[x][op[y][z]]), None)
+
+
+@pytest.mark.parametrize("block_entries", [1, 7, algebra._BLOCK_ENTRIES])
+def test_nonassociative_triple_matches_a_triple_loop(monkeypatch, block_entries):
+    # seeded random magmas and cyclic groups of sizes 1-8 and every magma
+    # of size 2, restricted to each single y, to every y and to none
+    monkeypatch.setattr(algebra, "_BLOCK_ENTRIES", block_entries)
+    rng = random.Random(19)
+    tables = [[[rng.randrange(size) for _ in range(size)] for _ in range(size)] for size in range(1, 9) for _ in range(3)]
+    tables += [[[a, b], [c, d]] for a, b, c, d in product(range(2), repeat=4)]
+    tables += [[[(x + y) % size for y in range(size)] for x in range(size)] for size in range(1, 9)]
+    outcomes = set()
+    for table in tables:
+        op = np.array(table, dtype=np.uint8)
+        for ys in [[y] for y in range(len(op))] + [list(range(len(op))), []]:
+            got = algebra._nonassociative_triple(op, ys)
+            assert got == brute_force_triple(table, ys), (table, ys)
+            assert got is None or all(type(i) is int for i in got)
+            outcomes.add((len(ys) == len(op), got is None))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_group_messages_are_unchanged():
+    # swaps inside one row off the identity; the witnesses were recorded
+    # from the middle test and first-triple scan this scan replaced
+    rng = random.Random(19)
+    outcomes = []
+    for group in small_group_tables():
+        op = [list(map(int, row)) for row in group.op]
+        for _ in range(40 if group.size > 2 else 0):
+            bad = [list(row) for row in op]
+            x, y, z = (rng.randrange(1, group.size) for _ in range(3))
+            bad[x][y], bad[x][z] = bad[x][z], bad[x][y]
+            outcomes.append(group_outcome(bad))
+            want = brute_force_group_error(bad)
+            assert outcomes[-1] == want or (want is None and isinstance(outcomes[-1], tuple))
+    messages = [o for o in outcomes if isinstance(o, str) and "associative" in o]
+    assert len(outcomes) == 160 and len(messages) == 112
+    assert [m.rpartition(" at ")[2] for m in messages[:12]] == [
+        "(1, 1, 4)", "(1, 6, 6)", "(1, 4, 3)", "(1, 4, 2)", "(1, 4, 1)", "(1, 3, 2)",
+        "(1, 7, 2)", "(1, 1, 1)", "(1, 6, 8)", "(1, 4, 9)", "(1, 2, 7)", "(1, 3, 9)",
+    ]
+    # Z2 times the order-5 loop with x*x = e: of its generators (1, 2, 4),
+    # 1 passes Light's test and 2 does not
+    loop5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    op = [[(i % 2 ^ j % 2) + 2 * loop5[i // 2][j // 2] for j in range(10)] for i in range(10)]
+    assert algebra._generating_set(np.array(op), 0) == (1, 2, 4)
+    assert group_outcome(op) == brute_force_group_error(op) == "multiplication table is not associative at (2, 2, 4)"
+    # the trivial group has no generators, so its proof scans no y
+    assert group_outcome([[0]]) == ()
 
 
 def test_automorphism_proof_agrees_with_brute_force(monkeypatch):

@@ -577,8 +577,8 @@ def large_valency_tables(rng):
     return cases
 
 
-def scan_with_dtypes(monkeypatch, g):
-    """_assoc_failures(g), and the dtypes of the numpy.matmul calls it made."""
+def scan_with_dtypes(monkeypatch, g, ys=None):
+    """_assoc_failures(g, ys), and the dtypes of the numpy.matmul calls it made."""
     dtypes = set()
     matmul = core._np.matmul
 
@@ -588,7 +588,7 @@ def scan_with_dtypes(monkeypatch, g):
 
     with monkeypatch.context() as patch:
         patch.setattr(core._np, "matmul", spy)
-        return core._assoc_failures(g), dtypes
+        return core._assoc_failures(g, ys), dtypes
 
 
 def test_full_scan_paths_agree_with_a_plain_oracle(monkeypatch):
@@ -651,6 +651,79 @@ def test_one_valued_scan_matches_a_triple_loop():
         assert all(type(i) is int for witness in got for i in witness), label
         seen.add((g.order > 6, want == []))
     assert seen == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def restricted_scan_tables():
+    """assoc_test_tables, large_valency_tables and two single-entry
+    mutations of each, from random.Random(19)."""
+    rng = random.Random(19)
+    cases = assoc_test_tables() + large_valency_tables(rng)
+    cases += [(f"{label} mutated {i}", single_entry_mutation(g, rng)) for label, g in list(cases) if g.order > 1 for i in range(2)]
+    return cases
+
+
+# _assoc_generators on restricted_scan_tables, as the per-generator middle
+# test that the restricted scan replaced gave it: (1,) on every table not
+# named here, except that the random tables and the mutations give None
+# unless they are named.
+_PINNED_GENERATORS = {
+    "Z1 trivial": (),
+    "GF(16) fifth powers": None,
+    "GF(64) ninth powers": None,
+    "GF(64) cube classes": (1, 2),
+    "type1 no y in x*x": (1, 2),
+    "S3": (1, 2),
+    "S4": (1, 2, 6),
+    **dict.fromkeys(
+        [
+            "Z7 units mutated 1", "Z37 units mutated 1", "Z41 units mutated 1", "Z53 units mutated 0",
+            "GF(8) units mutated 0", "GF(8) units mutated 1", "GF(16) units mutated 1",
+            "GF(64) units mutated 0", "GF(49) units mutated 1",
+        ],
+        (1,),
+    ),
+}
+
+
+def pinned_generators(label):
+    if label in _PINNED_GENERATORS:
+        return _PINNED_GENERATORS[label]
+    return None if "mutated" in label or label.startswith("random ") else (1,)
+
+
+def test_restricted_scan_is_the_full_scan_filtered(monkeypatch):
+    # _assoc_failures(g, ys) lists exactly the full scan's witnesses with y
+    # in ys, for each single y, the generator set, the odd elements and no
+    # y, on the gather, float64 and int64 paths, with one x per block, and
+    # on the plain loops
+    cases = restricted_scan_tables()
+    gens = {label: core._assoc_generators(g) for label, g in cases}
+    assert gens == {label: pinned_generators(label) for label, _ in cases}
+    full = {label: core._assoc_failures(g) for label, g in cases}
+    seen = set()
+    loops_from = max(g.order for _, g in cases if g.n > 1)
+    for block_entries, threshold in ((core._BLOCK_ENTRIES, 6), (1, 6), (core._BLOCK_ENTRIES, loops_from)):
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(core, "_NUMPY_ORDER_THRESHOLD", threshold)
+        for label, g in cases:
+            subsets = [[y] for y in range(g.order)] + [sorted(gens[label] or ()), list(range(1, g.order, 2)), []]
+            path = "gather" if g.n == 1 else "loops" if g.order <= threshold else "float64" if g.n**2 < 2**53 else "int64"
+            for ys in subsets:
+                got, dtypes = scan_with_dtypes(monkeypatch, g, ys)
+                assert got == [w for w in full[label] if w[1] in ys], (label, ys, block_entries, threshold)
+                assert all(type(i) is int for witness in got for i in witness), label
+                assert dtypes <= ({path} if path in ("float64", "int64") else set()), label
+                seen.add((path, len(ys) > 1, got != []))
+    assert {(path, many, found) for path in ("gather", "loops", "float64", "int64") for many in (True, False)
+            for found in (True, False)} <= seen
+
+
+def test_generator_proof_scans_every_generator():
+    # a mutation of a table whose greedy set is (1, 2): 1 passes Light's
+    # test and 2 does not, so the proof fails
+    g = single_entry_mutation(core.build_type1(4, 2, 1, 2), random.Random(12))
+    assert core._assoc_failures(g, [1]) == [] != core._assoc_failures(g, [2])
+    assert core._assoc_generators(g) is None
 
 
 def test_generator_proof_needs_the_identity_axiom():
