@@ -20,7 +20,6 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain
 from math import prod
 
 import numpy as _np
@@ -95,9 +94,12 @@ class MultivaluedGroup:
     first use: every thread that computes it computes the same report,
     so instances are safe to share between threads.  Element names are
     cosmetic (used for display and serialization) and, like the stored
-    report, do not take part in equality.  The table may be given as
-    nested lists or as an order**3 integer array; the stored table holds
-    Python ints either way.
+    report, do not take part in equality.  The table may be an order**3
+    integer array, checked in one array pass (_table_array), or nested
+    lists or tuples, checked by the entry loop (_table_rows); the stored
+    table holds Python ints either way.  Past _NUMPY_ORDER_THRESHOLD,
+    while o * n**2 < 2**62, the group also keeps one read-only int64
+    array of it, and the checks take the array path exactly when it is set.
     """
 
     __slots__ = ("order", "n", "identity", "star", "table", "names", "_array", "_report")
@@ -112,14 +114,18 @@ class MultivaluedGroup:
             raise InputError(f"identity index {identity!r} out of range for order {order}")
 
         array = None
-        if order > _NUMPY_ORDER_THRESHOLD and order * n * n < 2**62:
-            array = _table_array(table, order, n)
         if isinstance(table, _np.ndarray):
+            array = _table_array(table, order, n)
             table = table.tolist()  # rows and messages hold Python ints
-        if array is not None:
-            rows = [tuple(map(tuple, plane)) for plane in table]
-        else:
+        if array is None:
             rows = _table_rows(table, order, n)
+        else:
+            rows = [tuple(map(tuple, plane)) for plane in table]
+        if order <= _NUMPY_ORDER_THRESHOLD or order * n * n >= 2**62:
+            array = None
+        elif array is None:
+            array = _np.array(rows, dtype=_np.int64)
+            array.flags.writeable = False
 
         star = tuple(star)
         if any(isinstance(s, bool) or not isinstance(s, int) for s in star):
@@ -178,31 +184,16 @@ class MultivaluedGroup:
 
 
 def _table_array(table, order, n):
-    """The table as a read-only int64 array, when it is order lists (or
-    tuples) of order lists of order ints (bool is not an int here), or an
-    order**3 integer array, all nonnegative, with every row summing to n;
-    else None.  List types are checked before the conversion, which would
-    coerce True and 1.0.  The caller keeps o * n**2 < 2**62, so that no
-    row sum overflows."""
-    if isinstance(table, _np.ndarray):
-        if table.shape != (order,) * 3 or table.dtype.kind not in "iu" or table.min() < 0 or table.max() > n:
-            return None
-        array = table.astype(_np.int64)
-    else:
-        if not all(type(plane) in (list, tuple) and len(plane) == order for plane in table):
-            return None
-        rows = list(chain.from_iterable(table))
-        if not all(type(row) in (list, tuple) and len(row) == order for row in rows):
-            return None
-        if set(map(type, chain.from_iterable(rows))) != {int}:
-            return None
-        try:
-            flat = _np.fromiter(chain.from_iterable(rows), _np.int64, order**3)
-        except OverflowError:  # beyond int64, so above n
-            return None
-        if flat.min() < 0 or flat.max() > n:
-            return None
-        array = flat.reshape(order, order, order)
+    """The integer array table as a read-only int64 copy, checked in one
+    array pass: shape order**3, every entry nonnegative and every row
+    summing to n; else None, and the entry loop names the error.  The
+    int64 row sums are exact while o * n < 2**63; past that the array is
+    refused too, and the entry loop decides."""
+    if table.shape != (order,) * 3 or table.dtype.kind not in "iu" or order * n >= 2**63:
+        return None
+    if table.min() < 0 or table.max() > n:
+        return None
+    array = table.astype(_np.int64)
     if (array.sum(axis=2) != n).any():
         return None
     array.flags.writeable = False
@@ -234,19 +225,6 @@ def _table_rows(table, order, n):
             plane_rows.append(tuple(row))
         rows.append(tuple(plane_rows))
     return rows
-
-
-def _int64_table(g):
-    """g's table as int64 when the checks take the array path, else None.
-
-    That path runs past _NUMPY_ORDER_THRESHOLD while o * n**2 < 2**62,
-    so that int64 sums of products stay exact; the table is converted
-    once, when g is built."""
-    if g.order <= _NUMPY_ORDER_THRESHOLD or g.order * g.n * g.n >= 2**62:
-        return None
-    if g._array is None:
-        return _np.array(g.table, dtype=_np.int64)
-    return g._array
 
 
 @dataclass
@@ -327,14 +305,14 @@ def _assoc_failures(g, ys=None):
     order and grouping BLAS (fused or not) adds them, is an integer at
     most n * sum_w m[x][y][w] = n**2.  The same bound holds for rhs, with
     m[y][z][w] in place of m[x][y][w], and for any ys.  Every integer up
-    to 2**53 is a float64, so no step rounds.  Other tables at or below
-    _NUMPY_ORDER_THRESHOLD, or with o * n**2 >= 2**62, take plain loops.
+    to 2**53 is a float64, so no step rounds.  Tables that keep no int64
+    array (see MultivaluedGroup) take plain loops.
     """
     o, n, t = g.order, g.n, g.table
     ys = list(range(o) if ys is None else ys)
     if not ys:
         return []
-    a = _int64_table(g)
+    a = g._array
     if n == 1:
         prod = (_np.array(t) if a is None else a).argmax(2)  # prod[x, y] = xy
         left = prod[prod[:, ys]]  # (xy)z
@@ -397,7 +375,7 @@ def _assoc_generators(g):
     in S fails; the caller then runs the full scan.
     """
     o = g.order
-    t = _int64_table(g)
+    t = g._array
     if t is not None and o * (_SPAN_PRIME - 1) ** 2 < 2**63:
         span = _ArraySpan(t, g.identity)
     else:
@@ -571,7 +549,7 @@ def verify_involutive(g: MultivaluedGroup) -> AxiomReport:
     (c) star is an anti-automorphism: m[x][y][z] equals
         m[star(y)][star(x)][star(z)] for every triple.
     """
-    array = _int64_table(g)
+    array = g._array
     if array is not None:
         fails = _involutive_failures_array(array, g.identity, g.star)
         return AxiomReport(involutive=not fails, counterexamples=fails)
@@ -618,7 +596,7 @@ def check_reciprocity(g: MultivaluedGroup) -> bool:
     """
     if not validate(g).involutive:
         raise InputError("reciprocity is only defined for involutive groups")
-    array = _int64_table(g)
+    array = g._array
     if array is not None:
         star = _np.array(g.star)
         diag = array[_np.arange(g.order), star, g.identity]

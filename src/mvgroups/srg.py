@@ -89,6 +89,7 @@ class Graph(_BitRows):
         return self.rows[u].bit_count()
 
     def edges(self):
+        """Each edge once, as (u, w) with u < w, in ascending order."""
         for u, row in enumerate(self.rows):
             yield from zip(repeat(u), _set_bits(row, u + 1))
 
@@ -127,6 +128,7 @@ class DirectedGraph(_BitRows):
         return True
 
     def arcs(self):
+        """Every arc (u, w), in ascending order."""
         for u, row in enumerate(self.rows):
             yield from zip(repeat(u), _set_bits(row))
 
@@ -862,10 +864,10 @@ def graph_to_json_dict(graph) -> dict:
         return {
             "format": GRAPH_FORMAT,
             "v": graph.v,
-            "edges": sorted(graph.arcs()),
+            "edges": list(graph.arcs()),
             "directed": True,
         }
-    return {"format": GRAPH_FORMAT, "v": graph.v, "edges": sorted(graph.edges())}
+    return {"format": GRAPH_FORMAT, "v": graph.v, "edges": list(graph.edges())}
 
 
 def graph_dumps(graph) -> str:

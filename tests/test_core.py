@@ -443,10 +443,18 @@ def test_assoc_paths_agree_on_larger_tables(monkeypatch):
     fast = core._assoc_failures(g)
     fast_fails = core._assoc_failures(broken)
     monkeypatch.setattr(core, "_NUMPY_ORDER_THRESHOLD", g.order)
-    slow = core._assoc_failures(g)
-    slow_fails = core._assoc_failures(broken)
+    g_loops, broken_loops = rebuilt(g), rebuilt(broken)
+    assert g._array is not None and g_loops._array is None and broken_loops._array is None
+    slow = core._assoc_failures(g_loops)
+    slow_fails = core._assoc_failures(broken_loops)
     assert fast == slow == []
     assert slow_fails == fast_fails != []
+
+
+def rebuilt(g):
+    """g built again from its table, so that the current
+    _NUMPY_ORDER_THRESHOLD decides whether it keeps an int64 array."""
+    return core.MultivaluedGroup(g.n, g.identity, g.star, g.table, names=g.names)
 
 
 def permutation_group_table(degree):
@@ -535,6 +543,8 @@ def test_generator_proof_agrees_with_full_scan(monkeypatch):
     monkeypatch.setattr(core, "_NUMPY_ORDER_THRESHOLD", max(g.order for _, g in cases))
     for label, g in cases:
         if g.order <= 12 or with_numpy[label][1] is not None:
+            g = rebuilt(g)
+            assert g._array is None, label
             assert assoc_outcome(g) == with_numpy[label], label
 
 
@@ -605,6 +615,7 @@ def test_full_scan_paths_agree_with_a_plain_oracle(monkeypatch):
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
         monkeypatch.setattr(core, "_NUMPY_ORDER_THRESHOLD", threshold)
         for label, g in cases:
+            g = rebuilt(g)
             got, dtypes = scan_with_dtypes(monkeypatch, g)
             assert got == want[label], (label, block_entries, threshold)
             assert all(type(i) is int for witness in got for i in witness), label
@@ -706,6 +717,7 @@ def test_restricted_scan_is_the_full_scan_filtered(monkeypatch):
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
         monkeypatch.setattr(core, "_NUMPY_ORDER_THRESHOLD", threshold)
         for label, g in cases:
+            g = rebuilt(g)
             subsets = [[y] for y in range(g.order)] + [sorted(gens[label] or ()), list(range(1, g.order, 2)), []]
             path = "gather" if g.n == 1 else "loops" if g.order <= threshold else "float64" if g.n**2 < 2**53 else "int64"
             for ys in subsets:
@@ -994,8 +1006,9 @@ def test_array_involution_and_reciprocity_match_the_loops(monkeypatch, path):
     cases = involution_test_tables()
     if path == "lists":
         monkeypatch.setattr(core, "_NUMPY_ORDER_THRESHOLD", max(g.order for _, g in cases))
+        cases = [(label, rebuilt(g)) for label, g in cases]
     large = [g for _, g in cases if g.order > 6]
-    assert large and all((core._int64_table(g) is not None) == (path == "array") for g in large)
+    assert large and all((g._array is not None) == (path == "array") for g in large)
     moved = moved_diagonal(multiplier_coset(29, 4))
     outcomes = set()
     for label, g in cases + [("Z29 order-4 multipliers, diagonal moved", moved)]:
@@ -1080,14 +1093,18 @@ def test_int_subclass_tables_take_the_entry_loop_and_keep_the_array_path():
     g = multiplier_coset(29, 4)
     table = [[[Count(m) for m in row] for row in plane] for plane in g.table]
     h = core.MultivaluedGroup(g.n, g.identity, g.star, table)
-    assert h == g and h._array is None
-    assert core._int64_table(h).tolist() == core._int64_table(g).tolist()
+    assert h == g and h._array is not None and not h._array.flags.writeable
+    assert h._array.dtype == np.int64 and np.array_equal(h._array, g._array)
     assert core.verify_all(h) == core.verify_all(g)
 
 
 def _coset8():
     # Z29 under the order-4 multipliers: order 8, n = 4, past the threshold
     return multiplier_coset(29, 4)
+
+
+def _z4():
+    return one_valued(range(4), lambda a, b: (a + b) % 4)
 
 
 def _with(array, index, value):
@@ -1112,9 +1129,11 @@ def _with(array, index, value):
         (lambda: multiplier_coset(31, 1), lambda t: t.astype(bool)),
         (lambda: core.build_xk(1), lambda t: _with(t, (1, 2, 0), -1)),
         (lambda: core.scale(_coset8(), 2**31), lambda t: _with(t, (6, 0, 0), t[6, 0, 0] + 1)),
+        # three entries of n = 2**63 - 1 and a 2 sum to n + 2**64, which int64 sums wrap to n
+        (lambda: core.scale(_z4(), 2**63 - 1), lambda t: _with(t, (1, 2), [2**63 - 1] * 3 + [2])),
     ],
     ids=["negative", "past n", "int64 max", "past int64 unsigned", "row sum", "wide", "flat", "deep", "short block",
-         "float", "bool", "order 3", "o*n*n past 2**62"],
+         "float", "bool", "order 3", "o*n*n past 2**62", "row sum wraps in int64"],
 )
 def test_array_tables_fail_as_their_lists(group, edit):
     g = group()
@@ -1140,7 +1159,82 @@ def test_array_tables_build_the_list_group(group, dtype):
     assert {type(m) for plane in h.table for row in plane for m in row} == {int}
     assert core.dumps(h) == core.dumps(g)
     assert all(repr(h.product(x, y)) == repr(g.product(x, y)) for x in range(g.order) for y in range(g.order))
-    assert (core._int64_table(h) is None) == (core._int64_table(g) is None)
-    if core._int64_table(g) is not None:
-        assert core._int64_table(h).tolist() == core._int64_table(g).tolist()
+    assert (h._array is None) == (g._array is None)
+    if g._array is not None:
+        assert h._array.tolist() == g._array.tolist()
     assert core.verify_all(h) == core.verify_all(g)
+
+
+def spy_on(monkeypatch, name):
+    """The list of calls to core.<name>, which still runs as before."""
+    calls = []
+    real = getattr(core, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, name, spy)
+    return calls
+
+
+_PATH_GROUPS = pytest.mark.parametrize(
+    "group, keeps_array",
+    [(lambda: core.build_xk(1), False), (_coset8, True), (lambda: core.scale(_coset8(), 2**31), False)],
+    ids=["order 3", "order 8", "o*n*n past 2**62"],
+)
+
+
+@_PATH_GROUPS
+def test_valid_array_tables_are_checked_by_the_array_pass_alone(monkeypatch, group, keeps_array):
+    g = group()
+    assert keeps_array == (g.order > core._NUMPY_ORDER_THRESHOLD and g.order * g.n**2 < 2**62)
+    array = np.array(g.table, dtype=np.int64)
+    passes, loops = spy_on(monkeypatch, "_table_array"), spy_on(monkeypatch, "_table_rows")
+    h = core.MultivaluedGroup(g.n, g.identity, g.star, array)
+    assert (len(passes), len(loops)) == (1, 0)
+    assert h == g and (h._array is not None) == keeps_array
+
+
+@pytest.mark.parametrize(
+    "group, edit",
+    [
+        (_coset8, lambda t: _with(t, (1, 2, 0), -1)),
+        (lambda: core.build_xk(1), lambda t: _with(t, (2, 1, 0), t[2, 1, 0] + 1)),
+        (lambda: core.scale(_coset8(), 2**31), lambda t: t.astype(float)),
+    ],
+    ids=["order 8", "order 3", "o*n*n past 2**62"],
+)
+def test_refused_array_tables_run_the_entry_loop_once(monkeypatch, group, edit):
+    g = group()
+    array = edit(np.array(g.table, dtype=np.int64))
+    passes, loops = spy_on(monkeypatch, "_table_array"), spy_on(monkeypatch, "_table_rows")
+    with pytest.raises(InputError):
+        core.MultivaluedGroup(g.n, g.identity, g.star, array)
+    assert (len(passes), len(loops)) == (1, 1)
+
+
+@_PATH_GROUPS
+def test_list_tables_are_checked_by_the_entry_loop_alone(monkeypatch, group, keeps_array):
+    g = group()
+    table = [[list(row) for row in plane] for plane in g.table]
+    passes, loops = spy_on(monkeypatch, "_table_array"), spy_on(monkeypatch, "_table_rows")
+    h = core.MultivaluedGroup(g.n, g.identity, g.star, table)
+    assert (len(passes), len(loops)) == (0, 1)
+    assert h == g and (h._array is not None) == keeps_array
+    if keeps_array:
+        assert not h._array.flags.writeable and np.array_equal(h._array, np.array(table))
+
+
+def test_order3_builders_stay_on_the_plain_loops(monkeypatch):
+    passes = spy_on(monkeypatch, "_table_array")
+    groups = [
+        core.build_type1(6, 2, 1, 0),
+        core.build_type1(4, 2, 1, 2),
+        core.build_type2(3, 1),
+        core.build_xk(2),
+        srg.mvgroup_from_params(srg.SrgParams(10, 3, 0, 1)),
+        srg.mvgroup_from_params(srg.SrgParams(13, 6, 2, 3)),
+    ]
+    assert passes == []
+    assert all(g.order == 3 and g._array is None for g in groups)

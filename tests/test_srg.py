@@ -386,6 +386,40 @@ def test_edges_and_arcs_list_every_pair_in_order(graph):
         assert list(graph.edges()) == [(u, w) for u, w in pairs if u < w and graph.has_edge(u, w)]
 
 
+def _relabelled(graph, seed):
+    perm = list(range(graph.v))
+    random.Random(seed).shuffle(perm)
+    return srg.Graph(graph.v, [(perm[u], perm[w]) for u, w in graph.edges()])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: srg.paley_graph(algebra.make_field(13, 1)),
+        lambda: srg.clique_union(3, 1, 2),
+        lambda: srg.grid_graph(5),
+        lambda: srg.vanlint_schrijver(2, 3, 4),
+        lambda: srg.affine_polar(3, 2, -1),
+        lambda: srg.affine_polar_plus_complement(2),
+        lambda: srg.bilinear_forms_graph(2, 3),
+        lambda: srg.alternating_forms_graph(2),
+        lambda: _relabelled(srg.affine_polar(2, 3, -1), 20),
+        lambda: srg.complement(srg.grid_graph(5)),
+        lambda: srg.paley_tournament(algebra.make_field(11, 1)),
+    ],
+    ids=["paley", "cliques", "grid", "vls", "polar", "polar-plus-comp", "bilinear", "alternating", "relabelled",
+         "complement", "tournament"],
+)
+def test_graph_dumps_lists_the_sorted_pairs(build):
+    graph = build()
+    if isinstance(graph, srg.DirectedGraph):
+        want = {"format": "graph-v1", "v": graph.v, "edges": sorted(graph.arcs()), "directed": True}
+    else:
+        want = {"format": "graph-v1", "v": graph.v, "edges": sorted(graph.edges())}
+    assert want["edges"]
+    assert srg.graph_dumps(graph) == json.dumps(want) + "\n"
+
+
 def test_graph_edge_list_reader():
     graph = srg.graph_from_edge_list("# pentagon\nv 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
     assert srg.srg_check(graph).as_tuple() == (5, 2, 0, 1)
