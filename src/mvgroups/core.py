@@ -20,6 +20,7 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 from math import prod
 
 import numpy as _np
@@ -857,7 +858,8 @@ def printable(value) -> str:
     return str(value)
 
 
-def to_json_dict(g: MultivaluedGroup) -> dict:
+def _json_header(g: MultivaluedGroup) -> dict:
+    """The mvg-v1 fields of g that come before its table."""
     # Every entry is at most n, so n is the longest integer to print.
     if _past_digit_limit(g.n):
         limit = sys.get_int_max_str_digits()
@@ -868,12 +870,39 @@ def to_json_dict(g: MultivaluedGroup) -> dict:
         "elements": list(g.names),
         "identity": g.identity,
         "star": list(g.star),
-        "table": [[list(row) for row in plane] for plane in g.table],
     }
 
 
+def to_json_dict(g: MultivaluedGroup) -> dict:
+    data = _json_header(g)
+    data["table"] = [[list(row) for row in plane] for plane in g.table]
+    return data
+
+
 def dumps(g: MultivaluedGroup) -> str:
-    return json.dumps(to_json_dict(g), indent=2) + "\n"
+    """json.dumps(to_json_dict(g), indent=2) + "\\n", byte for byte,
+    without running json's pure-Python encoder over the table.  The
+    header goes through json, so names are escaped as json escapes them.
+    The table holds only integers: each distinct entry is printed once
+    with int.__repr__, as json prints an int or an int subclass, and the
+    rows are joined with indent=2's fixed separators."""
+    header = json.dumps(_json_header(g), indent=2)
+    entries = set(chain.from_iterable(chain.from_iterable(g.table)))
+    text = dict(zip(entries, map(int.__repr__, entries))).__getitem__
+    planes = [
+        "\n      ],\n      [\n        ".join([",\n        ".join(map(text, row)) for row in plane])
+        for plane in g.table
+    ]
+    # header[:-2] drops the header's closing "\n}"; one join holds no
+    # intermediate copy of the table's text
+    return "".join(
+        (
+            header[:-2],
+            ',\n  "table": [\n    [\n      [\n        ',
+            "\n      ]\n    ],\n    [\n      [\n        ".join(planes),
+            "\n      ]\n    ]\n  ]\n}\n",
+        )
+    )
 
 
 def from_json_dict(data) -> MultivaluedGroup:

@@ -266,6 +266,18 @@ def test_build_graph_and_complement(capsys, tmp_path):
     assert json.loads(out2)["v"] == 9
 
 
+@pytest.mark.parametrize(
+    "text, v",
+    [('{"format": "graph-v1", "v": 1, "edges": []}', 1), ("v 2\n0 1\n", 2)],
+    ids=["K1", "K2"],
+)
+def test_complement_of_a_complete_graph_has_no_edges(capsys, tmp_path, text, v):
+    path = tmp_path / "complete.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "build", "graph", "complement", str(path))
+    assert (code, out, err) == (0, f'{{"format": "graph-v1", "v": {v}, "edges": []}}\n', "")
+
+
 def test_build_graph_edge_list_input(capsys, tmp_path):
     path = tmp_path / "pent.txt"
     path.write_text("v 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
@@ -872,6 +884,12 @@ def test_json_nested_past_the_recursion_limit_is_exit_3(capsys, tmp_path, argv):
 
 
 _BIG_CLIQUES = [(10**2000 + 1) * (10**2200 + 3), 10**2000, 10**2000 - 1, 0]  # v has 4201 digits
+_DIGIT_LIMIT = "the valency n has more than 4300 digits, past the integer printing limit"
+_PAST_THE_DIGIT_LIMIT = [
+    # under a raised cap the group is built, but n = lcm(k, v - k - 1) is too long to print
+    ["build", "srg", *map(str, _BIG_CLIQUES), "--cap", str(10**4299)],
+    ["build", "xk", str(9 * 10**4299)],
+]
 
 
 @pytest.mark.parametrize(
@@ -882,15 +900,7 @@ _BIG_CLIQUES = [(10**2000 + 1) * (10**2200 + 3), 10**2000, 10**2000 - 1, 0]  # v
             ["build", "srg", *map(str, _BIG_CLIQUES)],
             f"v = {_BIG_CLIQUES[0]} exceeds the cap {classify.CLASSIFY_CAP}",
         ),
-        # under a raised cap the group is built, but n = lcm(k, v - k - 1) is too long to print
-        (
-            ["build", "srg", *map(str, _BIG_CLIQUES), "--cap", str(10**4299)],
-            "the valency n has more than 4300 digits, past the integer printing limit",
-        ),
-        (
-            ["build", "xk", str(9 * 10**4299)],
-            "the valency n has more than 4300 digits, past the integer printing limit",
-        ),
+        *[(argv, _DIGIT_LIMIT) for argv in _PAST_THE_DIGIT_LIMIT],
     ],
     ids=["srg-cap-flag", "srg-default-cap", "srg-raised-cap", "xk"],
 )
@@ -898,6 +908,16 @@ def test_build_output_past_a_cap_or_the_digit_limit_is_exit_4(capsys, argv, err)
     code, out, stderr = run_cli(capsys, *argv)
     assert code == 4 and out == ""
     assert stderr == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("argv", _PAST_THE_DIGIT_LIMIT, ids=["srg-raised-cap", "xk"])
+def test_build_past_the_digit_limit_leaves_the_output_file_as_it_was(capsys, tmp_path, argv):
+    path = tmp_path / "out.json"
+    path.write_text("old contents\n")
+    code, out, stderr = run_cli(capsys, *argv, "-o", str(path))
+    assert (code, out) == (4, "")
+    assert stderr == f"error: {_DIGIT_LIMIT}\n"
+    assert path.read_text() == "old contents\n"
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from mvgroups import algebra, classify, cli, core, srg
 from mvgroups.errors import AxiomError, InputError
@@ -405,6 +407,75 @@ def test_json_round_trip(petersen_group):
     back = core.loads(text)
     assert back == petersen_group
     assert back.names == petersen_group.names
+
+
+class Repr(int):
+    """An entry whose str and repr are not int's; json prints it with
+    int.__repr__."""
+
+    def __str__(self):
+        return "str"
+
+    def __repr__(self):
+        return "repr"
+
+
+def with_entries(g, wrap):
+    return core.MultivaluedGroup(
+        g.n, g.identity, g.star, [[list(map(wrap, row)) for row in plane] for plane in g.table], names=g.names
+    )
+
+
+def assert_dumps_is_the_json_encoding(g):
+    assert core.dumps(g) == json.dumps(core.to_json_dict(g), indent=2) + "\n"
+
+
+def test_dumps_is_the_json_encoding():
+    # the order-8 group also keeps an int64 array; its table keeps the subclass
+    wrapped = [with_entries(core.build_xk(2), Repr), with_entries(multiplier_coset(29, 4), Repr)]
+    assert all(type(g.table[0][0][0]) is Repr for g in wrapped) and wrapped[1]._array is not None
+    cases = wrapped + [
+        core.MultivaluedGroup(1, 0, [0], [[[1]]]),
+        core.MultivaluedGroup(5, 0, [0], [[[5]]], names=["only"]),
+        core.build_type2(1, 0),
+        core.MultivaluedGroup(1, 0, (0, 2, 1), cyclic3_table()),
+        core.scale(core.build_type2(7, 3), 2**40),
+        core.MultivaluedGroup(
+            1, 0, (0, 2, 1), cyclic3_table(),
+            names=['quote " mark', "back\\slash", "new\nline\u00e9\u7fa4\U0001f600"],
+        ),
+        multiplier_coset(251, 10),
+        multiplier_coset(521, 20),
+    ]
+    for g in cases + [g for _, g in assoc_test_tables()]:
+        assert_dumps_is_the_json_encoding(g)
+
+
+@st.composite
+def mvg_tables(draw):
+    """A table of order 1-7 with every row summing to n, a star that is
+    an involution fixing the identity, and any names; the axioms need
+    not hold."""
+    order = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 3) | st.integers(1, 10**30))
+    identity = draw(st.integers(0, order - 1))
+    others = draw(st.permutations([x for x in range(order) if x != identity]))
+    star = list(range(order))
+    for i in range(draw(st.integers(0, len(others) // 2))):
+        a, b = others[2 * i], others[2 * i + 1]
+        star[a], star[b] = b, a
+    cuts = st.lists(st.integers(0, n), min_size=order - 1, max_size=order - 1)
+    rows = cuts.map(lambda c: [0, *sorted(c), n]).map(lambda c: [hi - lo for lo, hi in zip(c, c[1:])])
+    table = [[draw(rows) for _ in range(order)] for _ in range(order)]
+    names = draw(st.lists(st.text(max_size=4), min_size=order, max_size=order))
+    return core.MultivaluedGroup(n, identity, star, table, names=names)
+
+
+@seed(21)
+@settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(g=mvg_tables())
+def test_dumps_is_the_json_encoding_on_random_tables(g):
+    assert_dumps_is_the_json_encoding(g)
 
 
 def test_json_rejects_bad_row_sum(petersen_group):

@@ -8,6 +8,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from mvgroups import algebra, core, srg
 from mvgroups.errors import CapError, InputError, InternalError
@@ -418,6 +420,59 @@ def test_graph_dumps_lists_the_sorted_pairs(build):
         want = {"format": "graph-v1", "v": graph.v, "edges": sorted(graph.edges())}
     assert want["edges"]
     assert srg.graph_dumps(graph) == json.dumps(want) + "\n"
+
+
+def assert_graph_dumps_is_the_json_encoding(graph):
+    assert srg.graph_dumps(graph) == json.dumps(srg.graph_to_json_dict(graph)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "graph, text",
+    [
+        (srg.Graph(1), '{"format": "graph-v1", "v": 1, "edges": []}\n'),
+        (srg.Graph(6), '{"format": "graph-v1", "v": 6, "edges": []}\n'),
+        (srg.DirectedGraph(1), '{"format": "graph-v1", "v": 1, "edges": [], "directed": true}\n'),
+        (srg.Graph(4, [(1, 2), (2, 3)]), '{"format": "graph-v1", "v": 4, "edges": [[1, 2], [2, 3]]}\n'),
+        (srg.Graph(4, [(0, 1), (1, 2)]), '{"format": "graph-v1", "v": 4, "edges": [[0, 1], [1, 2]]}\n'),
+        (srg.Graph(5, [(0, 1), (3, 4)]), '{"format": "graph-v1", "v": 5, "edges": [[0, 1], [3, 4]]}\n'),
+        (
+            srg.DirectedGraph(4, [(3, 0), (0, 3), (3, 1)]),
+            '{"format": "graph-v1", "v": 4, "edges": [[0, 3], [3, 0], [3, 1]], "directed": true}\n',
+        ),
+    ],
+    ids=["K1", "six isolated", "directed K1", "isolated first", "isolated last", "isolated middle", "arcs"],
+)
+def test_graph_dumps_of_edgeless_rows(graph, text):
+    assert srg.graph_dumps(graph) == text
+    assert_graph_dumps_is_the_json_encoding(graph)
+
+
+def test_graph_dumps_of_a_wide_graph():
+    # four-digit labels, isolated vertices at both ends and one dense row
+    v = 1200
+    edges = [(u, w) for u in range(5, v - 5) for w in [5 + (u * 7 + 3) % (v - 10)] if u != w]
+    edges += [(17, w) for w in range(5, v - 5) if w != 17]
+    graph = srg.Graph(v, edges)
+    assert graph.degree(0) == graph.degree(v - 1) == 0 and graph.degree(17) == v - 11
+    assert_graph_dumps_is_the_json_encoding(graph)
+    assert_graph_dumps_is_the_json_encoding(srg.DirectedGraph(v, edges))
+
+
+@st.composite
+def random_graphs(draw):
+    v = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, v - 1), st.integers(0, v - 1)), max_size=3 * v))
+    pairs = [(u, w) for u, w in pairs if u != w]
+    if draw(st.booleans()):
+        return srg.DirectedGraph(v, list(set(pairs)))
+    return srg.Graph(v, list({(min(p), max(p)) for p in pairs}))
+
+
+@seed(21)
+@settings(max_examples=200, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=random_graphs())
+def test_graph_dumps_is_the_json_encoding_on_random_graphs(graph):
+    assert_graph_dumps_is_the_json_encoding(graph)
 
 
 def test_graph_edge_list_reader():
