@@ -109,6 +109,8 @@ class MultivaluedGroup:
         order = len(table)
         if order < 1:
             raise InputError("a multivalued group needs at least one element")
+        if isinstance(n, bool) or isinstance(identity, bool):  # ints, but dumps would write true
+            raise InputError('"n" and "identity" must be integers')
         if not isinstance(n, int) or n < 1:
             raise InputError(f"valency must be a positive integer, got {n!r}")
         if not isinstance(identity, int) or not 0 <= identity < order:
@@ -936,7 +938,6 @@ _CLASSES = bytes.maketrans(b"1234567890-,[]", bytes([0] * 9 + [1, 2, 3, 4, 5]))
 # between them.
 _TOKEN_BYTES = bytes.maketrans(b"0123456789-" + _JSON_WS, b"a" * 11 + b" " * 4)
 _SPLIT_TOKEN = re.compile(rb"a  *a")
-_LONG_TOKEN = b"a" * 19
 # In the text that _read_document decodes, the array's place holds the
 # one -Infinity, which _MARKED reads as _MARK; NaN and Infinity read as
 # the objects json.loads gives.
@@ -982,12 +983,19 @@ def _int_array(text: str, pos: int):
     row; its end is the last "]" before the next quote or brace.  Between
     them the text is read in blocks of about _BLOCK_ENTRIES integers,
     each cut after a comma.  A block is checked before numpy converts it:
-    ASCII only, no token split by whitespace or longer than 18
-    characters, its brackets and commas where the shape puts them, and
-    every three consecutive bytes allowed by _ARRAY_TRIGRAMS.  So numpy,
-    which would read '01', '+1' or '1 2' and saturate past int64, only
-    sees integers that it converts exactly, each where json.loads puts
-    it.  A first element that is not JSON, or a block that is not ASCII,
+    ASCII only, no token split by whitespace, its brackets and commas
+    where the shape puts them, and every three consecutive bytes allowed
+    by _ARRAY_TRIGRAMS.  So numpy, which would read '01', '+1' or '1 2',
+    only sees JSON integers, each where json.loads puts it.
+
+    The length of a token is checked on its value.  A token has no
+    leading zero, so it has at most 18 characters exactly when its value
+    lies in (-10**17, 10**18): 18 digits, or a minus and 17.  A longer
+    token that fits int64 converts exactly and lies outside; one past
+    int64 comes back saturated, as 2**63 - 1 or -2**63, outside too
+    (numpy even reads -99999999999999999999 as 2**63 - 1).  So a block
+    with a value outside is declined, and every value kept is exact.
+    A first element that is not JSON, or a block that is not ASCII,
     raises a ValueError."""
     first, first_end = _MARKED.raw_decode(text, _skip_ws(text, pos + 1).end())
     shape, leaf = [], first
@@ -1014,9 +1022,8 @@ def _int_array(text: str, pos: int):
     while at < end:
         cut = text.find(",", at + span, end) + 1 or end
         raw = text[at:cut].encode("ascii")
-        tokens = raw.translate(_TOKEN_BYTES)
         compact = raw.translate(None, _JSON_WS)
-        if _LONG_TOKEN in tokens or (len(compact) < len(raw) and _SPLIT_TOKEN.search(tokens)):
+        if len(compact) < len(raw) and _SPLIT_TOKEN.search(raw.translate(_TOKEN_BYTES)):
             return None
         # The array's brackets and commas are "[" + tile * rows, with the
         # last comma a "]"; its text starts at a "[" and ends at a "]".
@@ -1035,6 +1042,8 @@ def _int_array(text: str, pos: int):
         if codes.tobytes().translate(None, _ARRAY_TRIGRAMS):
             return None
         values = _np.fromstring(compact.translate(None, b"[]").rstrip(b","), dtype=_np.int64, sep=",")
+        if values.max(initial=0) >= 10**18 or values.min(initial=0) <= -(10**17):  # a token past 18 characters
+            return None
         out[filled : filled + values.size] = values
         filled += values.size
         seen += len(skeleton)

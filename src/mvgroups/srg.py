@@ -76,9 +76,7 @@ class Graph(_BitRows):
     __slots__ = ()
 
     def __init__(self, v, edges=()):
-        if v < 1:
-            raise InputError("a graph needs at least one vertex")
-        self.v = v
+        self.v = _vertex_count(v)
         self.rows = _adjacency(v, edges, "edge")
 
     def has_edge(self, u: int, w: int) -> bool:
@@ -108,9 +106,7 @@ class DirectedGraph(_BitRows):
     __slots__ = ()
 
     def __init__(self, v, arcs=()):
-        if v < 1:
-            raise InputError("a graph needs at least one vertex")
-        self.v = v
+        self.v = _vertex_count(v)
         self.rows = _adjacency(v, arcs, "arc")
 
     def has_arc(self, u: int, w: int) -> bool:
@@ -130,6 +126,17 @@ class DirectedGraph(_BitRows):
         """Every arc (u, w), in ascending order."""
         for u, row in enumerate(self.rows):
             yield from zip(repeat(u), _set_bits(row))
+
+
+def _vertex_count(v):
+    """v, refused unless a graph can have v vertices.  A bool is refused
+    as graph_from_json_dict refuses it: it is an int, but the document of
+    Graph(True) would hold "v": true."""
+    if isinstance(v, bool):
+        raise InputError(f'"v" must be an integer, got {v!r}')
+    if v < 1:
+        raise InputError("a graph needs at least one vertex")
+    return v
 
 
 def _adjacency(v: int, pairs, kind: str) -> list[int]:
@@ -208,6 +215,7 @@ def _packed_rows(v: int, pairs, symmetric: bool) -> list[int]:
         bits[flat[bounds[i] : bounds[i + 1]] - lo * v] = True
         data = _np.packbits(bits.reshape(count, v), axis=1, bitorder="little").tobytes()
         rows += [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
+        del bits, data  # freed before the next block's matrix is made
     return rows
 
 
@@ -248,10 +256,15 @@ class SrgParams:
         return (self.v, self.k, self.lam, self.mu)
 
 
+# _packed_rows holds at most this many bytes of scratch at once.
+_SCRATCH_BYTES = 512 * 1024
+
 # srg_check's numpy kernel holds at most this many bytes of scratch at
 # once: the bytes of two blocks of rows, one column chunk of each as
-# floats and the common-neighbour counts of one pair of blocks.
-_SCRATCH_BYTES = 512 * 1024
+# floats and the common-neighbour counts of one pair of blocks.  The
+# blocks it allows (about 440 rows at v = 1296, 420 at v = 4096) make
+# each product large enough for BLAS to run near its peak.
+_KERNEL_BYTES = 4 << 20
 
 # Every integer up to 2**24 is a float32, and the kernel's counts are at
 # most v: it runs in float32 below this many vertices, float64 above.
@@ -312,15 +325,15 @@ def _translation_invariant(rows) -> bool:
 
 def _kernel_shape(v: int, itemsize: int) -> tuple[int, int]:
     """(rows per block, bytes per column chunk) keeping one call's scratch
-    within _SCRATCH_BYTES for floats of itemsize bytes; a 256-vertex chunk
+    within _KERNEL_BYTES for floats of itemsize bytes; a 512-vertex chunk
     keeps each product large enough for BLAS.  Per row: two blocks of bytes
     and a chunk of two blocks unpacked and as floats, plus 16 bytes for the
     row list slice and array headers; per pair: two floats and a byte."""
     nbytes = (v + 7) // 8
-    chunk = min(nbytes, 32)
+    chunk = min(nbytes, 64)
     per_row = 2 * nbytes + (2 * itemsize + 2) * 8 * chunk + 16
     per_pair = 2 * itemsize + 1
-    b = (isqrt(per_row * per_row + 4 * per_pair * _SCRATCH_BYTES) - per_row) // (2 * per_pair)
+    b = (isqrt(per_row * per_row + 4 * per_pair * _KERNEL_BYTES) - per_row) // (2 * per_pair)
     return max(1, min(v, b)), chunk
 
 
@@ -911,10 +924,31 @@ def graph_loads(text: str, cap: int = GRAPH_CAP):
 # The edge-list text that graph_from_edge_list reads in one array pass:
 # an optional 'v N' line, then 'u w' lines, each number ASCII digits (at
 # most 18, so that it fits int64), one space apart, every line ended by
-# a newline but perhaps the last.  The search finds the first other
-# line; it keeps no state per line, as a match of the whole text would.
+# a newline but perhaps the last.
 _PLAIN_HEADER = re.compile(r"v ([0-9]{1,18})\n")
-_NOT_PLAIN_LINE = re.compile(r"^(?![0-9]{1,18} [0-9]{1,18}$)", re.MULTILINE)
+
+
+def _plain_lines(text: str, start: int) -> bool:
+    """Whether text[start:], less one final newline, is one or more
+    'u w' lines of the plain form above (or nothing, after a header).
+
+    Checked in bytes operations over the whole text, with no step per
+    line: with the digits deleted, the rest must alternate space and
+    newline, starting and ending with a space, so that every line holds
+    two tokens; and every token must be 1 to 18 digits, which also rules
+    out a doubled separator and one at either end."""
+    end = len(text) - text.endswith("\n")
+    if end < start:  # the header was the whole text
+        return True
+    if not text.isascii():  # so encode() meets no lone surrogate
+        return False
+    body = text[start:end].encode()
+    rest = body.translate(None, b"0123456789")
+    if rest != b" \n" * (len(rest) // 2) + b" ":
+        return False
+    cuts = _np.flatnonzero(_np.frombuffer(b"\n" + body + b"\n", _np.uint8) < ord("0"))
+    gaps = _np.diff(cuts)  # 1 + the digits of each token
+    return bool(gaps.min() >= 2 and gaps.max() <= 19)
 
 
 def graph_from_edge_list(text: str, cap: int = GRAPH_CAP) -> Graph:
@@ -927,7 +961,7 @@ def graph_from_edge_list(text: str, cap: int = GRAPH_CAP) -> Graph:
     whose errors name the line."""
     header = _PLAIN_HEADER.match(text)
     start = 0 if header is None else header.end()
-    if _NOT_PLAIN_LINE.search(text, start, len(text) - text.endswith("\n")) is None:
+    if _plain_lines(text, start):
         pairs = _np.fromstring(text[start:], dtype=_np.int64, sep=" ").reshape(-1, 2)
         declared = int(pairs.max(initial=0)) + 1 if header is None else int(header.group(1))
         _check_graph_size(declared, cap)

@@ -59,6 +59,23 @@ def test_construction_rejects_bad_star():
         core.MultivaluedGroup(1, 0, (1, 0, 2), cyclic3_table())
 
 
+_Z2_TABLE = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+
+
+@pytest.mark.parametrize("n, identity", [(True, 0), (False, 0), (1, True), (1, False), (True, False)])
+@pytest.mark.parametrize("as_array", [False, True], ids=["lists", "array"])
+def test_construction_refuses_a_bool_as_the_reader_does(n, identity, as_array):
+    # a bool is an int, but dumps would write it as true, which loads refuses
+    doc = {"format": "mvg-v1", "n": n, "identity": identity, "elements": ["e", "x"], "star": [0, 1],
+           "table": _Z2_TABLE}
+    with pytest.raises(InputError) as read:
+        core.loads(json.dumps(doc))
+    table = np.array(_Z2_TABLE) if as_array else _Z2_TABLE
+    with pytest.raises(InputError) as built:
+        core.MultivaluedGroup(n, identity, (0, 1), table)
+    assert str(built.value) == str(read.value) == '"n" and "identity" must be integers'
+
+
 def test_product_petersen_table(petersen_group):
     g = petersen_group
     assert g.product(1, 1) == {0: 2, 2: 4}

@@ -53,6 +53,12 @@ _TOKENS = [
     "01", "+1", "-0", "-01", "1.0", "1e0", "١", "1 2", "- 1", "--1", "1-", "0x1", "NaN", "Infinity",
     "true", "null", '"1"', "", "1" * 18, "9" * 18, "-" + "9" * 17, "-" + "9" * 18, "1" * 19, "9" * 19,
     "1" * 20, "-" + "9" * 19, "1١", "1\u00a02", "\u00a01",
+    # either side of 18 characters, which the reader tells by the value:
+    # 10**17, -10**16, 10**18, -10**17, 2**63 - 1 and -2**63
+    "1" + "0" * 17, "-1" + "0" * 16, "1" + "0" * 18, "-1" + "0" * 17, str(2**63 - 1), str(-(2**63)),
+    # past int64, which numpy saturates; a wrap modulo 2**64 would read
+    # the third as -1 and the fourth as 1
+    str(2**63), str(-(2**63) - 1), str(2**64 - 1), str(2**64 + 1), "-" + "9" * 20, "1" * 40, "-" + "1" * 40,
 ]
 _VALUES = st.one_of(
     st.integers(-3, 12), st.sampled_from([2**62, 2**63, -(2**63), 10**20]), st.booleans(), st.floats(0, 4),
@@ -268,7 +274,8 @@ def test_plain_documents_take_the_array_path(monkeypatch, field, text, block):
     assert data[field].tolist() == want[field] and repr(_plain(data, field)) == repr(want)
 
 
-_READ = {"-0", "1" * 18, "9" * 18, "-" + "9" * 17}  # integers of at most 18 characters
+# integers of at most 18 characters
+_READ = {"-0", "1" * 18, "9" * 18, "-" + "9" * 17, "1" + "0" * 17, "-1" + "0" * 16}
 
 
 @pytest.mark.parametrize("token", _TOKENS + ["[1]", "[]", "0", "0]", "[0"])

@@ -3,12 +3,13 @@ order-3 group of a parameter set, and the graph families."""
 
 import json
 import random
+import re
 import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, event, given, seed, settings
 from hypothesis import strategies as st
 
 from mvgroups import algebra, core, srg
@@ -447,6 +448,22 @@ def test_graph_dumps_of_edgeless_rows(graph, text):
     assert_graph_dumps_is_the_json_encoding(graph)
 
 
+@pytest.mark.parametrize("v", [True, False])
+@pytest.mark.parametrize("cls", [srg.Graph, srg.DirectedGraph])
+def test_graphs_refuse_a_bool_vertex_count_as_the_reader_does(cls, v):
+    # a bool is an int, but graph_dumps of Graph(True) would write
+    # "v": 1 where the document of graph_to_json_dict holds "v": true
+    doc = {"format": "graph-v1", "v": v, "edges": []}
+    if cls is srg.DirectedGraph:
+        doc["directed"] = True
+    with pytest.raises(InputError) as read:
+        srg.graph_loads(json.dumps(doc))
+    for edges in ((), [], np.zeros((0, 2), np.int64)):
+        with pytest.raises(InputError) as built:
+            cls(v, edges)
+        assert str(built.value) == str(read.value) == f'"v" must be an integer, got {v!r}'
+
+
 def test_graph_dumps_of_a_wide_graph():
     # four-digit labels, isolated vertices at both ends and one dense row
     v = 1200
@@ -491,10 +508,27 @@ def test_graph_rejects_loops_and_range():
         srg.Graph(3, [(0, 5)])
 
 
+# The one-pass reader's routing as it was first written, kept as the
+# oracle for _plain_lines: past the header and one final newline, search
+# each line start for a line that is not two runs of 1 to 18 ASCII
+# digits one space apart.
+_NOT_PLAIN_LINE = re.compile(r"^(?![0-9]{1,18} [0-9]{1,18}$)", re.MULTILINE)
+
+
+def _plain_start(text):
+    header = srg._PLAIN_HEADER.match(text)
+    return 0 if header is None else header.end()
+
+
+def _plain_by_regex(text):
+    start = _plain_start(text)
+    return _NOT_PLAIN_LINE.search(text, start, len(text) - text.endswith("\n")) is None
+
+
 # Edge-list text the one-pass reader refuses or whose array it rejects,
 # one case per reason, with the outcome the line loop gives: its exact
 # message or, for text the loop accepts, the edges.  plain says whether
-# numpy reads the text.
+# numpy reads the text, which must be where _NOT_PLAIN_LINE routes it.
 _EDGE_TEXT_CASES = {
     "comment": ("v 4\n0 1  # edge\n1 9\n", False, "edge (1, 9) out of range"),
     "plus sign": ("v 4\n+0 1\n1 x\n", False, "line 3: expected integers"),
@@ -518,6 +552,14 @@ _EDGE_TEXT_CASES = {
     "no vertex": ("v 0\n", True, "a graph needs at least one vertex"),
     "no final newline": ("v 4\n0 1\n1 3", True, [(0, 1), (1, 3)]),
     "empty": ("", False, []),
+    "eighteen digits": ("v 4\n0 100000000000000000\n", True, "edge (0, 100000000000000000) out of range"),
+    "nineteen digits, zero-padded": ("v 4\n0 0000000000000000003\n", False, [(0, 3)]),
+    "past the digit limit, zero-padded": ("0" * 4300 + "1 2\n", False, "line 1: expected integers"),
+    "header only": ("v 4\n", True, []),
+    "doubled space": ("v 4\n0  1\n", False, [(0, 1)]),
+    "blank line": ("v 4\n0 1\n\n1 2\n", False, [(0, 1), (1, 2)]),
+    "trailing space": ("v 4\n0 1 \n", False, [(0, 1)]),
+    "lone surrogate": ("v 4\n0 1\n1 \ud800\n", False, "line 3: expected integers"),
 }
 
 
@@ -532,7 +574,37 @@ def test_edge_list_outcomes_match_the_line_reader(monkeypatch, text, plain, outc
         assert str(caught.value) == outcome
     else:
         assert sorted(srg.graph_from_edge_list(text).edges()) == outcome
-    assert bool(reads) == plain
+    assert bool(reads) == plain == _plain_by_regex(text)
+
+
+@st.composite
+def _edge_texts(draw):
+    """Lines of two digit runs, some empty and some past 18 digits, after
+    an optional header and with or without the final newline; then a few
+    characters of 0-9, space, newline, CR, tab, +, - and v inserted or
+    deleted."""
+    digits = st.text("0123456789", max_size=20)
+    text = "".join(f"{u} {w}\n" for u, w in draw(st.lists(st.tuples(digits, digits), max_size=4)))
+    if draw(st.booleans()):
+        text = f"v {draw(digits)}\n{text}"
+    if draw(st.booleans()):
+        text = text.removesuffix("\n")
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from("0123456789 \n\r\t+-v")) + text[at:]
+        else:
+            text = text[:at] + text[at + 1 :]
+    return text
+
+
+@seed(22)
+@settings(max_examples=400, deadline=None, database=None)
+@given(text=st.one_of(_edge_texts(), st.text("0123456789 \n\r\t+-v", max_size=30)))
+def test_plain_routing_matches_the_line_regex(text):
+    plain = _plain_by_regex(text)
+    event("plain" if plain else "line loop")
+    assert srg._plain_lines(text, _plain_start(text)) == plain
 
 
 # Pairs handed to Graph and DirectedGraph that the array pass refuses,
@@ -1180,15 +1252,27 @@ def _single_block_edge():
 
 
 def _block_edge_sizes():
-    """Byte and chunk edges, and the largest single block and one more."""
+    """Byte edges, the edges of 256- and 512-vertex chunks, and the
+    largest single block and one more."""
     b = _single_block_edge()
-    return [2, 5, 7, 8, 9, 63, 64, 65, 127, 129, b, b + 1, 255, 256, 257]
+    return [2, 5, 7, 8, 9, 63, 64, 65, 127, 129, 255, 256, 257, b, b + 1, 511, 512, 513]
+
+
+def test_kernel_shape_is_sized_for_blas():
+    # the float32 block sizes README and ROADMAP quote
+    assert srg._kernel_shape(1296, 4) == (443, 64)
+    assert srg._kernel_shape(srg.GRAPH_CAP, 4) == (421, 64)
+    assert _single_block_edge() == 464
+    assert srg._kernel_shape(100, 4) == (100, 13)
 
 
 @pytest.mark.parametrize("v", _block_edge_sizes())
 def test_kernel_agrees_at_word_and_block_edges(v):
-    if 129 < v < 255:  # one block, and two
-        assert (srg._kernel_shape(v, 4)[0] == v) == (v == _single_block_edge())
+    b = _single_block_edge()
+    if v in (b, b + 1):  # one block, and two
+        assert (srg._kernel_shape(v, 4)[0] == v) == (v == b)
+    if v > 512:  # two column chunks, the last one byte wide
+        assert srg._kernel_shape(v, 4)[1] * 8 == 512
     graphs = [_circulant(v, [1]), _circulant(v, [d for d in (1, 2, v // 3) if 0 < d < v])]
     for size in (s for s in range(2, v) if v % s == 0):
         cliques = _union(*[_clique(size)] * (v // size))
@@ -1214,7 +1298,7 @@ _LOCAL_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 2, None])
+@pytest.mark.parametrize("chunk_bytes", [1, 2, 64, None])
 @pytest.mark.parametrize("rows_per_block", [1, 6, 7, 8, 13, None])
 @pytest.mark.parametrize("name", list(_LOCAL_FAILURES))
 def test_kernel_finds_a_failure_in_any_block_pair(monkeypatch, name, rows_per_block, chunk_bytes):
@@ -1226,7 +1310,7 @@ def test_kernel_finds_a_failure_in_any_block_pair(monkeypatch, name, rows_per_bl
     assert _kernels_agree(graph) is None
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 2, None])
+@pytest.mark.parametrize("chunk_bytes", [1, 2, 64, None])
 @pytest.mark.parametrize("rows_per_block", [1, 3, 6, 7, 8, 13])
 def test_kernel_agrees_for_any_block_size(monkeypatch, rows_per_block, chunk_bytes):
     _force_shape(monkeypatch, rows_per_block, chunk_bytes)
@@ -1273,7 +1357,7 @@ def test_kernel_scratch_stays_bounded_on_relabelled_input():
         tracemalloc.stop()
     assert found == srg.polar_params(2, 5, -1)
     assert direct == (found.lam, found.mu)
-    assert 1 << 16 < peak <= srg._SCRATCH_BYTES
+    assert 1 << 16 < peak <= srg._KERNEL_BYTES
 
 
 def _shuffled_in_numpy(graph, seed):
@@ -1290,7 +1374,7 @@ def _shuffled_in_numpy(graph, seed):
 
 
 def test_kernel_decides_a_relabelled_graph_at_the_cap():
-    # 4096 vertices, 37 blocks of rows and 16 column chunks
+    # 4096 vertices, 10 blocks of rows and 8 column chunks
     shuffled = _shuffled_in_numpy(srg.affine_polar(2, 6, -1), 6)
     assert _shuffled_in_numpy(petersen_graph(), 6) == _shuffled(petersen_graph(), 6)
     assert shuffled.v == srg.GRAPH_CAP and not srg._translation_invariant(shuffled.rows)
@@ -1301,7 +1385,7 @@ def test_kernel_decides_a_relabelled_graph_at_the_cap():
     finally:
         tracemalloc.stop()
     assert found == srg.polar_params(2, 6, -1) == srg.SrgParams(4096, 2015, 990, 992)
-    assert peak <= srg._SCRATCH_BYTES
+    assert peak <= srg._KERNEL_BYTES
 
 
 # Graphs whose v is a multiple of neither 8 nor the chunk width, so the
@@ -1311,13 +1395,16 @@ _RAGGED = {
     "rook 9": (_shuffled(srg.grid_graph(9), 3), (7, 2)),
     "paley 29": (_shuffled(srg.paley_graph(algebra.make_field(29, 1)), 3), (6, 7)),
     "rook 17": (_shuffled(srg.grid_graph(17), 3), (15, 2)),
-    # a hexagon across the chunk edge at 256 and in the ragged last chunk
+    # a hexagon across the edge of a 256-vertex chunk (forced since the
+    # chunk is 512 vertices) and of a 512-vertex one, each time in the
+    # ragged last chunk
     "hexagon last": (_union(*[_clique(3)] * 85, cycle_graph(6)), None),
+    "hexagon last, 519": (_union(*[_clique(3)] * 171, cycle_graph(6)), None),
     "hexagon last, 21": (_union(*[_clique(3)] * 5, cycle_graph(6)), None),
 }
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 2, None])
+@pytest.mark.parametrize("chunk_bytes", [1, 2, 32, 64, None])
 @pytest.mark.parametrize("name", list(_RAGGED))
 def test_kernel_agrees_when_v_is_not_a_multiple_of_the_chunk(monkeypatch, name, chunk_bytes):
     graph, expected = _RAGGED[name]
