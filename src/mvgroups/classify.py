@@ -15,17 +15,20 @@ is the one encoding of the families: match_params factors v and keeps
 its rows with equal parameters.  A prime v has one row, family III, so
 the walk of the catalogue (_catalogue_blocks) yields runs: the primes
 = 1 (mod 4) between two proper powers as one array, then the sorted
-rows of the next power.  `enumerate` writes each run with one format
-call over its columns (write_blocks), and iter_catalogue expands the runs
-through _family_rows, one v at a time.  Equal parameters imply equal
-v, so collisions are found within one power's rows, and `enumerate`
-writes the catalogue as it walks it without holding it.
+rows of the next power.  `enumerate` writes the runs in batches of
+rows, each batch as byte matrices filled from a table of four-digit
+ASCII words (write_blocks), and iter_catalogue expands the runs through
+_family_rows, one v at a time.  Equal parameters imply equal v, so
+collisions are found within one power's rows, and `enumerate` writes
+the catalogue as it walks it without holding it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, compress, groupby
@@ -240,15 +243,21 @@ def _catalogue_blocks(v_max: int, cap: int) -> Iterator:
     (params, family, witness).  Each prime v of a run has the one row
     (v, 2t, t-1, t) of family III with t = (v-1)/4.
 
-    v_max is checked against cap, and the prime-power table up to v_max
-    (one byte per integer, serving every family) is built, before this
-    returns; the blocks are then made as the iterator is consumed, each
-    run from a view of its own stretch of the table."""
+    v_max is checked against cap and sys.maxsize, and the prime-power
+    table up to v_max (one byte per integer, serving every family) is
+    built, before this returns; the blocks are then made as the
+    iterator is consumed, each run a view of one array of every prime
+    = 1 (mod 4) up to v_max."""
     if v_max < 4:
         raise InputError("v_max must be at least 4")
     if v_max > cap:
         raise CapError(f"v_max {printable(v_max)} exceeds the cap {cap}")
-    table = _prime_power_table(v_max)
+    if v_max >= sys.maxsize:
+        raise CapError(f"v_max {printable(v_max)} is too large to sieve: the limit is {sys.maxsize - 1}")
+    try:
+        table = _prime_power_table(v_max)
+    except MemoryError:
+        raise CapError(f"v_max {printable(v_max)} is too large to sieve: {v_max + 1} bytes cannot be allocated") from None
     proper_powers = []
     for p in compress(range(isqrt(v_max) + 1), table):
         if table[p] == PRIME:
@@ -257,41 +266,138 @@ def _catalogue_blocks(v_max: int, cap: int) -> Iterator:
                 proper_powers.append((power, p, d))
                 power, d = power * p, d + 1
     proper_powers.sort()
-    entries = np.frombuffer(table, np.uint8)
 
     def walk():
-        low = 2
-        for v, p, d in [*proper_powers, (v_max + 1, 0, 0)]:
-            start = low + (1 - low) % 4  # the least n = 1 (mod 4) from low
-            run = np.flatnonzero(entries[start:v:4] == PRIME) * 4 + start
-            if run.size:
-                yield run
-            if d:
-                rows = _family_rows(p, d, table)
-                rows.sort(key=_row_key)
-                yield rows
-            low = v + 1
+        primes = np.flatnonzero(np.frombuffer(table, np.uint8)[1::4] == PRIME)
+        primes *= 4  # in place: 8 bytes per prime, held through the walk
+        primes += 1
+        cuts = np.searchsorted(primes, [v for v, _, _ in proper_powers]).tolist()
+        low = 0
+        for (_, p, d), cut in zip(proper_powers, cuts):
+            if cut > low:
+                yield primes[low:cut]
+            rows = _family_rows(p, d, table)
+            rows.sort(key=_row_key)
+            yield rows
+            low = cut
+        if low < primes.size:
+            yield primes[low:]
 
     return walk()
 
 
-def _run_text(run, template: str, sep: str) -> str:
-    """The family III rows of the primes in run, each written as
-    template % (v, 2t, t-1, t, t) with t = (v-1)/4 and joined by sep, in
-    one format call."""
+# Rows of consecutive runs formatted by one _run_texts call: per-call
+# numpy overhead dominates a short run, and a long one is split here.
+_RUN_BATCH = 2048
+# The run row templates' fields: conversions %d and %<width>d.
+_FIELD = re.compile(r"%(\d*)d")
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+# _DIGIT_WORDS[n] is the four ASCII digits of n < 10**4, zero-padded, as
+# one little-endian uint32 word.
+_DIGIT_WORDS = np.ascontiguousarray(np.moveaxis(np.indices((10,) * 4, np.uint8) + ord("0"), 0, -1)).view("<u4").ravel()
+
+
+def _row_layout(template: str, sep: str, counts: tuple[int, int, int, int]):
+    """sep + template as the bytes of one row whose fields (v, 2t, t-1,
+    t, t) have the digit counts counts[0, 1, 2, 3, 3], with spaces where
+    the digits go, and (end, field) of each field's span, field indexing
+    (v, 2t, t-1, t)."""
+    pieces = _FIELD.split(sep + template)  # literal, width, literal, ...
+    row = bytearray(pieces[0].encode())
+    spans = []
+    for field, width, literal in zip((0, 1, 2, 3, 3), pieces[1::2], pieces[2::2], strict=True):
+        row += b" " * max(int(width or 0), counts[field])
+        spans.append((len(row), field))
+        row += literal.encode()
+    return bytes(row), tuple(spans)
+
+
+def _put_digits(rows: bytearray, length: int, end: int, count: int, values) -> None:
+    """Write the count decimal digits of each of values into the count
+    bytes before end of its row of rows, whose rows are length bytes
+    apart.  Each write is one uint32 store per row of four ASCII digits:
+    the leading four digits, then four low digits per division by 10**4,
+    the last word overlapping the leading one."""
+
+    def column(stop):  # the (unaligned) word of each row ending at stop
+        return np.ndarray(values.size, "<u4", rows, stop - 4, (length,))
+
+    if count < 4:  # only values below 1000: a byte matrix write
+        matrix = np.frombuffer(rows, np.uint8).reshape(-1, length)
+        matrix[:, end - count : end] = _DIGIT_WORDS[values].view(np.uint8).reshape(-1, 4)[:, 4 - count :]
+        return
+    lead, start = values // 10 ** (count - 4), end - count
+    while count > 4:
+        high = values // 10**4
+        column(end)[:] = _DIGIT_WORDS[values - high * 10**4]
+        values, end, count = high, end - 4, count - 4
+    column(start + 4)[:] = _DIGIT_WORDS[lead]
+
+
+def _run_texts(runs, template: str, sep: str) -> list[str]:
+    """The family III rows of each run of runs, each row written as
+    sep + template % (v, 2t, t-1, t, t) with t = (v-1)/4.  template's
+    conversions are %d and %<width>d; the runs are int64 arrays of v
+    with 5 <= v < 2**63, ascending across runs.
+
+    The rows are cut where the digit count of a field changes, into
+    stretches that are contiguous because every field grows with v.
+    Each stretch is written as one byte buffer: its row's literal bytes
+    repeated, then its digits stored column by column (_put_digits)."""
+    run = np.concatenate(runs)
     t = run >> 2
-    fields = np.column_stack((run, 2 * t, t - 1, t, t)).ravel().tolist()
-    return sep.join([template] * run.size) % tuple(fields)
+    fields = (run, 2 * t, t - 1, t)
+    bounds = sorted({0, run.size, *np.concatenate([np.searchsorted(f, _POWERS_OF_TEN) for f in fields]).tolist()})
+    chunks, lengths = [], []
+    for a, b in zip(bounds, bounds[1:]):
+        counts = tuple(len(str(f[a])) for f in fields)
+        row, spans = _row_layout(template, sep, counts)
+        rows = bytearray(row) * (b - a)
+        for end, field in spans:
+            _put_digits(rows, len(row), end, counts[field], fields[field][a:b])
+        chunks.append(rows)
+        lengths.append(len(row))
+    text = b"".join(chunks).decode("ascii")
+    offsets = np.concatenate([[0], np.repeat(lengths, np.diff(bounds))]).cumsum()
+    cuts = offsets[np.cumsum([0, *map(len, runs)])].tolist()
+    return [text[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
 def write_blocks(out, blocks, rows_text, run_row: str, sep: str = "") -> None:
-    """Write the blocks of _catalogue_blocks to the text stream out, one
-    block at a time: a list of rows as rows_text(rows), and a run of
-    primes with run_row as the template of each row.  sep goes between
-    rows, and so between blocks."""
-    for i, block in enumerate(blocks):
-        text = _run_text(block, run_row, sep) if isinstance(block, np.ndarray) else rows_text(block)
-        out.write(sep + text if i else text)
+    """Write the blocks of _catalogue_blocks to the text stream out: a
+    list of rows as rows_text(rows), and a run of primes with run_row as
+    the template of each row (see _run_texts).  sep goes between rows,
+    and so between blocks.
+
+    The blocks are written in batches: the runs of a batch, split where
+    they reach _RUN_BATCH rows, are formatted by one _run_texts call,
+    and the lists between them keep their places.  A batch is written as
+    soon as it is full, so at most one batch is held."""
+    pending, size = [], 0  # the blocks since the last batch; their run rows
+    skip = len(sep)  # the text starts without sep
+
+    def flush():
+        nonlocal skip
+        runs = [block for block in pending if isinstance(block, np.ndarray)]
+        texts = iter(_run_texts(runs, run_row, sep) if runs else ())
+        text = "".join(next(texts) if isinstance(block, np.ndarray) else sep + rows_text(block) for block in pending)
+        out.write(text[skip:])
+        pending.clear()
+        skip = 0
+
+    for block in blocks:
+        if isinstance(block, np.ndarray):
+            while size + block.size >= _RUN_BATCH:
+                head, block = block[: _RUN_BATCH - size], block[_RUN_BATCH - size :]
+                pending.append(head)
+                flush()
+                size = 0
+            if not block.size:
+                continue
+            size += block.size
+        pending.append(block)
+    if pending:
+        flush()
 
 
 def iter_catalogue(v_max: int, cap: int = ENUMERATE_CAP) -> Iterator[list[FamilyDescriptor]]:
@@ -300,9 +406,9 @@ def iter_catalogue(v_max: int, cap: int = ENUMERATE_CAP) -> Iterator[list[Family
     lower-valency orientation: the blocks of _catalogue_blocks, with
     each run expanded through _family_rows.
 
-    v_max is checked against cap, and the prime-power table up to v_max
-    is built, before this returns; the rows are then made as the
-    iterator is consumed."""
+    v_max is checked against cap and sys.maxsize, and the prime-power
+    table up to v_max is built, before this returns; the rows are then
+    made as the iterator is consumed."""
     blocks = _catalogue_blocks(v_max, cap)
     return chain.from_iterable(
         [block] if isinstance(block, list) else (_family_rows(v, 1, None) for v in block.tolist())
@@ -479,12 +585,17 @@ def _csv_rows(descriptors) -> str:
     return buf.getvalue()
 
 
+# The CSV row of a prime v, over (v, k, lambda, mu, t) of its family III
+# row: the format of _csv_rows.
+_CSV_RUN_ROW = "%d,%d,%d,%d,III,t=%d\n"
+
+
 def write_catalogue_csv(out, blocks) -> None:
     """Write catalogue blocks (see _catalogue_blocks) to the text stream
     out as CSV with the header v,k,lambda,mu,family,witness, one block at
     a time."""
     out.write("v,k,lambda,mu,family,witness\n")
-    write_blocks(out, blocks, _csv_rows, "%d,%d,%d,%d,III,t=%d\n")
+    write_blocks(out, blocks, _csv_rows, _CSV_RUN_ROW)
 
 
 def catalogue_csv(descriptors) -> str:

@@ -5,7 +5,8 @@ Exit codes: 0 success or affirmative answer, 1 well-formed negative
 3 invalid input data, 4 resource cap exceeded.  Internal consistency
 failures and any other unexpected exception (library bugs) exit 70 with
 one line on stderr.  All output is deterministic for a given argv and
-input.
+input.  Run as a program (run), the CLI ends on SIGPIPE when its output
+pipe is closed, printing nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import json
+import signal
 import sys
 
 from . import algebra, classify, core, srg
@@ -413,6 +415,11 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """The console entry: main, with the default action for SIGPIPE
+    where the platform has it, so that a closed output pipe ends the
+    process silently, as it ends other filters."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

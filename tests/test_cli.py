@@ -5,12 +5,16 @@ import functools
 import hashlib
 import io
 import json
+import signal
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from mvgroups import algebra, classify, cli, core, srg
 
@@ -640,10 +644,22 @@ def _catalogue_oracle(v_max, flags, with_collisions):
     return buf.getvalue()
 
 
+def _run_primes(v_max):
+    """The primes = 1 (mod 4) up to v_max: the rows of the walk's runs."""
+    table = classify._prime_power_table(v_max)
+    return [v for v in range(5, v_max + 1, 4) if table[v] == classify.PRIME]
+
+
 # v_max at the edges of the stretches between proper powers: a proper
 # power (4, 8, 9, 16, 25, 27, 4096), one past one (5, 4097), a prime
-# = 1 (mod 4) (5, 13, 29), a prime = 3 (mod 4) (31), and a long sweep.
-ORACLE_VMAX = (4, 5, 8, 9, 13, 16, 25, 27, 29, 31, 4096, 4097, 10**5)
+# = 1 (mod 4) (5, 13, 29), a prime = 3 (mod 4) (31), and a long sweep;
+# and at the edge of a batch: the last run row of the sweep ends a full
+# batch, or is the one row of the next.
+ORACLE_VMAX = (
+    (4, 5, 8, 9, 13, 16, 25, 27, 29, 31, 4096, 4097)
+    + tuple(_run_primes(10**5)[classify._RUN_BATCH - 1 : classify._RUN_BATCH + 1])
+    + (10**5,)
+)
 
 
 @pytest.mark.parametrize("with_collisions", [False, True], ids=["rows", "collisions"])
@@ -655,6 +671,128 @@ def test_enumerate_matches_the_per_row_writers(capsys, v_max, flags, with_collis
     assert code == 0
     assert out == _catalogue_oracle(v_max, flags, with_collisions)
     assert classify.enumerate_families(v_max) == _oracle_rows(v_max)
+
+
+@pytest.mark.parametrize("with_collisions", [False, True], ids=["rows", "collisions"])
+@pytest.mark.parametrize("flags", [[], ["--csv"], ["--json"]], ids=["table", "csv", "json"])
+@pytest.mark.parametrize("shift", [-1, 0, 1], ids=["prime-before", "at-power", "prime-after"])
+@pytest.mark.parametrize("power", [4096, 49729], ids=["2^12", "223^2"])
+def test_enumerate_batch_edge_at_a_proper_power(capsys, monkeypatch, power, shift, flags, with_collisions):
+    # Batches count run rows only, so a power's rows go with the batch of
+    # the prime after them.  With the batch size set to c, the number of
+    # run rows below the power, a batch starts with the power's rows; with
+    # c - 1 it starts one prime before them, and with c + 1 it ends one
+    # prime after them.
+    monkeypatch.setattr(classify, "_RUN_BATCH", sum(v < power for v in _run_primes(power)) + shift)
+    v_max = power + 2000
+    argv = ["enumerate", "--vmax", str(v_max), *flags] + ["--collisions"] * with_collisions
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == _catalogue_oracle(v_max, flags, with_collisions)
+
+
+def _field_edges():
+    """For each field of the family III row (v, 2t, t-1, t) and each
+    digit count it reaches below 2**63, the least v = 1 (mod 4) at which
+    the field has that many digits."""
+    edges = {5}  # t - 1 = 0
+    for k in range(1, 19):
+        edges |= {10**k + (1 - 10**k) % 4, 2 * 10**k + 1, 4 * 10**k + 5, 4 * 10**k + 1}
+    return sorted(edges)
+
+
+FIELD_EDGES = _field_edges()
+INT64_TOP = 2**63 - 3  # the largest v = 1 (mod 4) below 2**63
+RUN_TEMPLATES = [(cli._TABLE_RUN_ROW, ""), (cli._JSON_RUN_ROW, ", "), (classify._CSV_RUN_ROW, "")]
+
+
+def _percent_rows(run, template):
+    return [template % (v, v // 2, v // 4 - 1, v // 4, v // 4) for v in run]
+
+
+def _write(blocks, template, sep):
+    out = io.StringIO()
+    classify.write_blocks(out, blocks, sep.join, template, sep)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("template, sep", RUN_TEMPLATES, ids=["table", "json", "csv"])
+def test_run_writer_at_every_digit_edge(template, sep):
+    # Every v within 12 of an edge (the 6-digit k of the table's %6d
+    # reaches 7 digits at 2 * 10**6 + 1), up to the largest int64 v.
+    vs = sorted({v + 4 * j for v in FIELD_EDGES for j in range(-3, 4) if 5 <= v + 4 * j} | {INT64_TOP})
+    assert _write([np.array(vs, np.int64)], template, sep) == sep.join(_percent_rows(vs, template))
+
+
+@st.composite
+def _writer_blocks(draw):
+    """Ascending runs of v = 1 (mod 4), each starting at or before a
+    digit edge or at random, of 0, 1, a few, or about one batch of rows,
+    with lists of stand-in rows between them."""
+    batch = classify._RUN_BATCH
+    blocks, low = [], 5
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.sampled_from([0, 1, 2, 3, batch - 1, batch, batch + 1]) | st.integers(0, 40))
+        start = draw(st.sampled_from(FIELD_EDGES) | st.integers(5, INT64_TOP)) - 4 * draw(st.integers(0, size))
+        start = min(max(start - (start - 1) % 4, low), INT64_TOP - 4 * size)
+        if start < low:  # no room left below the top
+            break
+        blocks.append(np.arange(start, start + 4 * size, 4, dtype=np.int64))
+        low = start + 4 * size
+        if draw(st.booleans()):
+            blocks.append([f"<power {i}>" for i in range(draw(st.integers(1, 3)))])
+    return blocks
+
+
+@seed(23)
+@settings(max_examples=300, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(blocks=_writer_blocks())
+def test_run_writer_matches_the_percent_format(blocks):
+    for template, sep in RUN_TEMPLATES:
+        rows = [row for b in blocks for row in (_percent_rows(b.tolist(), template) if isinstance(b, np.ndarray) else b)]
+        assert _write(blocks, template, sep) == sep.join(rows)
+
+
+@pytest.mark.parametrize("v_max", [10**23, 2**63 - 1])
+def test_enumerate_refuses_a_vmax_past_the_sieve(capsys, monkeypatch, v_max):
+    def unreachable(limit):
+        raise AssertionError(f"sieve of {limit} allocated")
+
+    monkeypatch.setattr(classify, "_prime_power_table", unreachable)
+    code, out, err = run_cli(capsys, "enumerate", "--vmax", str(v_max), "--cap", str(v_max))
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "too large to sieve" in err
+
+
+def test_enumerate_maps_a_failed_sieve_allocation_to_the_cap_exit(capsys, monkeypatch):
+    def exhausted(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(classify, "_prime_power_table", exhausted)
+    code, out, err = run_cli(capsys, "enumerate", "--vmax", "5000")
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "cannot be allocated" in err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_console_entry_ends_silently_on_a_closed_pipe():
+    child = subprocess.Popen(
+        [sys.executable, "-m", "mvgroups", "enumerate", "--vmax", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=Path(cli.__file__).parents[1],
+    )
+    try:
+        # The table is about 190 KB, more than a pipe buffers, so the
+        # child is still writing when the pipe closes.
+        lines = [child.stdout.readline() for _ in range(2)]
+        child.stdout.close()
+        assert child.wait(timeout=60) == -signal.SIGPIPE
+        assert child.stderr.read() == b""
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert lines[1].startswith(b"-----")
 
 
 def test_enumerate_cap_creates_no_output_file(capsys, tmp_path):
