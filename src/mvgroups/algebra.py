@@ -17,7 +17,7 @@ FiniteField samples no check (see its docstring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, compress, product
 from math import gcd, isqrt
 
 import numpy as _np
@@ -33,11 +33,39 @@ GRP_FORMAT = "grp-v1"
 ACT_FORMAT = "act-v1"
 
 
+# Entries of the prime-power table built by _prime_power_table.
+PRIME, PROPER_POWER = 1, 2
+
+
+def _prime_power_table(limit: int) -> bytearray:
+    """Sieve of Eratosthenes up to limit >= 1: entry n is PRIME for a
+    prime, PROPER_POWER for p**d with d >= 2, and 0 otherwise."""
+    table = bytearray([PRIME]) * (limit + 1)
+    table[0] = table[1] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if table[p] != PRIME:
+            continue
+        table[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+        power = p * p
+        while power <= limit:
+            table[power] = PROPER_POWER
+            power *= p
+    return table
+
+
+# The primes below 2**12, the first divisors of _least_prime_factor.
+_SMALL_PRIMES = tuple(compress(range(2**12), [entry == PRIME for entry in _prime_power_table(2**12 - 1)]))
+
+
 def _least_prime_factor(n: int) -> int:
-    """The least prime factor of n >= 2, by trial division."""
-    if n % 2 == 0:
-        return 2
-    f = 3
+    """The least prime factor of n >= 2, by trial division: by the primes
+    below 2**12, then by the odd numbers from 2**12 + 1."""
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return n
+        if n % p == 0:
+            return p
+    f = 2**12 + 1
     while f * f <= n:
         if n % f == 0:
             return f

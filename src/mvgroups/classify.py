@@ -14,18 +14,19 @@ Every catalogue row has v = p**d for a prime p, and _family_rows(p, d)
 is the one encoding of the families: match_params factors v and keeps
 its rows with equal parameters.  A prime v has one row, family III, so
 the walk of the catalogue (_catalogue_blocks) yields runs: the primes
-= 1 (mod 4) between two proper powers as one array, then the sorted
-rows of the next power.  `enumerate` writes the runs in batches of
-rows, each batch as byte matrices filled from a table of four-digit
-ASCII words (write_blocks), and iter_catalogue expands the runs through
-_family_rows, one v at a time.  Equal parameters imply equal v, so
-collisions are found within one power's rows, and `enumerate` writes
+= 1 (mod 4) between two proper powers as one array, read from a sieve
+of the odd numbers, then the sorted rows of the next power.
+`enumerate` writes the runs in batches of rows, each batch as byte
+buffers of the row template repeated with the digits stored as
+four-digit ASCII words (write_blocks), and each power's rows with one
+%-template per family (format_rows).  iter_catalogue expands the runs
+through _family_rows, one v at a time.  Equal parameters imply equal v,
+so collisions are found within one power's rows, and `enumerate` writes
 the catalogue as it walks it without holding it.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import re
 import sys
@@ -37,7 +38,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .algebra import is_prime_power, mult_order
+from .algebra import PRIME, _prime_power_table, is_prime_power, mult_order
 from .core import (
     SWAP_STAR,
     SYMMETRIC_STAR,
@@ -67,10 +68,23 @@ ENUMERATE_CAP = 10**7
 # division up to its square root: at most 5 * 10**5 odd divisors here.
 CLASSIFY_CAP = 10**12
 
-# Entries of the prime-power table built by _prime_power_table.
-PRIME, PROPER_POWER = 1, 2
-
-FAMILIES = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "TABLE")
+# The families in catalogue order, each with the names of its witness
+# values in order.  VI's eps is a sign, "+" or "-"; every other value
+# is an integer.
+WITNESS_NAMES = {
+    "I": ("p", "t", "s"),
+    "II": ("q",),
+    "III": ("t",),
+    "IV": ("p", "c", "t"),
+    "V": ("q", "e"),
+    "VI": ("q", "e", "eps"),
+    "VII": ("e",),
+    "VIII": ("q",),
+    "IX": ("q",),
+    "TABLE": ("row",),
+}
+FAMILIES = tuple(WITNESS_NAMES)
+_FAMILY_ORDER = {family: i for i, family in enumerate(FAMILIES)}
 
 # Sporadic parameter sets attainable only by the exceptional actions;
 # rows are (v, k, lambda, mu) and are referenced by 1-based row index.
@@ -152,33 +166,18 @@ def _descriptor(family, params, witness) -> FamilyDescriptor:
     return FamilyDescriptor(family, canonicalize(params).as_tuple(), tuple(witness))
 
 
-def _vls_admissible(p, c, t) -> bool:
-    """Tuples acceptable to the catalogue: primitive-root condition, the
-    published exclusions, and mu > 0 (the two tuples with mu = 0,
-    (2,3,1) and (2,5,1), are disjoint clique unions already produced by
-    family I; the exclusion list exists precisely to avoid such
-    duplicates)."""
+def _admissible_vls_params(p, c, t) -> SrgParams | None:
+    """vls_params(p, c, t) if the tuple is acceptable to the catalogue,
+    else None: primitive-root condition, the published exclusions, and
+    mu > 0 (the two tuples with mu = 0, (2,3,1) and (2,5,1), are disjoint
+    clique unions already produced by family I; the exclusion list exists
+    precisely to avoid such duplicates)."""
     if p % c == 0 or mult_order(p, c) != c - 1:
-        return False
+        return None
     if (p, c, t) in VLS_EXCLUSIONS:
-        return False
-    return vls_params(p, c, t).mu > 0
-
-
-def _prime_power_table(limit: int) -> bytearray:
-    """Sieve of Eratosthenes up to limit >= 1: entry n is PRIME for a
-    prime, PROPER_POWER for p**d with d >= 2, and 0 otherwise."""
-    table = bytearray([PRIME]) * (limit + 1)
-    table[0] = table[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if table[p] != PRIME:
-            continue
-        table[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-        power = p * p
-        while power <= limit:
-            table[power] = PROPER_POWER
-            power *= p
-    return table
+        return None
+    params = vls_params(p, c, t)
+    return params if params.mu > 0 else None
 
 
 def _family_rows(p: int, d: int, table) -> list[FamilyDescriptor]:
@@ -206,8 +205,8 @@ def _family_rows(p: int, d: int, table) -> list[FamilyDescriptor]:
         return rows
     for c in range(3, d + 2):
         t, rem = divmod(d, c - 1)
-        if rem == 0 and table[c] == PRIME and _vls_admissible(p, c, t):
-            rows.append(_descriptor("IV", vls_params(p, c, t), (("p", p), ("c", c), ("t", t))))
+        if rem == 0 and table[c] == PRIME and (params := _admissible_vls_params(p, c, t)) is not None:
+            rows.append(_descriptor("IV", params, (("p", p), ("c", c), ("t", t))))
     # (q, e) with q**(2e) = v and e >= 2: the forms of families V and VI
     forms = [(p ** (d // (2 * e)), e) for e in range(2, d // 2 + 1) if d % (2 * e) == 0]
     rows += [_descriptor("V", bilinear_params(q, e), (("q", q), ("e", e))) for q, e in forms if e > 2]
@@ -233,7 +232,21 @@ def _family_rows(p: int, d: int, table) -> list[FamilyDescriptor]:
 
 
 def _row_key(row: FamilyDescriptor):
-    return (row.params, FAMILIES.index(row.family), row.witness_str())
+    return (row.params, _FAMILY_ORDER[row.family], row.witness_str())
+
+
+def _odd_sieve(limit: int) -> np.ndarray:
+    """Sieve of Eratosthenes over the odd numbers up to limit >= 1: a
+    bool array whose entry i is True when 2i + 1 is prime.  An odd
+    prime p crosses out its odd multiples from p*p, the entries p apart
+    from (p*p - 1)/2."""
+    sieve = np.ones((limit + 1) // 2, bool)
+    sieve[0] = False
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = False
+    return sieve
 
 
 def _catalogue_blocks(v_max: int, cap: int) -> Iterator:
@@ -243,11 +256,14 @@ def _catalogue_blocks(v_max: int, cap: int) -> Iterator:
     (params, family, witness).  Each prime v of a run has the one row
     (v, 2t, t-1, t) of family III with t = (v-1)/4.
 
-    v_max is checked against cap and sys.maxsize, and the prime-power
-    table up to v_max (one byte per integer, serving every family) is
-    built, before this returns; the blocks are then made as the
-    iterator is consumed, each run a view of one array of every prime
-    = 1 (mod 4) up to v_max."""
+    v_max is checked against cap and sys.maxsize before anything is
+    allocated.  The primes = 1 (mod 4) come from a sieve of the odd
+    numbers up to v_max (one bool per odd number, freed before this
+    returns), and the proper powers and family IV's prime moduli from a
+    _prime_power_table up to isqrt(v_max) (and up to the bit length of
+    v_max, which bounds d + 1).  The blocks are then made as the iterator
+    is consumed, each run a view of one array of every prime = 1 (mod 4)
+    up to v_max."""
     if v_max < 4:
         raise InputError("v_max must be at least 4")
     if v_max > cap:
@@ -255,9 +271,15 @@ def _catalogue_blocks(v_max: int, cap: int) -> Iterator:
     if v_max >= sys.maxsize:
         raise CapError(f"v_max {printable(v_max)} is too large to sieve: the limit is {sys.maxsize - 1}")
     try:
-        table = _prime_power_table(v_max)
+        sieve = _odd_sieve(v_max)
     except MemoryError:
-        raise CapError(f"v_max {printable(v_max)} is too large to sieve: {v_max + 1} bytes cannot be allocated") from None
+        size = (v_max + 1) // 2
+        raise CapError(f"v_max {printable(v_max)} is too large to sieve: {size} bytes cannot be allocated") from None
+    primes = np.flatnonzero(sieve[::2])  # entry j of sieve[::2] is 4j + 1
+    del sieve
+    primes *= 4  # in place: 8 bytes per prime, held through the walk
+    primes += 1
+    table = _prime_power_table(max(isqrt(v_max), v_max.bit_length()))
     proper_powers = []
     for p in compress(range(isqrt(v_max) + 1), table):
         if table[p] == PRIME:
@@ -266,12 +288,9 @@ def _catalogue_blocks(v_max: int, cap: int) -> Iterator:
                 proper_powers.append((power, p, d))
                 power, d = power * p, d + 1
     proper_powers.sort()
+    cuts = np.searchsorted(primes, [v for v, _, _ in proper_powers]).tolist()
 
     def walk():
-        primes = np.flatnonzero(np.frombuffer(table, np.uint8)[1::4] == PRIME)
-        primes *= 4  # in place: 8 bytes per prime, held through the walk
-        primes += 1
-        cuts = np.searchsorted(primes, [v for v, _, _ in proper_powers]).tolist()
         low = 0
         for (_, p, d), cut in zip(proper_powers, cuts):
             if cut > low:
@@ -363,6 +382,19 @@ def _run_texts(runs, template: str, sep: str) -> list[str]:
     return [text[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
+def witness_template(family: str, pair: str = "{}=%d", sign: str = "{}=%s", sep: str = ",") -> str:
+    """A %-template of the family's witness values: each value's name
+    put in pair (in sign for eps, the one text value), joined by sep.
+    The defaults give the template of witness_str."""
+    return sep.join((sign if name == "eps" else pair).format(name) for name in WITNESS_NAMES[family])
+
+
+def format_rows(rows, templates, sep: str = "") -> str:
+    """Each of rows as templates[family] % (v, k, lambda, mu, *witness
+    values), joined by sep."""
+    return sep.join([templates[row.family] % (*row.params, *[value for _, value in row.witness]) for row in rows])
+
+
 def write_blocks(out, blocks, rows_text, run_row: str, sep: str = "") -> None:
     """Write the blocks of _catalogue_blocks to the text stream out: a
     list of rows as rows_text(rows), and a run of primes with run_row as
@@ -433,7 +465,7 @@ def block_collisions(rows) -> list[tuple[tuple[int, int, int, int], tuple[str, .
         for params, group in groupby(rows, key=attrgetter("params")):
             fams = {row.family for row in group}
             if len(fams) > 1:
-                found.append((params, tuple(sorted(fams, key=FAMILIES.index))))
+                found.append((params, tuple(sorted(fams, key=_FAMILY_ORDER.__getitem__))))
     return found
 
 
@@ -578,16 +610,21 @@ def verdict_to_json_dict(verdict: Verdict) -> dict:
     return data
 
 
+def _csv_template(family: str) -> str:
+    """The CSV row of the family: the witness is quoted where its values
+    are joined by commas, as csv.writer quotes it."""
+    witness = witness_template(family)
+    if "," in witness:
+        witness = f'"{witness}"'
+    return f"%d,%d,%d,%d,{family},{witness}\n"
+
+
+_CSV_ROWS = {family: _csv_template(family) for family in FAMILIES}
+_CSV_RUN_ROW = _CSV_ROWS["III"]  # the row of a prime v
+
+
 def _csv_rows(descriptors) -> str:
-    buf = io.StringIO()
-    rows = ((*desc.params, desc.family, desc.witness_str()) for desc in descriptors)
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
-# The CSV row of a prime v, over (v, k, lambda, mu, t) of its family III
-# row: the format of _csv_rows.
-_CSV_RUN_ROW = "%d,%d,%d,%d,III,t=%d\n"
+    return format_rows(descriptors, _CSV_ROWS)
 
 
 def write_catalogue_csv(out, blocks) -> None:

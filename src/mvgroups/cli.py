@@ -310,32 +310,30 @@ def _cmd_classify(args, cap) -> int:
     return 0 if verdict.coset else 1
 
 
-# The row of a prime v in each enumerate format, over (v, k, lambda, mu,
-# t) of its family III row: the format of _json_row and _table_line.
-_JSON_RUN_ROW = '{"v": %d, "k": %d, "lambda": %d, "mu": %d, "family": "III", "witness": {"t": %d}}'
-_TABLE_RUN_ROW = "%7d %6d %6d %6d  III     t=%d\n"
+def _json_template(family: str) -> str:
+    witness = classify.witness_template(family, '"{}": %d', '"{}": "%s"', ", ")
+    return f'{{"v": %d, "k": %d, "lambda": %d, "mu": %d, "family": "{family}", "witness": {{{witness}}}}}'
 
 
-def _json_row(d: classify.FamilyDescriptor) -> dict:
-    v, k, lam, mu = d.params
-    return {"v": v, "k": k, "lambda": lam, "mu": mu, "family": d.family, "witness": dict(d.witness)}
+# The row of each family in the JSON and table formats of enumerate,
+# over (v, k, lambda, mu, *witness values): the bytes of json.dumps of
+# the row's dict, and of the table's f-string columns.
+_JSON_ROWS = {family: _json_template(family) for family in classify.FAMILIES}
+_TABLE_ROWS = {
+    family: f"%7d %6d %6d %6d  {family:<6}  {classify.witness_template(family)}\n" for family in classify.FAMILIES
+}
+_JSON_RUN_ROW, _TABLE_RUN_ROW = _JSON_ROWS["III"], _TABLE_ROWS["III"]  # the rows of a prime v
 
 
 def _json_block(rows) -> str:
-    """json.dumps of the rows without its brackets: a list's dump joins
-    its items' dumps with ", ", so blocks joined by ", " give the bytes
-    of a single call.  The rows are fresh acyclic dicts, so the
-    circular-reference check is skipped."""
-    return json.dumps(list(map(_json_row, rows)), check_circular=False)[1:-1]
-
-
-def _table_line(d: classify.FamilyDescriptor) -> str:
-    v, k, lam, mu = d.params
-    return f"{v:>7} {k:>6} {lam:>6} {mu:>6}  {d.family:<6}  {d.witness_str()}\n"
+    """The rows as json.dumps writes them in a list, without its
+    brackets: a list's dump joins its items' dumps with ", ", so blocks
+    joined by ", " give the bytes of a single call."""
+    return classify.format_rows(rows, _JSON_ROWS, ", ")
 
 
 def _table_block(rows) -> str:
-    return "".join(map(_table_line, rows))
+    return classify.format_rows(rows, _TABLE_ROWS)
 
 
 def _noting_collisions(blocks, found: list):

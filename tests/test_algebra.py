@@ -571,6 +571,54 @@ def test_is_prime_power():
         algebra.is_prime_power(0)
 
 
+def _odd_trial_division(n):
+    """The least prime factor of n >= 2 by division by 2 and then by every
+    odd number: _least_prime_factor as it was written, kept as its
+    oracle."""
+    if n % 2 == 0:
+        return 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        f += 2
+    return n
+
+
+# The primes on either side of 2**12, where trial division leaves the
+# tuple of small primes for the odd numbers.
+PRIMES_AROUND_2_12 = (4057, 4073, 4079, 4091, 4093, 4099, 4111, 4127, 4129)
+MERSENNE_61 = 2**61 - 1  # a prime
+
+
+def test_small_primes_are_the_primes_below_2_12():
+    assert algebra._SMALL_PRIMES == tuple(n for n in range(2, 2**12) if _odd_trial_division(n) == n)
+    assert algebra._SMALL_PRIMES[-1] == 4093
+
+
+def test_least_prime_factor_matches_odd_trial_division():
+    for n in range(2, 10**5 + 1):
+        assert algebra._least_prime_factor(n) == _odd_trial_division(n), n
+
+
+def test_least_prime_factor_past_the_small_primes():
+    # Squares and products of the primes around the end of the tuple,
+    # and each of them times the prime 2**61 - 1, whose own least factor
+    # would take about 7.6 * 10**8 odd divisions.
+    for p in PRIMES_AROUND_2_12:
+        assert algebra._least_prime_factor(p) == p
+        assert algebra.is_prime_power(p**3) == (p, 3)
+        assert algebra._least_prime_factor(p * MERSENNE_61) == p
+        for q in PRIMES_AROUND_2_12:
+            assert algebra._least_prime_factor(p * q) == min(p, q) == _odd_trial_division(p * q), (p, q)
+            assert algebra._least_prime_factor(p * q * MERSENNE_61) == min(p, q)
+            if p != q:
+                assert algebra.is_prime_power(p * q) is None
+    assert algebra._least_prime_factor(2 * MERSENNE_61) == 2
+    assert algebra._least_prime_factor(2**12 + 1) == 17  # 4097 = 17 * 241
+    assert algebra._least_prime_factor(4099 * 4111 * 4127) == 4099
+
+
 def test_mult_order():
     assert algebra.mult_order(2, 3) == 2
     assert algebra.mult_order(3, 5) == 4

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from mvgroups import algebra, classify, core, srg
@@ -380,7 +381,7 @@ def _trial_division_catalogue(v_max):
                 break
             t = 1
             while p ** ((c - 1) * t) <= v_max:
-                if classify._vls_admissible(p, c, t):
+                if classify._admissible_vls_params(p, c, t) is not None:
                     found.append(desc("IV", srg.vls_params(p, c, t), (("p", p), ("c", c), ("t", t))))
                 t += 1
     for q in prime_powers(isqrt(v_max)):
@@ -419,12 +420,68 @@ def test_prime_power_table_matches_trial_division():
         if pp is None:
             assert table[n] == 0, n
         else:
-            assert table[n] == (classify.PRIME if pp[1] == 1 else classify.PROPER_POWER), n
+            assert table[n] == (classify.PRIME if pp[1] == 1 else algebra.PROPER_POWER), n
 
 
 @pytest.mark.parametrize("v_max", [4, 5, 8, 9, 13, 16, 25, 27, 32, 49, 64, 1024, 4096, 4097, 10**5])
 def test_enumerate_matches_trial_division_reference(v_max):
     assert classify.enumerate_families(v_max) == _trial_division_catalogue(v_max)
+
+
+def _full_table_blocks(v_max):
+    """_catalogue_blocks as it was written over one _prime_power_table up
+    to v_max (one byte per integer), kept as the oracle for the odd sieve
+    and the small table: the primes = 1 (mod 4) from the table's entries
+    4j + 1, the proper powers from its PROPER_POWER entries."""
+    table = classify._prime_power_table(v_max)
+    entries = np.frombuffer(table, np.uint8)
+    primes = np.flatnonzero(entries[1::4] == algebra.PRIME) * 4 + 1
+    powers = np.flatnonzero(entries == algebra.PROPER_POWER).tolist()
+    blocks, low = [], 0
+    for v, cut in zip(powers, np.searchsorted(primes, powers).tolist()):
+        if cut > low:
+            blocks.append(primes[low:cut])
+        p, d = algebra.is_prime_power(v)
+        blocks.append(sorted(classify._family_rows(p, d, table), key=classify._row_key))
+        low = cut
+    if low < primes.size:
+        blocks.append(primes[low:])
+    return blocks
+
+
+def _assert_same_blocks(v_max):
+    blocks = list(classify._catalogue_blocks(v_max, v_max))
+    expected = _full_table_blocks(v_max)
+    assert len(blocks) == len(expected), v_max
+    for block, want in zip(blocks, expected):
+        if isinstance(want, list):
+            assert block == want, v_max
+        else:
+            assert isinstance(block, np.ndarray) and block.dtype == np.int64, v_max
+            assert np.array_equal(block, want), v_max
+
+
+def _primes_in(low, high):
+    return [n for n in range(low, high + 1) if algebra.is_prime(n)]
+
+
+def test_walk_matches_the_full_table_at_every_small_vmax():
+    for v_max in range(4, 2001):
+        _assert_same_blocks(v_max)
+
+
+@pytest.mark.parametrize("p", _primes_in(43, 997))
+def test_walk_matches_the_full_table_at_a_prime_square(p):
+    # v_max = p**2 is where p enters the small table as a base and the
+    # sieve's last crossing-out prime changes.
+    for v_max in (p * p - 1, p * p, p * p + 1):
+        _assert_same_blocks(v_max)
+
+
+@pytest.mark.parametrize("k", range(3, 20))
+def test_walk_matches_the_full_table_at_a_power_of_two(k):
+    for v_max in (2**k - 1, 2**k, 2**k + 1):
+        _assert_same_blocks(v_max)
 
 
 def test_enumerate_makes_no_trial_division_call(monkeypatch):
@@ -467,7 +524,7 @@ def test_iter_catalogue_yields_the_rows_of_each_v(monkeypatch):
     for rows in blocks:
         assert rows and {row.params[0] for row in rows} == {rows[0].params[0]}
 
-    # The cap and the sieve are dealt with when the iterator is made,
+    # The cap and the sieves are dealt with when the iterator is made,
     # not when it is first read.
     with pytest.raises(CapError):
         classify.iter_catalogue(2000, cap=1000)
@@ -475,9 +532,11 @@ def test_iter_catalogue_yields_the_rows_of_each_v(monkeypatch):
     def unreachable(limit):
         raise AssertionError(f"sieve of {limit} allocated")
 
-    monkeypatch.setattr(classify, "_prime_power_table", unreachable)
-    with pytest.raises(AssertionError, match="sieve"):
-        classify.iter_catalogue(2000)
+    for sieve in ("_odd_sieve", "_prime_power_table"):
+        with monkeypatch.context() as patch:
+            patch.setattr(classify, sieve, unreachable)
+            with pytest.raises(AssertionError, match="sieve"):
+                classify.iter_catalogue(2000)
 
 
 def test_match_params_checks_the_cap_before_the_parameters():

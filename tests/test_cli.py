@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -551,8 +552,9 @@ def test_enumerate_cap(capsys, monkeypatch):
     def unreachable(limit):
         raise AssertionError(f"sieve of {limit} allocated")
 
-    # The default cap rejects before the sieve is allocated and admits
+    # The default cap rejects before either sieve is allocated and admits
     # v_max up to and including itself.
+    monkeypatch.setattr(classify, "_odd_sieve", unreachable)
     monkeypatch.setattr(classify, "_prime_power_table", unreachable)
     code, _, err = run_cli(capsys, "enumerate", "--vmax", str(classify.ENUMERATE_CAP + 1))
     assert code == 4 and "cap" in err
@@ -600,7 +602,7 @@ def _oracle_rows(v_max):
     for v in range(v_max + 1):
         if table[v] == classify.PRIME:
             rows += classify._family_rows(v, 1, table)
-        elif table[v] == classify.PROPER_POWER:
+        elif table[v] == algebra.PROPER_POWER:
             rows += sorted(classify._family_rows(*algebra.is_prime_power(v), table), key=classify._row_key)
     return rows
 
@@ -753,11 +755,61 @@ def test_run_writer_matches_the_percent_format(blocks):
         assert _write(blocks, template, sep) == sep.join(rows)
 
 
+def _dumps_block(rows):
+    """json.dumps of each row's dict, joined as a list's dump joins them:
+    the JSON writer as it was before row templates."""
+    columns = ("v", "k", "lambda", "mu")
+    data = [{**dict(zip(columns, d.params)), "family": d.family, "witness": dict(d.witness)} for d in rows]
+    return json.dumps(data)[1:-1]
+
+
+def _csv_writer_rows(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows((*d.params, d.family, d.witness_str()) for d in rows)
+    return buf.getvalue()
+
+
+def _fstring_lines(rows):
+    lines = []
+    for d in rows:
+        v, k, lam, mu = d.params
+        lines.append(f"{v:>7} {k:>6} {lam:>6} {mu:>6}  {d.family:<6}  {d.witness_str()}\n")
+    return "".join(lines)
+
+
+def _proper_power_rows(limit):
+    """The sorted rows of each proper power up to limit, one list each."""
+    table = classify._prime_power_table(limit.bit_length() + isqrt(limit))
+    return [
+        sorted(classify._family_rows(p, d, table), key=classify._row_key)
+        for p in range(2, isqrt(limit) + 1)
+        if table[p] == classify.PRIME
+        for d in range(2, limit.bit_length())
+        if p**d <= limit
+    ]
+
+
+def test_row_templates_match_the_old_writers():
+    # Every proper power's rows up to the cap, which hold every family
+    # and both signs of eps, and the row of a few primes = 1 (mod 4).
+    blocks = _proper_power_rows(classify.ENUMERATE_CAP)
+    assert len(blocks) == 555
+    assert {row.family for rows in blocks for row in rows} == set(classify.FAMILIES)
+    assert {row.witness[-1] for rows in blocks for row in rows if row.family == "VI"} == {("eps", "+"), ("eps", "-")}
+    blocks += [classify._family_rows(v, 1, None) for v in (5, 13, 9973, 1000033, 9999973)]
+    for rows in blocks:
+        assert rows
+        assert cli._json_block(rows) == _dumps_block(rows)
+        assert classify._csv_rows(rows) == _csv_writer_rows(rows)
+        assert cli._table_block(rows) == _fstring_lines(rows)
+
+
 @pytest.mark.parametrize("v_max", [10**23, 2**63 - 1])
 def test_enumerate_refuses_a_vmax_past_the_sieve(capsys, monkeypatch, v_max):
     def unreachable(limit):
         raise AssertionError(f"sieve of {limit} allocated")
 
+    monkeypatch.setattr(classify, "_odd_sieve", unreachable)
     monkeypatch.setattr(classify, "_prime_power_table", unreachable)
     code, out, err = run_cli(capsys, "enumerate", "--vmax", str(v_max), "--cap", str(v_max))
     assert code == 4 and out == ""
@@ -768,10 +820,16 @@ def test_enumerate_maps_a_failed_sieve_allocation_to_the_cap_exit(capsys, monkey
     def exhausted(limit):
         raise MemoryError
 
-    monkeypatch.setattr(classify, "_prime_power_table", exhausted)
+    def unreachable(limit):
+        raise AssertionError(f"sieve of {limit} allocated")
+
+    # The odd sieve, one bool per odd number up to 5000, is allocated
+    # first, and the message names its size.
+    monkeypatch.setattr(classify, "_odd_sieve", exhausted)
+    monkeypatch.setattr(classify, "_prime_power_table", unreachable)
     code, out, err = run_cli(capsys, "enumerate", "--vmax", "5000")
     assert code == 4 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "cannot be allocated" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and ": 2500 bytes cannot be allocated" in err
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
