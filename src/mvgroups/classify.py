@@ -232,7 +232,19 @@ def _family_rows(p: int, d: int, table) -> list[FamilyDescriptor]:
 
 
 def _row_key(row: FamilyDescriptor):
-    return (row.params, _FAMILY_ORDER[row.family], row.witness_str())
+    return (row.params, _FAMILY_ORDER[row.family])
+
+
+def _sort_rows(rows: list[FamilyDescriptor]) -> None:
+    """Sort the rows of one v in place by (params, family, witness_str).
+    witness_str is built only within a run of rows that tie on (params,
+    family): the catalogue's rows have no such run."""
+    rows.sort(key=_row_key)
+    runs = [list(run) for _, run in groupby(rows, _row_key)]
+    if len(runs) < len(rows):
+        rows[:] = chain.from_iterable(
+            sorted(run, key=FamilyDescriptor.witness_str) if len(run) > 1 else run for run in runs
+        )
 
 
 def _odd_sieve(limit: int) -> np.ndarray:
@@ -296,7 +308,7 @@ def _catalogue_blocks(v_max: int, cap: int) -> Iterator:
             if cut > low:
                 yield primes[low:cut]
             rows = _family_rows(p, d, table)
-            rows.sort(key=_row_key)
+            _sort_rows(rows)
             yield rows
             low = cut
         if low < primes.size:

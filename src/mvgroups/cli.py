@@ -157,10 +157,7 @@ def _polar(cap, q, e, eps_text):
 
 
 def _complement(cap, path):
-    graph = _load_graph(path, cap)
-    if isinstance(graph, srg.DirectedGraph):
-        raise InputError("complement is defined for undirected graphs only")
-    return srg.complement(graph)
+    return srg.complement(_load_graph(path, cap))
 
 
 # Each `build graph` family: its arguments, then its builder, called with

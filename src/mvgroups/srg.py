@@ -2,15 +2,19 @@
 intersection-number algebra, the order-3 multivalued group attached to a
 parameter set, and the constructible graph families.
 
-Adjacency is stored as one Python int bitset per vertex.  srg_check is
-the check for any graph.  It first tries to prove the graph
-translation-invariant: when the rows are those of a Cayley graph on some
-Z_n^dim in base-n labelling (row j the e_i-translate of row j - n^i),
-every translation is an automorphism and only the v-1 pairs (0, d) are
-counted.  Any other graph, a relabelled copy of one included, is checked
-against A A^T = kI + lambda A + mu (J - I - A) a pair of blocks of rows
-at a time, as exact float products through BLAS (every count is an
-integer of at most v), in a fixed amount of scratch memory.
+Adjacency is stored as one Python int bitset per vertex, in a tuple: a
+graph is immutable after construction.  srg_check is the check for any
+undirected graph, and refuses a directed one.  A family builder's graph
+carries the certificate its builder proved, and srg_check returns it.
+Any other graph is decided when it is checked.  srg_check first tries
+to prove it translation-invariant: when the rows are those of a Cayley
+graph on some Z_n^dim in base-n labelling (row j the e_i-translate of
+row j - n^i), every translation is an automorphism and only the v-1
+pairs (0, d) are counted.  Any other graph, a relabelled copy of one
+included, is checked against A A^T = kI + lambda A + mu (J - I - A) a
+pair of blocks of rows at a time, as exact float products through BLAS
+(every count is an integer of at most v), in a fixed amount of scratch
+memory.
 
 Every family is a Cayley graph on Z_n^N in that labelling.  Its vertex
 count is checked against the cap before any primality test or factoring
@@ -19,7 +23,7 @@ connection set as its definition gives it (outer products u w^T for
 rank-one forms, wedges u ^ w for rank-two alternating forms, zeros of a
 quadratic form for polar graphs), translates row 0 to get the other rows
 and certifies the result from the pairs (0, d) against the closed-form
-parameters before returning it.
+parameters before returning it, with that certificate kept on the graph.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ def _set_bits(row: int, start: int = 0):
 
 class _BitRows:
     """Vertices 0..v-1 with one bitset per vertex: bit w of rows[u] is
-    the edge or arc from u to w."""
+    the edge or arc from u to w.  rows is a tuple, and neither it nor v
+    is changed after construction."""
 
     __slots__ = ("v", "rows")
 
@@ -66,18 +71,31 @@ class _BitRows:
     def _from_rows(cls, v, rows):
         graph = cls.__new__(cls)
         graph.v = v
-        graph.rows = rows
+        graph.rows = tuple(rows)
         return graph
 
 
 class Graph(_BitRows):
-    """Undirected loop-free graph on vertices 0..v-1."""
+    """Undirected loop-free graph on vertices 0..v-1, immutable after
+    construction.
 
-    __slots__ = ()
+    A family builder's graph keeps the certificate its builder proved,
+    which srg_check returns; a graph made any other way (from edges, a
+    file, complement or cayley_graph) keeps none and is decided when it
+    is checked.  The kept certificate takes no part in equality."""
+
+    __slots__ = ("_certificate",)
 
     def __init__(self, v, edges=()):
         self.v = _vertex_count(v)
-        self.rows = _adjacency(v, edges, "edge")
+        self.rows = tuple(_adjacency(v, edges, "edge"))
+        self._certificate = None
+
+    @classmethod
+    def _from_rows(cls, v, rows, certificate=None):
+        graph = super()._from_rows(v, rows)
+        graph._certificate = certificate
+        return graph
 
     def has_edge(self, u: int, w: int) -> bool:
         return bool((self.rows[u] >> w) & 1)
@@ -100,14 +118,15 @@ class Graph(_BitRows):
 
 
 class DirectedGraph(_BitRows):
-    """Directed loop-free graph; paley_tournament guarantees the
-    tournament property (exactly one arc between distinct vertices)."""
+    """Directed loop-free graph, immutable after construction;
+    paley_tournament guarantees the tournament property (exactly one arc
+    between distinct vertices)."""
 
     __slots__ = ()
 
     def __init__(self, v, arcs=()):
         self.v = _vertex_count(v)
-        self.rows = _adjacency(v, arcs, "arc")
+        self.rows = tuple(_adjacency(v, arcs, "arc"))
 
     def has_arc(self, u: int, w: int) -> bool:
         return bool((self.rows[u] >> w) & 1)
@@ -274,15 +293,23 @@ _FLOAT32_EXACT = 1 << 24
 def srg_check(graph: Graph):
     """Return the (v,k,lambda,mu) certificate if the common-neighbour
     counts are constant on the equal/adjacent/non-adjacent classes and
-    the graph is neither complete nor edgeless, else None.
+    the graph is neither complete nor edgeless, else None.  A directed
+    graph is refused.
 
-    A regular graph whose rows are translation-invariant on some Z_n^dim
-    (every family builder's output, in its own labelling) is decided
-    from the v-1 pairs (0, d), which meet every count; any other graph
-    has every pair counted."""
+    A family builder's graph returns the certificate its builder proved
+    and kept on it (SrgParams is frozen, so it is shared, not copied).
+    Any other regular graph whose rows are
+    translation-invariant on some Z_n^dim (a builder's output read back
+    from a file, in its own labelling) is decided from the v-1 pairs
+    (0, d), which meet every count; any other graph has every pair
+    counted."""
+    if isinstance(graph, DirectedGraph):
+        raise InputError("strong regularity is defined for undirected graphs only")
     v = graph.v
     if v < 2:
         raise InputError("strong regularity needs at least two vertices")
+    if graph._certificate is not None:
+        return graph._certificate
     rows = graph.rows
     k = rows[0].bit_count()
     if any(row.bit_count() != k for row in rows):
@@ -403,6 +430,9 @@ def _pair_counts_blocked(rows):
 
 
 def complement(graph: Graph) -> Graph:
+    """The complement of an undirected graph; a directed one is refused."""
+    if isinstance(graph, DirectedGraph):
+        raise InputError("complement is defined for undirected graphs only")
     full = (1 << graph.v) - 1
     rows = [(full ^ row ^ (1 << x)) for x, row in enumerate(graph.rows)]
     return Graph._from_rows(graph.v, rows)
@@ -578,8 +608,9 @@ def _cayley_certificate(rows):
 
 def _cayley_graph(n: int, dim: int, connection, expected: SrgParams, what: str) -> Graph:
     """Undirected Cayley graph on Z_n^dim, certified against the
-    closed-form parameters; the connection set must exclude 0 and be
-    closed under negation (row s holds 0 iff -s is in the set)."""
+    closed-form parameters and returned with that certificate kept on it,
+    for srg_check; the connection set must exclude 0 and be closed under
+    negation (row s holds 0 iff -s is in the set)."""
     rows = _cayley_rows(n, dim, connection)
     if rows[0] & 1 or not all(rows[s] & 1 for s in connection):
         raise InternalError(f"{what}: connection set is not symmetric and nonzero")
@@ -591,7 +622,7 @@ def _cayley_graph(n: int, dim: int, connection, expected: SrgParams, what: str) 
         raise InternalError(
             f"{what}: certificate found {got and got.as_tuple()}, expected {expected.as_tuple()}"
         )
-    return Graph._from_rows(len(rows), rows)
+    return Graph._from_rows(len(rows), rows, got)
 
 
 # ---------------------------------------------------------------------------

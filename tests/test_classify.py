@@ -428,6 +428,49 @@ def test_enumerate_matches_trial_division_reference(v_max):
     assert classify.enumerate_families(v_max) == _trial_division_catalogue(v_max)
 
 
+def _full_row_key(row):
+    """The catalogue's row order in full: params, family, then witness."""
+    return (row.params, classify.FAMILIES.index(row.family), row.witness_str())
+
+
+def test_sort_rows_breaks_ties_by_witness_text():
+    desc = classify.FamilyDescriptor
+    rows = [
+        desc("TABLE", (16, 5, 0, 2), (("row", 10),)),
+        desc("TABLE", (16, 5, 0, 2), (("row", 9),)),  # "row=10" < "row=9"
+        desc("I", (16, 5, 0, 2), (("p", 2), ("t", 1), ("s", 3))),
+        desc("I", (16, 3, 2, 0), (("p", 2), ("t", 2), ("s", 2))),
+        desc("I", (16, 3, 2, 0), (("p", 2), ("t", 1), ("s", 3))),
+        desc("II", (16, 6, 2, 2), (("q", 4),)),
+    ]
+    rng = random.Random(5)
+    for _ in range(50):
+        rng.shuffle(rows)
+        got = list(rows)
+        classify._sort_rows(got)
+        assert got == sorted(rows, key=_full_row_key)
+
+
+def test_catalogue_sort_builds_no_witness_text(monkeypatch):
+    # no two rows of one v tie on (params, family) up to the cap, so the
+    # sort never needs a witness's text
+    def sweep():
+        cap = classify.ENUMERATE_CAP
+        return [block for block in classify._catalogue_blocks(cap, cap) if isinstance(block, list)]
+
+    blocks = sweep()
+    assert len(blocks) == 555
+    for rows in blocks:
+        assert rows == sorted(rows, key=_full_row_key)
+        assert len({classify._row_key(row) for row in rows}) == len(rows)
+
+    def forbidden(row):
+        raise AssertionError("witness_str called")
+
+    monkeypatch.setattr(classify.FamilyDescriptor, "witness_str", forbidden)
+    assert sweep() == blocks
+
+
 def _full_table_blocks(v_max):
     """_catalogue_blocks as it was written over one _prime_power_table up
     to v_max (one byte per integer), kept as the oracle for the odd sieve
@@ -442,7 +485,7 @@ def _full_table_blocks(v_max):
         if cut > low:
             blocks.append(primes[low:cut])
         p, d = algebra.is_prime_power(v)
-        blocks.append(sorted(classify._family_rows(p, d, table), key=classify._row_key))
+        blocks.append(sorted(classify._family_rows(p, d, table), key=_full_row_key))
         low = cut
     if low < primes.size:
         blocks.append(primes[low:])

@@ -508,7 +508,7 @@ def test_complement_rejects_directed_input(capsys, tmp_path):
     path.write_text(out)
     code, _, err = run_cli(capsys, "build", "graph", "complement", str(path))
     assert code == 3
-    assert "undirected" in err
+    assert err == "error: complement is defined for undirected graphs only\n"
 
 
 def test_enumerate_vmax_too_small(capsys):

@@ -691,18 +691,18 @@ def test_array_edges_fail_as_their_lists(edges, directed):
 def test_bool_pairs_are_read_as_integers():
     # numpy reads an all-bool list as bools, which the pass refuses; the
     # loop, like int, takes True as 1
-    assert srg.Graph(4, [(True, False)]).rows == [2, 1, 0, 0]
-    assert srg.graph_loads('{"format": "graph-v1", "v": 3, "edges": [[true, 2]]}').rows == [0, 4, 2]
+    assert srg.Graph(4, [(True, False)]).rows == (2, 1, 0, 0)
+    assert srg.graph_loads('{"format": "graph-v1", "v": 3, "edges": [[true, 2]]}').rows == (0, 4, 2)
 
 
 def _rows_oracle(v, pairs, symmetric):
-    """The rows by one |= per pair."""
+    """The rows by one |= per pair, as the tuple a graph holds."""
     rows = [0] * v
     for u, w in pairs:
         rows[u] |= 1 << w
         if symmetric:
             rows[w] |= 1 << u
-    return rows
+    return tuple(rows)
 
 
 def _random_pairs(v, density, rng):
@@ -791,8 +791,9 @@ def _vectors(q, dim):
 
 
 def _predicate_rows(v, adjacent):
-    """Rows with bit y of row x set iff adjacent(x, y), for every pair x != y."""
-    return [sum(1 << y for y in range(v) if y != x and adjacent(x, y)) for x in range(v)]
+    """Rows with bit y of row x set iff adjacent(x, y), for every pair
+    x != y, as the tuple a graph holds."""
+    return tuple(sum(1 << y for y in range(v) if y != x and adjacent(x, y)) for x in range(v))
 
 
 def _difference_rows(field, dim, defining):
@@ -923,7 +924,7 @@ def test_alternating_forms_graph_equals_definition():
     vecs = _vectors(2, 10)
     index = {vec: x for x, vec in enumerate(vecs)}
     rank_two = _rank_two_alternating(field)
-    rows = [sum(1 << index[tuple(map(field.add, vx, d))] for d in rank_two) for vx in vecs]
+    rows = tuple(sum(1 << index[tuple(map(field.add, vx, d))] for d in rank_two) for vx in vecs)
     assert graph.rows == rows
     assert srg.srg_check(graph) == srg.alternating_params(2)
 
@@ -1054,6 +1055,156 @@ def test_builders_reject_a_wrong_closed_form(monkeypatch):
     monkeypatch.setattr(srg, "grid_params", lambda q: srg.SrgParams(9, 4, 1, 2))
     with pytest.raises(InternalError, match="4x4 grid"):
         srg.grid_graph(4)
+
+
+# ---------------------------------------------------------------------------
+# The certificate a builder keeps on its graph
+
+# The builder argument sets of the benchmark's families workload
+# (perfbench/workloads.py), v from 625 to 4096, with their closed forms,
+# and the Paley orders it draws from.
+_FAMILIES_WORKLOAD = [
+    *(("clique_union", args, srg.clique_union_params(*args)) for args in (
+        (5, 2, 2), (5, 1, 3), (5, 3, 1), (3, 3, 3), (3, 2, 4),
+        (3, 4, 2), (3, 1, 5), (3, 5, 1), (2, 5, 5), (2, 6, 6),
+    )),
+    *(("grid_graph", (q,), srg.grid_params(q)) for q in (25, 27, 32)),
+    ("vanlint_schrijver", (2, 3, 5), srg.vls_params(2, 3, 5)),
+    *(("bilinear_forms_graph", args, srg.bilinear_params(*args)) for args in ((3, 3), (2, 5))),
+    *(("affine_polar", args, srg.polar_params(*args)) for args in ((5, 2, 1), (5, 2, -1), (3, 3, -1), (2, 5, -1))),
+    ("affine_polar_plus_complement", (5,), srg.polar_plus_complement_params(5)),
+    ("alternating_forms_graph", (2,), srg.alternating_params(2)),
+]
+_FAMILIES_PALEY = (641, 653, 661, 673, 677)
+
+
+def _kept_certificate_cases():
+    cases = [pytest.param(case.values[0], case.values[2], id=case.id) for case in _definition_cases()]
+    cases += [
+        pytest.param(lambda name=name, args=args: getattr(srg, name)(*args), params, id=f"{name}{args}")
+        for name, args, params in _FAMILIES_WORKLOAD
+    ]
+    cases += [
+        pytest.param(lambda q=q: srg.paley_graph(_field(q)), srg.conference_params((q - 1) // 4), id=f"paley({q})")
+        for q in _FAMILIES_PALEY
+    ]
+    return cases
+
+
+def _uncertified(graph):
+    """The same rows with no kept certificate, as a file would give them."""
+    return srg.Graph._from_rows(graph.v, graph.rows)
+
+
+@pytest.mark.parametrize("build,params", _kept_certificate_cases())
+def test_kept_certificate_equals_every_other_proof(build, params):
+    graph = build()
+    assert graph._certificate == params
+    assert srg.srg_check(graph) is graph._certificate
+    bare = _uncertified(graph)
+    assert bare._certificate is None and bare == graph
+    assert srg.srg_check(bare) == params  # the translation probe
+    if graph.v <= 1024:
+        shuffled = _shuffled_in_numpy(graph, graph.v)
+        assert not srg._translation_invariant(shuffled.rows)
+        assert srg._pair_counts_blocked(shuffled.rows) == (params.lam, params.mu)
+
+
+@pytest.fixture
+def proof_calls(monkeypatch):
+    """The names of srg_check's counting paths, in the order they run."""
+    calls = []
+    for name in ("_translation_invariant", "_translation_counts", "_pair_counts_blocked"):
+
+        def spy(rows, name=name, original=getattr(srg, name)):
+            calls.append(name)
+            return original(rows)
+
+        monkeypatch.setattr(srg, name, spy)
+    return calls
+
+
+_PROBE = ["_translation_invariant", "_translation_counts"]
+_KERNEL = ["_translation_invariant", "_pair_counts_blocked"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: srg.paley_graph(_field(13)),
+        lambda: srg.clique_union(3, 1, 2),
+        lambda: srg.grid_graph(5),
+        lambda: srg.vanlint_schrijver(2, 5, 1),
+        lambda: srg.affine_polar(3, 2, 1),
+        lambda: srg.affine_polar_plus_complement(2),
+        lambda: srg.bilinear_forms_graph(2, 3),
+    ],
+    ids=["paley 13", "cliques 3 1 2", "grid 5", "vls 2 5 1", "polar 3 2 +", "polar-plus-comp 2", "bilinear 2 3"],
+)
+def test_srg_check_counts_nothing_on_a_builder_graph(proof_calls, build):
+    graph = build()
+    proof_calls.clear()  # the builder's own proof
+    expected = srg.srg_check(graph)
+    assert expected is graph._certificate and proof_calls == []
+    for copy, want, path in (
+        (srg.graph_loads(srg.graph_dumps(graph)), expected, _PROBE),
+        (srg.Graph(graph.v, list(graph.edges())), expected, _PROBE),
+        (srg.complement(graph), srg.complement_params(expected), _PROBE),
+        (_shuffled(graph, 3), expected, _KERNEL),
+    ):
+        assert copy._certificate is None
+        proof_calls.clear()
+        assert srg.srg_check(copy) == want
+        assert proof_calls == path
+
+
+@pytest.mark.parametrize(
+    "build,certificate",
+    [
+        (lambda: srg.grid_graph(3), srg.grid_params(3)),
+        (lambda: srg.Graph(4, [(0, 1), (2, 3)]), None),
+        (lambda: srg.Graph(4, np.array([(0, 1), (2, 3)])), None),
+        (lambda: srg.Graph(3, [(True, 2)]), None),
+        (lambda: srg.DirectedGraph(3, [(0, 1), (1, 2)]), None),
+        (lambda: srg.paley_tournament(_field(7)), None),
+        (lambda: srg.complement(srg.grid_graph(3)), None),
+        (lambda: srg.cayley_graph(algebra.make_elementary_abelian(3, 2), [1, 2, 3, 6]), None),
+        (lambda: srg.graph_loads('{"format": "graph-v1", "v": 3, "edges": [[0, 1]]}'), None),
+        (lambda: srg.graph_from_edge_list("v 3\n0 1\n"), None),
+        (lambda: srg.graph_from_edge_list("0 1 # one edge\n"), None),
+    ],
+    ids=[
+        "builder", "edges", "edge array", "bool edges", "arcs", "tournament",
+        "complement", "cayley_graph", "graph_loads", "edge list", "edge list with comment",
+    ],
+)
+def test_graph_rows_are_a_tuple_that_cannot_change(build, certificate):
+    # only a family builder keeps a certificate; a digraph has no slot
+    graph = build()
+    assert getattr(graph, "_certificate", None) == certificate
+    assert type(graph.rows) is tuple
+    with pytest.raises(TypeError):
+        graph.rows[0] = 0
+
+
+@pytest.mark.parametrize(
+    "digraph",
+    [
+        srg.DirectedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        srg.DirectedGraph(1),
+        srg.paley_tournament(_field(7)),
+        srg.paley_tournament(_field(11)),
+        srg.graph_loads('{"format": "graph-v1", "v": 3, "edges": [[0, 1], [1, 0]], "directed": true}'),
+    ],
+    ids=["4-cycle", "one vertex", "tournament 7", "tournament 11", "both arcs"],
+)
+def test_srg_check_and_complement_refuse_directed_graphs(digraph):
+    # before the refusal the 4-cycle read as (4, 1, 0, 0) and the Paley
+    # tournament on 7 vertices as (7, 3, 1, 1)
+    with pytest.raises(InputError, match="^strong regularity is defined for undirected graphs only$"):
+        srg.srg_check(digraph)
+    with pytest.raises(InputError, match="^complement is defined for undirected graphs only$"):
+        srg.complement(digraph)
 
 
 @pytest.mark.parametrize("residues", [{1, 2, 6}, {1, 2}])
@@ -1329,7 +1480,7 @@ def test_kernel_agrees_for_any_block_size(monkeypatch, rows_per_block, chunk_byt
 
 
 def test_kernel_scratch_stays_bounded_and_ignores_labels():
-    graph = srg.affine_polar(2, 5, -1)
+    graph = _uncertified(srg.affine_polar(2, 5, -1))
     tracemalloc.start()
     try:
         found = srg.srg_check(graph)
@@ -1494,7 +1645,7 @@ _PROBE_CASES = {
 @pytest.mark.parametrize("name", list(_PROBE_CASES))
 def test_probe_certifies_labelled_cayley_graphs(kernels_off, name):
     build, expected = _PROBE_CASES[name]
-    graph = build()
+    graph = _uncertified(build())
     assert srg._translation_invariant(graph.rows)
     assert srg.srg_check(graph) == expected
 
