@@ -22,7 +22,7 @@ from math import gcd, isqrt
 
 import numpy as _np
 
-from .core import _BLOCK_ENTRIES, MultivaluedGroup, parse_json, validate
+from .core import _BLOCK_ENTRIES, MultivaluedGroup, _Frozen, parse_json, validate
 from .errors import CapError, InputError, InternalError
 
 GROUP_CAP = 4096
@@ -310,11 +310,12 @@ def make_field(p: int, s: int, cap: int = FIELD_CAP) -> FiniteField:
 # Finite groups
 
 
-class FiniteGroup:
-    """Finite group as an explicit multiplication table on 0..size-1.
+class FiniteGroup(_Frozen):
+    """Finite group as an explicit multiplication table on 0..size-1; no
+    attribute can be assigned after construction.
 
-    The table is stored once, in op: a numpy array of the smallest
-    unsigned integer type that holds size - 1.  The identity and inverse
+    The table is stored once, in op: a read-only numpy array of the
+    smallest unsigned integer type that holds size - 1.  The identity and inverse
     tables are derived from it at construction, and associativity is
     proved exactly at any size by Light's test (Clifford and Preston,
     The Algebraic Theory of Semigroups I, 1.2): the a with
@@ -334,12 +335,18 @@ class FiniteGroup:
         size = len(op)
         if size < 1:
             raise InputError("a group needs at least one element")
-        self.size = size
-        self.op = op = _group_table(op, size)
-        self.identity = identity = _identity(op)
-        self.inv = _inverses(op, identity)
-        self.generators = _generating_set(op, identity)
-        if self.generators is None or _nonassociative_triple(op, sorted(self.generators)):
+        op = _group_table(op, size)
+        op.flags.writeable = False
+        identity = _identity(op)
+        inv = _inverses(op, identity)
+        generators = _generating_set(op, identity)
+        init = object.__setattr__
+        init(self, "size", size)
+        init(self, "op", op)
+        init(self, "identity", identity)
+        init(self, "inv", inv)
+        init(self, "generators", generators)
+        if generators is None or _nonassociative_triple(op, sorted(generators)):
             triple = _nonassociative_triple(op, range(size))
             if triple is None:
                 raise InternalError("Light's test failed on an associative table")

@@ -29,10 +29,11 @@ from .errors import AxiomError, CapError, InputError
 
 MVG_FORMAT = "mvg-v1"
 
-# Past this order the associativity proof and scan use vectorised int64
-# arithmetic; the scan runs it as float64 BLAS products while n**2 < 2**53
-# (see _assoc_failures).  Up to it, which covers every order-3 table,
-# plain loops are faster; they are also the exact path once
+# Past this order a group keeps its table as one int64 array, and the
+# associativity proof and scan use vectorised int64 arithmetic; the scan
+# runs it as float64 BLAS products while n**2 < 2**53 (see
+# _assoc_failures).  Up to it, which covers every order-3 table, nested
+# tuples and plain loops are faster; they are also the exact path once
 # o * n**2 >= 2**62, where int64 sums of products would overflow.  A
 # 1-valued table is scanned with one numpy gather at every order.
 _NUMPY_ORDER_THRESHOLD = 6
@@ -87,23 +88,50 @@ class Multiset:
         return "{" + ", ".join(parts) + "}"
 
 
-class MultivaluedGroup:
+class _Frozen:
+    """A value whose attributes cannot be assigned or deleted: its
+    constructor sets its slots through object.__setattr__, as a frozen
+    dataclass does, so a proof kept on it cannot go stale.  Copies and
+    pickles restore the slots the same way, with every array read-only."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            if isinstance(value, _np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+
+class MultivaluedGroup(_Frozen):
     """A finite multivalued group given by its full multiplicity table.
 
-    Values are immutable after construction; all operations on them are
-    pure functions.  The one stored write is validate's report, kept on
-    first use: every thread that computes it computes the same report,
-    so instances are safe to share between threads.  Element names are
-    cosmetic (used for display and serialization) and, like the stored
-    report, do not take part in equality.  The table may be an order**3
-    integer array, checked in one array pass (_table_array), or nested
-    lists or tuples, checked by the entry loop (_table_rows); the stored
-    table holds Python ints either way.  Past _NUMPY_ORDER_THRESHOLD,
-    while o * n**2 < 2**62, the group also keeps one read-only int64
-    array of it, and the checks take the array path exactly when it is set.
+    Values are immutable: no attribute can be assigned after
+    construction, and all operations on them are pure functions.  The
+    stored writes are validate's report and the table's tuples, each
+    kept on first use: every thread that computes one computes the same
+    value, so instances are safe to share between threads.  Element
+    names are cosmetic (used for display and serialization) and, like
+    the stored report, do not take part in equality.
+
+    The table may be an order**3 integer array, checked in one array
+    pass (_table_array), or nested lists or tuples, checked by the entry
+    loop (_table_rows).  Past _NUMPY_ORDER_THRESHOLD, while
+    o * n**2 < 2**62, the group keeps its table as one read-only int64
+    array and nothing else, and the checks take the array path exactly
+    when it is set.  Every other group keeps nested tuples of Python
+    ints.  Either way every value handed out is a Python int, and .table
+    reads as nested tuples: an array-backed group builds them on the
+    first read of .table and keeps them, and core never reads them.
     """
 
-    __slots__ = ("order", "n", "identity", "star", "table", "names", "_array", "_report")
+    __slots__ = ("order", "n", "identity", "star", "names", "_array", "_rows", "_report")
 
     def __init__(self, n, identity, star, table, names=None):
         order = len(table)
@@ -116,19 +144,21 @@ class MultivaluedGroup:
         if not isinstance(identity, int) or not 0 <= identity < order:
             raise InputError(f"identity index {identity!r} out of range for order {order}")
 
-        array = None
+        array = rows = None
         if isinstance(table, _np.ndarray):
             array = _table_array(table, order, n)
-            table = table.tolist()  # rows and messages hold Python ints
+            if array is None:
+                table = table.tolist()  # messages hold Python ints
         if array is None:
             rows = _table_rows(table, order, n)
-        else:
-            rows = [tuple(map(tuple, plane)) for plane in table]
         if order <= _NUMPY_ORDER_THRESHOLD or order * n * n >= 2**62:
+            if rows is None:
+                rows = _tuples(array.tolist())
             array = None
         elif array is None:
             array = _np.array(rows, dtype=_np.int64)
             array.flags.writeable = False
+            rows = None
 
         star = tuple(star)
         if any(isinstance(s, bool) or not isinstance(s, int) for s in star):
@@ -148,42 +178,65 @@ class MultivaluedGroup:
             if len(names) != order:
                 raise InputError("element name list does not match the order")
 
-        self.order = order
-        self.n = n
-        self.identity = identity
-        self.star = star
-        self.table = tuple(rows)
-        self.names = names
-        self._array = array
-        self._report = None
+        init = object.__setattr__
+        init(self, "order", order)
+        init(self, "n", n)
+        init(self, "identity", identity)
+        init(self, "star", star)
+        init(self, "names", names)
+        init(self, "_array", array)
+        init(self, "_rows", rows)
+        init(self, "_report", None)
+
+    @property
+    def table(self):
+        """m[x][y][z] as nested tuples of Python ints."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", _tuples(self._array.tolist()))
+        return self._rows
 
     def product(self, x: int, y: int) -> Multiset:
         """The n-multiset x*y, read off the multiplicity table."""
         if not (0 <= x < self.order and 0 <= y < self.order):
             raise InputError(f"element index out of range: ({x}, {y})")
-        return Multiset({z: m for z, m in enumerate(self.table[x][y]) if m})
+        row = self.table[x][y] if self._array is None else self._array[x, y].tolist()
+        return Multiset({z: m for z, m in enumerate(row) if m})
 
     def m(self, x: int) -> int:
         """Diagonal multiplicity of the identity in x * star(x)."""
         if not 0 <= x < self.order:
             raise InputError(f"element index out of range: {x}")
-        return self.table[x][self.star[x]][self.identity]
+        if self._array is None:
+            return self.table[x][self.star[x]][self.identity]
+        return self._array.item(x, self.star[x], self.identity)
 
     def __eq__(self, other):
         if not isinstance(other, MultivaluedGroup):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.identity == other.identity
-            and self.star == other.star
-            and self.table == other.table
-        )
+        if (self.n, self.identity, self.star) != (other.n, other.identity, other.star):
+            return False
+        if self._array is not None and other._array is not None:
+            return _np.array_equal(self._array, other._array)
+        return self.table == other.table
 
     def __hash__(self):
-        return hash((self.n, self.identity, self.star, self.table))
+        # Equal groups have equal order and n, so both keep an array or neither does.
+        table = self.table if self._array is None else self._array.tobytes()
+        return hash((self.n, self.identity, self.star, table))
 
     def __repr__(self):
         return f"MultivaluedGroup(order={self.order}, n={self.n})"
+
+
+def _tuples(table):
+    """A nested list table as nested tuples."""
+    return tuple(tuple(map(tuple, plane)) for plane in table)
+
+
+def _rows(g):
+    """g's table as nested lists or tuples of Python ints, without
+    keeping a copy on g."""
+    return g.table if g._array is None else g._array.tolist()
 
 
 def _table_array(table, order, n):
@@ -227,7 +280,7 @@ def _table_rows(table, order, n):
                 raise InputError(f"row sum of m[{x}][{y}] is {total}, expected the valency {n}")
             plane_rows.append(tuple(row))
         rows.append(tuple(plane_rows))
-    return rows
+    return tuple(rows)
 
 
 @dataclass
@@ -311,13 +364,12 @@ def _assoc_failures(g, ys=None):
     to 2**53 is a float64, so no step rounds.  Tables that keep no int64
     array (see MultivaluedGroup) take plain loops.
     """
-    o, n, t = g.order, g.n, g.table
+    o, n, a = g.order, g.n, g._array
     ys = list(range(o) if ys is None else ys)
     if not ys:
         return []
-    a = g._array
     if n == 1:
-        prod = (_np.array(t) if a is None else a).argmax(2)  # prod[x, y] = xy
+        prod = (_np.array(g.table) if a is None else a).argmax(2)  # prod[x, y] = xy
         left = prod[prod[:, ys]]  # (xy)z
         right = prod[_np.arange(o)[:, None, None], prod[ys][None]]  # x(yz)
         diff = left != right
@@ -339,7 +391,7 @@ def _assoc_failures(g, ys=None):
         return fails
 
     fails = []
-    rng = range(o)
+    t, rng = g.table, range(o)
     for x in rng:
         tx = t[x]
         for y in ys:
@@ -382,7 +434,7 @@ def _assoc_generators(g):
     if t is not None and o * (_SPAN_PRIME - 1) ** 2 < 2**63:
         span = _ArraySpan(t, g.identity)
     else:
-        span = _ListSpan(g.table, g.identity)
+        span = _ListSpan(_rows(g), g.identity)
     gens = []
     done = 0  # span.vectors[:done] have been multiplied by every generator
     while span.rank < o:
@@ -514,23 +566,25 @@ def verify_axioms(g: MultivaluedGroup) -> AxiomReport:
     is listed in the report.
     """
     report = AxiomReport()
-    e, o, n, t = g.identity, g.order, g.n, g.table
-
-    identity_fails = []
-    for x in range(o):
-        for z in range(o):
-            want = n if z == x else 0
-            if t[e][x][z] != want:
-                identity_fails.append(("identity", (e, x, z)))
-            if t[x][e][z] != want:
-                identity_fails.append(("identity", (x, e, z)))
+    e, o, n = g.identity, g.order, g.n
+    if g._array is not None:
+        identity_fails, inverse_fails = _unit_failures_array(g._array, e, n, g.star)
+    else:
+        t = g.table
+        identity_fails = []
+        for x in range(o):
+            for z in range(o):
+                want = n if z == x else 0
+                if t[e][x][z] != want:
+                    identity_fails.append(("identity", (e, x, z)))
+                if t[x][e][z] != want:
+                    identity_fails.append(("identity", (x, e, z)))
+        inverse_fails = []
+        for x in range(o):
+            sx = g.star[x]
+            if t[x][sx][e] <= 0 or t[sx][x][e] <= 0:
+                inverse_fails.append(("inverse", (x,)))
     report.has_identity = not identity_fails
-
-    inverse_fails = []
-    for x in range(o):
-        sx = g.star[x]
-        if t[x][sx][e] <= 0 or t[sx][x][e] <= 0:
-            inverse_fails.append(("inverse", (x,)))
     report.has_inverses = not inverse_fails
 
     report.assoc_generators = None if identity_fails else _assoc_generators(g)
@@ -542,6 +596,24 @@ def verify_axioms(g: MultivaluedGroup) -> AxiomReport:
 
     report.counterexamples = identity_fails + inverse_fails + assoc_fails
     return report
+
+
+def _unit_failures_array(t, e, n, star):
+    """verify_axioms' identity and inverse witnesses from array
+    comparisons, in the order of its loops; only a failing (x, z) is
+    looked at again, to name its witnesses."""
+    o = t.shape[0]
+    want = n * _np.eye(o, dtype=_np.int64)
+    left, right = t[e] != want, t[:, e] != want  # [x, z]: e*x and x*e
+    identity_fails = []
+    for x, z in _np.argwhere(left | right).tolist():
+        if left[x, z]:
+            identity_fails.append(("identity", (e, x, z)))
+        if right[x, z]:
+            identity_fails.append(("identity", (x, e, z)))
+    ar, star = _np.arange(o), _np.array(star)
+    inverse = (t[ar, star, e] <= 0) | (t[star, ar, e] <= 0)
+    return identity_fails, [("inverse", (x,)) for x in _np.flatnonzero(inverse).tolist()]
 
 
 def verify_involutive(g: MultivaluedGroup) -> AxiomReport:
@@ -588,7 +660,7 @@ def _involutive_failures_array(t, e, star):
         t != t[_np.ix_(star, star, star)].transpose(1, 0, 2),  # (c)
     )
     # tolist gives Python ints: an int64 would print and serialise differently
-    return [("involutive", tuple(w)) for bad in cases for w in _np.argwhere(bad).tolist()]
+    return [("involutive", tuple(w)) for bad in cases if bad.any() for w in _np.argwhere(bad).tolist()]
 
 
 def check_reciprocity(g: MultivaluedGroup) -> bool:
@@ -627,7 +699,7 @@ def validate(g: MultivaluedGroup) -> AxiomReport:
         involution = verify_involutive(g)
         report.involutive = involution.involutive
         report.counterexamples += involution.counterexamples
-        g._report = report
+        object.__setattr__(g, "_report", report)
     return replace(g._report, counterexamples=list(g._report.counterexamples))
 
 
@@ -746,7 +818,7 @@ def scale(g: MultivaluedGroup, factor: int) -> MultivaluedGroup:
     if not isinstance(factor, int) or factor < 1:
         raise InputError("scale factor must be a positive integer")
     table = tuple(
-        tuple(tuple(m * factor for m in row) for row in plane) for plane in g.table
+        tuple(tuple(m * factor for m in row) for row in plane) for plane in _rows(g)
     )
     return MultivaluedGroup(g.n * factor, g.identity, g.star, table, names=g.names)
 
@@ -798,7 +870,7 @@ def are_isomorphic(g1: MultivaluedGroup, g2: MultivaluedGroup):
     if g1.order != g2.order:
         return None
     o, n1, n2 = g1.order, g1.n, g2.n
-    t1, t2 = g1.table, g2.table
+    t1, t2 = _rows(g1), _rows(g2)
     e1, e2 = g1.identity, g2.identity
     rest = [a for a in range(o) if a != e1]
     f = [None] * o
@@ -877,7 +949,10 @@ def _json_header(g: MultivaluedGroup) -> dict:
 
 def to_json_dict(g: MultivaluedGroup) -> dict:
     data = _json_header(g)
-    data["table"] = [[list(row) for row in plane] for plane in g.table]
+    if g._array is None:
+        data["table"] = [[list(row) for row in plane] for plane in g.table]
+    else:
+        data["table"] = g._array.tolist()
     return data
 
 
@@ -889,11 +964,12 @@ def dumps(g: MultivaluedGroup) -> str:
     with int.__repr__, as json prints an int or an int subclass, and the
     rows are joined with indent=2's fixed separators."""
     header = json.dumps(_json_header(g), indent=2)
-    entries = set(chain.from_iterable(chain.from_iterable(g.table)))
+    table = _rows(g)
+    entries = set(chain.from_iterable(chain.from_iterable(table)))
     text = dict(zip(entries, map(int.__repr__, entries))).__getitem__
     planes = [
         "\n      ],\n      [\n        ".join([",\n        ".join(map(text, row)) for row in plane])
-        for plane in g.table
+        for plane in table
     ]
     # header[:-2] drops the header's closing "\n}"; one join holds no
     # intermediate copy of the table's text

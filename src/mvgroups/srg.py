@@ -36,7 +36,7 @@ from math import isqrt, lcm
 import numpy as _np
 
 from .algebra import FiniteField, FiniteGroup, is_prime, is_prime_power, make_field, mult_order
-from .core import MultivaluedGroup, parse_json, printable, validate
+from .core import MultivaluedGroup, _Frozen, parse_json, printable, validate
 from .errors import CapError, InputError, InternalError
 
 GRAPH_CAP = 4096
@@ -60,18 +60,18 @@ def _set_bits(row: int, start: int = 0):
     return compress(count(start), bin(row >> start)[:1:-1].encode().translate(_BIT_FLAGS))
 
 
-class _BitRows:
+class _BitRows(_Frozen):
     """Vertices 0..v-1 with one bitset per vertex: bit w of rows[u] is
-    the edge or arc from u to w.  rows is a tuple, and neither it nor v
-    is changed after construction."""
+    the edge or arc from u to w.  rows is a tuple, and no attribute can
+    be assigned after construction."""
 
     __slots__ = ("v", "rows")
 
     @classmethod
     def _from_rows(cls, v, rows):
         graph = cls.__new__(cls)
-        graph.v = v
-        graph.rows = tuple(rows)
+        object.__setattr__(graph, "v", v)
+        object.__setattr__(graph, "rows", tuple(rows))
         return graph
 
 
@@ -87,14 +87,14 @@ class Graph(_BitRows):
     __slots__ = ("_certificate",)
 
     def __init__(self, v, edges=()):
-        self.v = _vertex_count(v)
-        self.rows = tuple(_adjacency(v, edges, "edge"))
-        self._certificate = None
+        object.__setattr__(self, "v", _vertex_count(v))
+        object.__setattr__(self, "rows", tuple(_adjacency(v, edges, "edge")))
+        object.__setattr__(self, "_certificate", None)
 
     @classmethod
     def _from_rows(cls, v, rows, certificate=None):
         graph = super()._from_rows(v, rows)
-        graph._certificate = certificate
+        object.__setattr__(graph, "_certificate", certificate)
         return graph
 
     def has_edge(self, u: int, w: int) -> bool:
@@ -125,8 +125,8 @@ class DirectedGraph(_BitRows):
     __slots__ = ()
 
     def __init__(self, v, arcs=()):
-        self.v = _vertex_count(v)
-        self.rows = tuple(_adjacency(v, arcs, "arc"))
+        object.__setattr__(self, "v", _vertex_count(v))
+        object.__setattr__(self, "rows", tuple(_adjacency(v, arcs, "arc")))
 
     def has_arc(self, u: int, w: int) -> bool:
         return bool((self.rows[u] >> w) & 1)

@@ -1152,3 +1152,75 @@ def test_short_numbers_in_classify_messages_are_printed(capsys):
     assert run_cli(capsys, "classify", "--sym", "6", "1", "1", "5")[2] == (
         "error: derived multiplicity of y in y*y is -1, negative\n"
     )
+
+
+
+def _array_group_files(tmp_path, p, d, corrupt):
+    """The mvg-v1 file of the coset group of Z_p under its order-d
+    multipliers, with one unit of m[1][2] moved when corrupt; a copy with
+    its last two elements swapped and every entry doubled; and the grp-v1
+    and act-v1 files that build the group."""
+    g = multiplier_coset(p, d)
+    data = core.to_json_dict(g)
+    if corrupt:
+        row = data["table"][1][2]
+        src = next(z for z, m in enumerate(row) if m)
+        row[src] -= 1
+        row[src + 1] += 1
+    doc = tmp_path / "group.json"
+    doc.write_text(json.dumps(data))
+    perm = list(range(g.order - 2)) + [g.order - 1, g.order - 2]
+    copy = tmp_path / "copy.json"
+    copy.write_text(core.dumps(relabel(core.loads(doc.read_text()), perm, 2)))
+    field = algebra.make_field(p, 1)
+    u = field.pow(field.generator, (p - 1) // d)
+    op = [[(x + y) % p for y in range(p)] for x in range(p)]
+    grp, act = tmp_path / "grp.json", tmp_path / "act.json"
+    grp.write_text(json.dumps({"format": "grp-v1", "size": p, "op": op}))
+    act.write_text(json.dumps({"format": "act-v1", "generators": [[u * x % p for x in range(p)]]}))
+    return doc, copy, grp, act
+
+
+# sha256 of the output of each command on groups past order 6, which keep
+# their table as one int64 array, recorded while the groups also kept it
+# as nested tuples: every output must stay byte-identical.
+ARRAY_GROUP_DIGESTS = {
+    (181, 3, False): {
+        "verify": (0, "6fabd7c9298f5fba46e393e1640c95c06e7c10e7989209e19178517e24f6d6b2", ""),
+        "verify --json": (0, "524ee4ebd49a30e59ab52f7016374339feb8f4aea0f5d9ad73aa2473f9f3509f", ""),
+        "iso": (0, "f94a2b6f5bae5931455cfffae43749a872b83332a8c5c1564b12cc43df1596e7", ""),
+        "build coset": (0, "58f72422fa2a587da231dce6a8c805dbd1b8f48871a977b74adf6604301362ed", ""),
+    },
+    (97, 3, False): {
+        "verify": (0, "6fabd7c9298f5fba46e393e1640c95c06e7c10e7989209e19178517e24f6d6b2", ""),
+        "verify --json": (0, "524ee4ebd49a30e59ab52f7016374339feb8f4aea0f5d9ad73aa2473f9f3509f", ""),
+        "iso": (0, "b3f8a593ae45c7ca0b8eaec6e649fa9b7cc14ae49d4e3734c914cdeb6d8121b9", ""),
+        "build coset": (0, "3042116e8933fbd034601ac1d48b3057b5b78912547e69f06cf741cb25b1630b", ""),
+    },
+    (193, 6, True): {
+        "verify": (1, "2a1d3012d424a99d493dc68162a65570c74d1213d9420720dfaa36eb8d7bf883", ""),
+        "verify --json": (1, "bf742e5d2680e864c56fd9245ea6e1593f93f45e350a22556ac2fb25f74cbbcb", ""),
+        "iso": (0, "b3f8a593ae45c7ca0b8eaec6e649fa9b7cc14ae49d4e3734c914cdeb6d8121b9", ""),
+        "build coset": (0, "2af8c5c10ee9798db7149e8c2b564d9981c74073f87756fbd10612eb4b3b936b", ""),
+    },
+}
+
+
+def _array_group_outputs(capsys, tmp_path, p, d, corrupt):
+    doc, copy, grp, act = _array_group_files(tmp_path, p, d, corrupt)
+    commands = {
+        "verify": ["verify", str(doc)],
+        "verify --json": ["verify", str(doc), "--json"],
+        "iso": ["iso", str(doc), str(copy)],
+        "build coset": ["build", "coset", "--group", str(grp), "--action", str(act)],
+    }
+    outputs = {}
+    for label, argv in commands.items():
+        code, out, err = run_cli(capsys, *argv)
+        outputs[label] = (code, hashlib.sha256(out.encode("utf-8")).hexdigest(), err)
+    return outputs
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_GROUP_DIGESTS), ids=lambda c: f"Z{c[0]}-{c[1]}{'-corrupt' * c[2]}")
+def test_array_group_output_digest(capsys, tmp_path, case):
+    assert _array_group_outputs(capsys, tmp_path, *case) == ARRAY_GROUP_DIGESTS[case]

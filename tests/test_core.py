@@ -3,7 +3,9 @@ signatures, and isomorphism."""
 
 import copy
 import json
+import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -448,9 +450,11 @@ def assert_dumps_is_the_json_encoding(g):
 
 
 def test_dumps_is_the_json_encoding():
-    # the order-8 group also keeps an int64 array; its table keeps the subclass
+    # the order-5 group keeps the subclass in its tuples; the order-8 group
+    # keeps an int64 array as its only table, and its entries read as int
     wrapped = [with_entries(core.build_xk(2), Repr), with_entries(multiplier_coset(29, 4), Repr)]
-    assert all(type(g.table[0][0][0]) is Repr for g in wrapped) and wrapped[1]._array is not None
+    assert type(wrapped[0].table[0][0][0]) is Repr and wrapped[0]._array is None
+    assert type(wrapped[1].table[0][0][0]) is int and wrapped[1]._array is not None
     cases = wrapped + [
         core.MultivaluedGroup(1, 0, [0], [[[1]]]),
         core.MultivaluedGroup(5, 0, [0], [[[5]]], names=["only"]),
@@ -1326,3 +1330,199 @@ def test_order3_builders_stay_on_the_plain_loops(monkeypatch):
     ]
     assert passes == []
     assert all(g.order == 3 and g._array is None for g in groups)
+
+
+# Z_p under its order-d multipliers, for the (p, d) of the coset documents
+# the benchmark reads: orders 8 to 61, two of them 1-valued.
+DOCUMENT_COSETS = (
+    (181, 3), (241, 6), (97, 3), (61, 1), (17, 2), (37, 4), (29, 4), (43, 6), (71, 10), (73, 9), (19, 2),
+    (109, 12), (73, 3), (97, 4), (193, 8), (241, 10), (313, 13), (433, 18), (457, 19), (577, 24), (601, 25),
+    (673, 28), (769, 32), (1009, 42), (193, 6), (31, 1), (113, 14), (127, 14),
+)
+
+
+def _moved_unit(g, x, y, src, dst):
+    """g with one unit of m[x][y] moved from src to dst."""
+    table = [[list(row) for row in plane] for plane in g.table]
+    table[x][y][src] -= 1
+    table[x][y][dst] += 1
+    return core.MultivaluedGroup(g.n, g.identity, g.star, table)
+
+
+def _array_group_cases():
+    """Tables past _NUMPY_ORDER_THRESHOLD, valid and broken: every
+    assoc_test_tables() table past it, and the document coset groups with
+    a seeded mutation each; the smaller ones also with the identity axiom
+    broken in e*x, and in both e*x and x*e, and the inverse axiom broken."""
+    rng = random.Random(26)
+    cases = [(label, g) for label, g in assoc_test_tables() if g.order > core._NUMPY_ORDER_THRESHOLD]
+    for p, d in DOCUMENT_COSETS:
+        g = multiplier_coset(p, d)
+        cases += [(f"Z{p}/{d}", g), (f"Z{p}/{d} mutated", single_entry_mutation(g, rng))]
+        if g.order <= 12 and g.n > 1:
+            e, x = g.identity, 1 + (g.identity == 1)
+            sx = g.star[x]
+            one_side = _moved_unit(g, e, x, x, e)
+            cases.append((f"Z{p}/{d} identity broken", one_side))
+            cases.append((f"Z{p}/{d} identity broken twice", _moved_unit(one_side, x, e, x, e)))
+            cases.append((f"Z{p}/{d} inverse broken", _moved_unit(g, x, sx, e, x)))
+    return cases
+
+
+def _all_ints(values):
+    return all(type(v) is int for v in values)
+
+
+def _report_ints(report):
+    return _all_ints(v for _, witness in report.counterexamples for v in witness) and _all_ints(
+        report.assoc_generators or ()
+    )
+
+
+ARRAY_GROUP_CASES = _array_group_cases()
+
+
+@pytest.mark.parametrize("label, g", ARRAY_GROUP_CASES, ids=[label for label, _ in ARRAY_GROUP_CASES])
+def test_array_and_list_groups_agree(monkeypatch, label, g):
+    # A group built from an array and one built from nested lists both keep
+    # the int64 array as their only table; they must agree on every value,
+    # each a Python int, read off the nested lists themselves.
+    o, e, star = g.order, g.identity, g.star
+    table = [[list(row) for row in plane] for plane in g.table]
+    from_array = core.MultivaluedGroup(g.n, e, star, np.array(table), names=g.names)
+    from_lists = core.MultivaluedGroup(g.n, e, star, table, names=g.names)
+    for h in (from_array, from_lists):
+        assert h._array is not None and h._rows is None
+        assert h == g and hash(h) == hash(g)
+        for x in range(o):
+            for y in range(o):
+                product = h.product(x, y)
+                assert product.counts == {z: m for z, m in enumerate(table[x][y]) if m}
+                assert _all_ints(product.counts) and _all_ints(product.counts.values())
+            assert h.m(x) == table[x][star[x]][e] and type(h.m(x)) is int
+        data = core.to_json_dict(h)
+        assert data["table"] == table and _all_ints(m for plane in data["table"] for row in plane for m in row)
+        assert core.dumps(h) == json.dumps(data, indent=2) + "\n"
+        scaled = core.scale(h, 3)
+        assert scaled._array is not None and core.to_json_dict(scaled)["table"] == [
+            [[3 * m for m in row] for row in plane] for plane in table
+        ]
+        assert h._rows is None  # no read above built the tuples
+    assert from_array == from_lists and hash(from_array) == hash(from_lists)
+    assert core.scale(from_array, 3) == core.scale(from_lists, 3)
+    assert core.dumps(from_array) == core.dumps(from_lists)
+    assert core.are_isomorphic(from_array, from_lists) == tuple(range(o))
+    relabelled = relabel(g, list(range(o - 2)) + [o - 1, o - 2], 2)
+    mapping = core.are_isomorphic(from_array, relabelled)
+    assert mapping is not None and mapping == core.are_isomorphic(from_lists, relabelled) and _all_ints(mapping)
+    assert ratio_isomorphism_holds(g, relabelled, mapping)
+    for check in (core.validate, core.verify_all):
+        report = check(from_array)
+        assert report == check(from_lists) and _report_ints(report), label
+
+    # On the plain loops, which keep nested tuples, the checks name the
+    # same witnesses in the same order.
+    if o <= 12:
+        monkeypatch.setattr(core, "_NUMPY_ORDER_THRESHOLD", o)
+        loops = core.MultivaluedGroup(g.n, e, star, table, names=g.names)
+        assert loops._array is None and loops == from_array
+        assert core.dumps(loops) == core.dumps(from_array)
+        assert core.verify_axioms(loops) == core.verify_axioms(from_array), label
+        assert core.verify_involutive(loops) == core.verify_involutive(from_array), label
+        assert core.verify_all(loops) == core.verify_all(from_array), label
+
+
+def test_array_group_cases_break_every_axiom():
+    flags = [core.verify_all(g) for _, g in ARRAY_GROUP_CASES]
+    for axiom in ("has_identity", "has_inverses", "associative", "involutive"):
+        assert any(getattr(report, axiom) is False for report in flags), axiom
+    assert 0 < sum(report.ok for report in flags) < len(flags)
+
+
+def _retained_bytes(build):
+    """build() and the bytes that tracemalloc still counts once it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = build()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return value, retained
+
+
+def test_an_array_group_retains_one_table():
+    # An order-61 group keeps one int64 table of 61**3 * 8 bytes (1.8 MB)
+    # and no nested tuples, whether read from a document or built by the
+    # coset construction; nested tuples would take about as much again.
+    field = algebra.make_field(181, 1)
+    group = algebra.additive_group(field)
+    action = algebra.close_action(group, [algebra.multiplier_automorphism(field, field.pow(field.generator, 60))])
+    text = core.dumps(algebra.coset_group(group, action))
+    table_bytes = 61**3 * 8
+    for build in (lambda: core.loads(text), lambda: algebra.coset_group(group, action)):
+        g, retained = _retained_bytes(build)
+        assert g.order == 61 and g._array.nbytes == table_bytes and g._rows is None
+        assert table_bytes <= retained < table_bytes + 2**16, retained
+    # Reading .table builds the tuples once and keeps them.
+    rows, retained = _retained_bytes(lambda: g.table)
+    assert retained > table_bytes // 2 and g.table is rows and rows == tuple(map(tuple, map(map, [tuple] * 61, g._array.tolist())))
+
+
+def _value_slots(value):
+    return [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: core.build_type2(7, 3),
+        lambda: multiplier_coset(29, 4),
+        lambda: srg.grid_graph(3),
+        lambda: srg.Graph(4, [(0, 1), (2, 3)]),
+        lambda: srg.paley_tournament(algebra.make_field(7, 1)),
+        lambda: algebra.make_elementary_abelian(3, 2),
+    ],
+    ids=["order-3 group", "array group", "builder graph", "graph", "directed graph", "finite group"],
+)
+def test_values_refuse_assignment_after_construction(build):
+    value = build()
+    slots = _value_slots(value)
+    public = {"MultivaluedGroup": {"order", "n", "identity", "star", "names"}, "Graph": {"v", "rows"},
+              "DirectedGraph": {"v", "rows"}, "FiniteGroup": {"size", "op", "identity", "inv", "generators"}}
+    assert public[type(value).__name__] <= set(slots)
+    for name in slots + ["table", "other"]:
+        before = getattr(value, name, None)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    # Copies and pickles hold the same slots, and are as immutable.
+    for twin in (value, copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        for name in slots:
+            mine, theirs = getattr(twin, name), getattr(value, name)
+            if isinstance(mine, np.ndarray):
+                assert np.array_equal(mine, theirs) and mine.dtype == theirs.dtype
+                with pytest.raises(ValueError):
+                    mine[(0,) * mine.ndim] = 1
+            else:
+                assert mine == theirs, name
+        with pytest.raises(AttributeError):
+            setattr(twin, slots[0], None)
+    # A group's kept report and a builder graph's kept certificate cannot go
+    # stale: data they would not prove cannot be assigned.
+    if isinstance(value, core.MultivaluedGroup):
+        assert core.validate(value).ok
+        broken = [[list(row) for row in plane] for plane in value.table]
+        broken[1][1] = [value.n] + [0] * (value.order - 1)
+        assert not core.validate(core.MultivaluedGroup(value.n, value.identity, value.star, broken)).ok
+        with pytest.raises(AttributeError):
+            value.table = broken
+        assert core.validate(value).ok
+    if getattr(value, "_certificate", None) is not None:
+        kept = srg.srg_check(value).as_tuple()
+        with pytest.raises(AttributeError):
+            value.rows = (0,) * value.v
+        assert srg.srg_check(value).as_tuple() == kept == (9, 4, 1, 2)
+
