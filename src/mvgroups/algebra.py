@@ -8,10 +8,12 @@ orbit triple how many action elements realise the product:
 m[x][y][z] = #{a in A : g0 * a(h0) in z} with g0, h0 the least orbit
 representatives.  Representative independence can be verified on demand.
 
-GF(q) multiplies through discrete log tables, which are the orbit of 1
-under multiplication by the least primitive element, a linear map on
-base-p digit vectors; that construction proves the field laws, so
-FiniteField samples no check (see its docstring).
+GF(q) multiplies through discrete log tables, which are the powers of
+the least primitive element, found by an order test and computed by
+doubling with the linear map that multiplication by it is on base-p
+digit vectors; that construction proves the field laws, so FiniteField
+samples no check (see its docstring).  make_field takes the least
+irreducible modulus from one sieve over all monic polynomials.
 """
 
 from __future__ import annotations
@@ -148,6 +150,47 @@ def _is_irreducible(coeffs, p):
     return True
 
 
+def _monic(p, d):
+    """Every monic polynomial of degree d over GF(p) as a row of d + 1
+    coefficients, low degree first: the base-p digits of p**d..2p**d-1."""
+    return _np.arange(p**d, 2 * p**d, dtype=_np.int64)[:, None] // p ** _np.arange(d + 1, dtype=_np.int64) % p
+
+
+def _irreducible_mask(p, s):
+    """Entry i tells whether the monic polynomial of degree s over GF(p)
+    of rank i is irreducible.  Its coefficients below x**s, low degree
+    first, are the base-p digits of i, most significant first: the
+    lexicographic order, low degree first, in which make_field takes the
+    least.  One sieve crosses out every reducible polynomial: for s > 1
+    the ranks below p**(s-1), whose constant term is 0 (multiples of x),
+    then every product f * g of a monic f of degree d <= s/2 and a monic
+    g of degree s - d, both with a nonzero constant term, in
+    O(s**2 * p**s) array steps."""
+    mask = _np.ones(p**s, dtype=bool)
+    if s > 1:
+        mask[: p ** (s - 1)] = False
+    rank = p ** _np.arange(s - 1, -1, -1, dtype=_np.int64)
+    for d in range(1, s // 2 + 1):
+        f, g = _monic(p, d), _monic(p, s - d)
+        f, g = f[f[:, 0] != 0], g[g[:, 0] != 0]
+        prod = _np.zeros((len(f), len(g), s + 1), dtype=_np.int64)
+        for i in range(d + 1):
+            prod[:, :, i : i + s - d + 1] += f[:, None, i, None] * g
+        mask[prod[:, :, :s] % p @ rank] = False
+    return mask
+
+
+def _prime_divisors(n):
+    """The distinct prime divisors of n >= 1, in increasing order."""
+    primes = []
+    while n > 1:
+        r = _least_prime_factor(n)
+        primes.append(r)
+        while n % r == 0:
+            n //= r
+    return primes
+
+
 class FiniteField:
     """GF(p**s) with elements indexed 0..q-1.
 
@@ -156,25 +199,35 @@ class FiniteField:
     Multiplication goes through discrete log tables built from the least
     primitive element, which makes the whole construction reproducible.
 
-    The tables come from one map.  For a candidate a, T_a is
+    The tables come from one map.  For an element a, T_a is
     multiplication by a modulo the modulus, a GF(p)-linear map on the
-    digit vectors; its column j holds the digits of a * x**j.  The walk
-    1, T_a(1), T_a(T_a(1)), ... runs for at most q - 1 steps, and the
-    least a whose walk first returns to 1 at step q - 1 is the
-    generator; that walk is the exp table and log is its inverse.
+    digit vectors: the s x s matrix whose row j holds the digits of
+    a * x**j.  The generator is the least a with a**(q-1) = 1 and
+    a**((q-1)/r) != 1 for every prime r dividing q - 1, each power read
+    off a product of the squares T_a**(2**i) (for s = 1, an integer
+    power modulo p).  For s > 1 the search starts at p: the constants
+    1..p-1 have orders dividing p - 1.  The exp table is 1, a, a**2, ...,
+    a**(q-2), built by doubling (the digits of a**k..a**(2k-1) are those
+    of 1..a**(k-1) times T_a**k), and log is its inverse.
 
-    This proves the field laws for mul, so no check is sampled.  A walk
-    that first returns to 1 at step q - 1 is periodic with least period
-    q - 1, so it visits q - 1 distinct elements, none of them 0 (T_a
-    fixes 0): exp and log are inverse bijections between Z_(q-1) and the
-    nonzero elements.  mul adds logs modulo q - 1, so it is associative
-    and commutative, with inverses.  Multiplication by exp[i] is T**i for
-    T = T_generator, which is linear, so mul distributes over add.  A
-    ring that is not a field (p composite) has fewer than q - 1 units,
-    so no walk qualifies and construction fails.
+    This proves the field laws for mul, so no check is sampled.  The
+    generator's order is exactly q - 1, so its powers are q - 1 distinct
+    units, none of them 0: exp and log are inverse bijections between
+    Z_(q-1) and the nonzero elements.  mul adds logs modulo q - 1, so it
+    is associative and commutative, with inverses.  Multiplication by
+    exp[i] is T**i for T = T_generator, which is linear, so mul
+    distributes over add.  A ring that is not a field (p composite) has
+    fewer than q - 1 units, so no element qualifies and construction
+    fails.
+
+    add, neg, sub and mul take indices and read the exp and log tuples.
+    add_array, neg_array and mul_array act elementwise on integer arrays
+    of indices: mul_array is one gather from numpy copies of the same
+    tables, and add_array and neg_array work on base-p digits, so no
+    q x q table is built.
     """
 
-    __slots__ = ("p", "s", "q", "modulus", "generator", "_exp", "_log")
+    __slots__ = ("p", "s", "q", "modulus", "generator", "_exp", "_log", "_powers", "_exp_array", "_log_array")
 
     def __init__(self, p, s, modulus):
         modulus = tuple(modulus)
@@ -182,11 +235,47 @@ class FiniteField:
             raise InputError(f"modulus must be monic of degree {s}")
         if s > 1 and not _is_irreducible(list(modulus), p):
             raise InputError(f"modulus {modulus} is reducible over GF({p})")
+        self._build(p, s, modulus)
+
+    @classmethod
+    def _from_irreducible(cls, p, s, modulus):
+        """GF(p**s) modulo a modulus already known to be irreducible,
+        which is not proved again."""
+        field = cls.__new__(cls)
+        field._build(p, s, modulus)
+        return field
+
+    def _build(self, p, s, modulus):
         self.p = p
         self.s = s
-        self.q = p**s
+        self.q = q = p**s
         self.modulus = modulus
-        self._build_log_tables()
+        self._powers = p ** _np.arange(s, dtype=_np.int64)
+        tests = [(q - 1) // r for r in _prime_divisors(q - 1)]
+        for cand in range(1 if s == 1 else p, q):
+            if self._is_primitive(cand, tests):
+                break
+        else:
+            raise InternalError(f"no primitive element found in GF({q})")
+        times = self._times(cand)
+        digits = _np.zeros((q - 1, s), dtype=_np.int64)
+        digits[0, 0] = 1
+        k = 1
+        while k < q - 1:
+            n = min(k, q - 1 - k)
+            digits[k : k + n] = digits[:n] @ times % p
+            times = times @ times % p
+            k *= 2
+        exp = digits @ self._powers
+        log = _np.zeros(q, dtype=_np.int64)
+        log[exp] = _np.arange(q - 1)
+        self.generator = cand
+        self._exp = tuple(exp.tolist())
+        self._log = tuple(log.tolist())
+        # mul_array's log sends 0 past both copies of exp, into zeros
+        log[0] = 2 * (q - 1)
+        self._log_array = log
+        self._exp_array = _np.concatenate([exp, exp, _np.zeros(2 * q - 1, dtype=_np.int64)])
 
     # encoding helpers -----------------------------------------------------
     def _decode(self, idx):
@@ -202,40 +291,37 @@ class FiniteField:
             idx = idx * self.p + c
         return idx
 
-    def _times(self, a, digits, powers):
-        """T_a as a table: entry i is the index of a * i."""
+    def _times(self, a):
+        """T_a: row j holds the digits of a * x**j."""
         p, m = self.p, self.modulus
-        col = self._decode(a)
-        cols = [col]
+        row = self._decode(a)
+        rows = [row]
         for _ in range(1, self.s):
             # a * x**j from a * x**(j-1): shift up, reduce by the modulus
-            lead = col[-1]
-            col = [(-lead * m[0]) % p] + [(col[k - 1] - lead * m[k]) % p for k in range(1, self.s)]
-            cols.append(col)
-        # digits @ cols has entries at most s * (p - 1)**2, below 2**63
-        # for any q whose digit matrix fits in memory
-        return (digits @ _np.array(cols, dtype=_np.int64) % p @ powers).tolist()
+            lead = row[-1]
+            row = [(-lead * m[0]) % p] + [(row[k - 1] - lead * m[k]) % p for k in range(1, self.s)]
+            rows.append(row)
+        return _np.array(rows, dtype=_np.int64)
 
-    def _build_log_tables(self):
-        p, s, q = self.p, self.s, self.q
-        powers = p ** _np.arange(s, dtype=_np.int64)
-        digits = _np.arange(q, dtype=_np.int64)[:, None] // powers % p
-        for cand in range(1, q):
-            times = self._times(cand, digits, powers)
-            exp, x = [1], times[1]
-            while x != 1 and len(exp) < q - 1:
-                exp.append(x)
-                x = times[x]
-            if x == 1 and len(exp) == q - 1:
-                break
-        else:
-            raise InternalError(f"no primitive element found in GF({q})")
-        log = [0] * q
-        for i, val in enumerate(exp):
-            log[val] = i
-        self.generator = cand
-        self._exp = tuple(exp)
-        self._log = tuple(log)
+    def _is_primitive(self, a, tests):
+        """Whether a**(q-1) = 1 and a**e != 1 for every e in tests, the
+        exponents (q-1)/r for the primes r dividing q - 1."""
+        p, q = self.p, self.q
+        if self.s == 1:
+            return all(pow(a, e, p) != 1 for e in tests) and pow(a, q - 1, p) == 1
+        squares = [self._times(a)]
+        for _ in range(1, (q - 1).bit_length()):
+            squares.append(squares[-1] @ squares[-1] % p)
+
+        def is_one(e):
+            digits = _np.zeros(self.s, dtype=_np.int64)
+            digits[0] = 1
+            for bit, square in enumerate(squares):
+                if e >> bit & 1:
+                    digits = digits @ square % p
+            return digits @ self._powers == 1
+
+        return not any(map(is_one, tests)) and is_one(q - 1)
 
     # arithmetic -----------------------------------------------------------
     @property
@@ -279,6 +365,27 @@ class FiniteField:
             return 0
         return self._exp[(self._log[a] * k) % (self.q - 1)]
 
+    def add_array(self, a, b):
+        """add elementwise on integer arrays of indices, broadcast together."""
+        if self.s == 1:
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        powers = self._powers
+        return (_np.asarray(a)[..., None] // powers + _np.asarray(b)[..., None] // powers) % self.p @ powers
+
+    def neg_array(self, a):
+        """neg elementwise on an integer array of indices."""
+        if self.s == 1:
+            return (self.p - a) % self.p
+        if self.p == 2:
+            return a
+        return -(_np.asarray(a)[..., None] // self._powers) % self.p @ self._powers
+
+    def mul_array(self, a, b):
+        """mul elementwise on integer arrays of indices, broadcast together."""
+        return self._exp_array[self._log_array[a] + self._log_array[b]]
+
     def nth_powers(self, n: int) -> frozenset:
         """The set of nonzero n-th powers: the subgroup of index
         gcd(n, q - 1) of the cyclic group exp enumerates."""
@@ -290,20 +397,20 @@ class FiniteField:
 
 def make_field(p: int, s: int, cap: int = FIELD_CAP) -> FiniteField:
     """GF(p**s) with the lexicographically least monic irreducible modulus
-    (coefficients compared low degree first), so identical across runs."""
+    (coefficients compared low degree first), so identical across runs.
+    The modulus is the first survivor of _irreducible_mask's sieve, and
+    is not proved irreducible a second time."""
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     if s < 1:
         raise InputError("the extension degree must be at least 1")
     if p**s > cap:
         raise CapError(f"field size {p**s} exceeds the cap {cap}")
-    if s == 1:
-        return FiniteField(p, 1, (0, 1))
-    for low in product(range(p), repeat=s):
-        coeffs = list(low) + [1]
-        if _is_irreducible(coeffs, p):
-            return FiniteField(p, s, coeffs)
-    raise InternalError(f"no irreducible polynomial of degree {s} over GF({p})")
+    ranks = _np.flatnonzero(_irreducible_mask(p, s))
+    if not ranks.size:
+        raise InternalError(f"no irreducible polynomial of degree {s} over GF({p})")
+    rank = int(ranks[0])
+    return FiniteField._from_irreducible(p, s, (*(rank // p ** (s - 1 - k) % p for k in range(s)), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,9 @@ class MultivaluedGroup(_Frozen):
     the stored report, do not take part in equality.
 
     The table may be an order**3 integer array, checked in one array
-    pass (_table_array), or nested lists or tuples, checked by the entry
-    loop (_table_rows).  Past _NUMPY_ORDER_THRESHOLD, while
+    pass (_table_array) and copied, unless it is the array core.loads has
+    just read, or nested lists or tuples, checked by the entry loop
+    (_table_rows).  Past _NUMPY_ORDER_THRESHOLD, while
     o * n**2 < 2**62, the group keeps its table as one read-only int64
     array and nothing else, and the checks take the array path exactly
     when it is set.  Every other group keeps nested tuples of Python
@@ -133,7 +134,7 @@ class MultivaluedGroup(_Frozen):
 
     __slots__ = ("order", "n", "identity", "star", "names", "_array", "_rows", "_report")
 
-    def __init__(self, n, identity, star, table, names=None):
+    def __init__(self, n, identity, star, table, names=None, *, _owned=False):
         order = len(table)
         if order < 1:
             raise InputError("a multivalued group needs at least one element")
@@ -146,7 +147,7 @@ class MultivaluedGroup(_Frozen):
 
         array = rows = None
         if isinstance(table, _np.ndarray):
-            array = _table_array(table, order, n)
+            array = _table_array(table, order, n, _owned)
             if array is None:
                 table = table.tolist()  # messages hold Python ints
         if array is None:
@@ -239,17 +240,19 @@ def _rows(g):
     return g.table if g._array is None else g._array.tolist()
 
 
-def _table_array(table, order, n):
-    """The integer array table as a read-only int64 copy, checked in one
+def _table_array(table, order, n, owned):
+    """The integer array table as a read-only int64 array, checked in one
     array pass: shape order**3, every entry nonnegative and every row
     summing to n; else None, and the entry loop names the error.  The
     int64 row sums are exact while o * n < 2**63; past that the array is
-    refused too, and the entry loop decides."""
+    refused too, and the entry loop decides.  The array is a copy unless
+    owned says that table is an int64 array that nothing else holds (the
+    one core.loads reads), which is then kept as it is."""
     if table.shape != (order,) * 3 or table.dtype.kind not in "iu" or order * n >= 2**63:
         return None
     if table.min() < 0 or table.max() > n:
         return None
-    array = table.astype(_np.int64)
+    array = table if owned and table.dtype == _np.int64 else table.astype(_np.int64)
     if (array.sum(axis=2) != n).any():
         return None
     array.flags.writeable = False
@@ -983,7 +986,10 @@ def dumps(g: MultivaluedGroup) -> str:
     )
 
 
-def from_json_dict(data) -> MultivaluedGroup:
+def from_json_dict(data, *, _owned=False) -> MultivaluedGroup:
+    """The group of an mvg-v1 document decoded by json.loads or
+    parse_json.  A numpy table is copied, unless _owned says that nothing
+    else holds it."""
     if not isinstance(data, dict):
         raise InputError("multivalued-group document must be a JSON object")
     if data.get("format") != MVG_FORMAT:
@@ -1002,7 +1008,7 @@ def from_json_dict(data) -> MultivaluedGroup:
         raise InputError('"n" and "identity" must be integers')
     if len(table) != len(elements) or len(star) != len(elements):
         raise InputError("table/star dimensions do not match the element list")
-    return MultivaluedGroup(n, identity, star, table, names=elements)
+    return MultivaluedGroup(n, identity, star, table, names=elements, _owned=_owned)
 
 
 # The integer array of a document is read as compact ASCII text: its JSON
@@ -1180,4 +1186,7 @@ def parse_json(text: str, array_field: str | None = None):
 
 
 def loads(text: str) -> MultivaluedGroup:
-    return from_json_dict(parse_json(text, "table"))
+    """The group of an mvg-v1 document.  The int64 array that
+    _int_array allocates for its table becomes the group's table,
+    uncopied."""
+    return from_json_dict(parse_json(text, "table"), _owned=True)

@@ -21,8 +21,10 @@ count is checked against the cap before any primality test or factoring
 (by graph_field, for the families over a field).  Its builder states the
 connection set as its definition gives it (outer products u w^T for
 rank-one forms, wedges u ^ w for rank-two alternating forms, zeros of a
-quadratic form for polar graphs), translates row 0 to get the other rows
-and certifies the result from the pairs (0, d) against the closed-form
+quadratic form for polar graphs), evaluated in array passes over the
+digit matrix of GF(q)^dim with the field's array arithmetic (add_array,
+neg_array, mul_array), translates row 0 to get the other rows and
+certifies the result from the pairs (0, d) against the closed-form
 parameters before returning it, with that certificate kept on the graph.
 """
 
@@ -539,18 +541,19 @@ def cayley_graph(group: FiniteGroup, connection) -> Graph:
     return Graph._from_rows(group.size, rows)
 
 
-def _vectors(q: int, dim: int):
-    """The vectors of GF(q)^dim as tuples of field indices in vertex
-    order: vertex x is its base-q digits, low digit first."""
-    return (vec[::-1] for vec in product(range(q), repeat=dim))
+def _field_vectors(q: int, dim: int):
+    """The digit matrix of GF(q)^dim: row x holds the field indices of
+    vertex x, its base-q digits, low digit first."""
+    return _np.arange(q**dim, dtype=_np.int64)[:, None] // q ** _np.arange(dim, dtype=_np.int64) % q
 
 
-def _index(vec, q: int) -> int:
-    """The vertex of a vector of field indices, as _vectors numbers it."""
-    idx = 0
-    for x in reversed(vec):
-        idx = idx * q + x
-    return idx
+def _vertex_set(vectors, q: int) -> list[int]:
+    """The distinct vertices whose field indices are the rows of vectors
+    (the inverse of _field_vectors), in increasing order."""
+    dim = vectors.shape[-1]
+    hit = _np.zeros(q**dim, dtype=bool)
+    hit[vectors @ q ** _np.arange(dim, dtype=_np.int64)] = True
+    return _np.flatnonzero(hit).tolist()
 
 
 def _cayley_rows(n: int, dim: int, connection) -> list[int]:
@@ -786,51 +789,38 @@ def vanlint_schrijver(p: int, c: int, t: int, cap: int = GRAPH_CAP) -> Graph:
     )
 
 
-def _anisotropic_pair_form(field: FiniteField):
-    """A binary quadratic form with no nonzero zeros, chosen
-    deterministically: x^2 - a*y^2 with a the least non-square for odd
-    q, x^2 + xy + b*y^2 with b the least element making it irreducible
-    for even q."""
-    q = field.q
-    if field.p != 2:
-        squares = field.nth_powers(2)
-        alpha = next(x for x in range(1, q) if x not in squares)
-
-        def form(x, y):
-            return field.sub(field.mul(x, x), field.mul(alpha, field.mul(y, y)))
-
-        return form
-    beta = None
-    for cand in range(q):
-        if all(field.add(field.add(field.mul(x, x), x), cand) != 0 for x in range(q)):
-            beta = cand
-            break
-    if beta is None:
-        raise InternalError(f"no irreducible x^2+x+b over GF({q})")
-
-    def form(x, y):
-        return field.add(field.add(field.mul(x, x), field.mul(x, y)), field.mul(beta, field.mul(y, y)))
-
-    return form
-
-
-def _polar_connection(q: int, e: int, eps: int, cap: int):
-    """The field and the nonzero zeros of the quadratic form on 2e-vectors."""
+def _polar_form(q: int, e: int, eps: int, cap: int):
+    """The field and the value of the quadratic form at every vertex of
+    GF(q)^2e: the sum of x_(2i) x_(2i+1) over the hyperbolic planes, e
+    of them for eps = +1.  For eps = -1 the last two coordinates carry
+    an anisotropic binary form instead, chosen deterministically: x^2 -
+    a*y^2 with a the least non-square for odd q, x^2 + xy + b*y^2 with b
+    the least element that is no t^2 + t for even q, so that no t is a
+    root of t^2 + t + b."""
     dim = 2 * e
     field = graph_field(q, dim, cap)
-    hyperbolic_planes = e if eps == 1 else e - 1
-    aniso = None if eps == 1 else _anisotropic_pair_form(field)
-
-    def quadratic_form(vec):
-        total = 0
-        for i in range(hyperbolic_planes):
-            total = field.add(total, field.mul(vec[2 * i], vec[2 * i + 1]))
-        if aniso is not None:
-            total = field.add(total, aniso(vec[dim - 2], vec[dim - 1]))
-        return total
-
-    conn = [idx for idx, vec in enumerate(_vectors(q, dim)) if idx and quadratic_form(vec) == 0]
-    return field, conn
+    add, mul = field.add_array, field.mul_array
+    x = _field_vectors(q, dim).T  # x[i]: coordinate i of every vertex
+    planes = e if eps == 1 else e - 1
+    total = mul(x[0], x[1])
+    for i in range(1, planes):
+        total = add(total, mul(x[2 * i], x[2 * i + 1]))
+    if eps == 1:
+        return field, total
+    u, w = x[dim - 2], x[dim - 1]
+    if field.p != 2:
+        squares = field.nth_powers(2)
+        alpha = next(a for a in range(1, q) if a not in squares)
+        pair = add(mul(u, u), field.neg_array(mul(alpha, mul(w, w))))
+    else:
+        t = _np.arange(q)
+        hit = _np.zeros(q, dtype=bool)
+        hit[add(mul(t, t), t)] = True
+        missing = _np.flatnonzero(~hit)
+        if not missing.size:
+            raise InternalError(f"no irreducible x^2+x+b over GF({q})")
+        pair = add(add(mul(u, u), mul(u, w)), mul(missing[0], mul(w, w)))
+    return field, add(total, pair)
 
 
 def affine_polar(q: int, e: int, eps: int, cap: int = GRAPH_CAP) -> Graph:
@@ -844,7 +834,8 @@ def affine_polar(q: int, e: int, eps: int, cap: int = GRAPH_CAP) -> Graph:
         raise InputError("need e >= 2")
     if q == 2 and eps == 1:
         raise InputError("(q, eps) = (2, +) is excluded; use the complement builder")
-    field, conn = _polar_connection(q, e, eps, cap)
+    field, form = _polar_form(q, e, eps, cap)
+    conn = _np.flatnonzero(form == 0)[1:].tolist()  # every zero but vertex 0
     sign = "+" if eps == 1 else "-"
     return _cayley_graph(
         field.p, field.s * 2 * e, conn, polar_params(q, e, eps), f"affine polar graph ({q}, {e}, {sign})"
@@ -855,8 +846,8 @@ def affine_polar_plus_complement(e: int, cap: int = GRAPH_CAP) -> Graph:
     """Complement of the hyperbolic binary polar graph over GF(2)."""
     if e < 2:
         raise InputError("need e >= 2")
-    _, zeros = _polar_connection(2, e, 1, cap)
-    conn = set(range(1, 4**e)).difference(zeros)
+    _, form = _polar_form(2, e, 1, cap)
+    conn = _np.flatnonzero(form).tolist()
     return _cayley_graph(2, 2 * e, conn, polar_plus_complement_params(e), f"polar complement (e={e})")
 
 
@@ -867,13 +858,9 @@ def bilinear_forms_graph(q: int, e: int, cap: int = GRAPH_CAP) -> Graph:
     if e < 3:
         raise InputError("need e >= 3")
     field = graph_field(q, 2 * e, cap)
-    mul = field.mul
-    nonzero_w = list(_vectors(q, e))[1:]
-    conn = {
-        _index([mul(u0, x) for x in w] + [mul(u1, x) for x in w], q)
-        for u0, u1 in list(_vectors(q, 2))[1:]
-        for w in nonzero_w
-    }
+    u, w = _field_vectors(q, 2)[1:], _field_vectors(q, e)[1:]
+    outer = field.mul_array(u[:, None, :, None], w[None, :, None, :])
+    conn = _vertex_set(outer.reshape(-1, 2 * e), q)
     return _cayley_graph(
         field.p, field.s * 2 * e, conn, bilinear_params(q, e), f"bilinear forms graph ({q}, {e})"
     )
@@ -882,19 +869,17 @@ def bilinear_forms_graph(q: int, e: int, cap: int = GRAPH_CAP) -> Graph:
 def alternating_forms_graph(q: int, cap: int = GRAPH_CAP) -> Graph:
     """5 x 5 alternating matrices over GF(q), adjacent iff the difference
     has rank 2; a vertex is the 10 strictly upper entries, row-major.  The
-    rank-two matrices are the nonzero wedges u ^ w = u w^T - w u^T, each
-    from a pair u before w in _vectors order: u ^ w = w ^ (-u) =
-    (-u) ^ (-w) = (-w) ^ u, and those four pairs cannot all go down."""
+    rank-two matrices are the nonzero wedges u ^ w = u w^T - w u^T of
+    all pairs of vectors u, w."""
     field = graph_field(q, 10, cap)
-    mul, sub = field.mul, field.sub
-    upper = list(combinations(range(5), 2))
-    wedges = {
-        _index([sub(mul(u[i], w[j]), mul(u[j], w[i])) for i, j in upper], q)
-        for u, w in combinations(_vectors(q, 5), 2)
-    }
-    wedges.discard(0)
+    mul = field.mul_array
+    vectors = _field_vectors(q, 5)
+    u, w = vectors[:, None, :], vectors[None, :, :]
+    i, j = _np.array(list(combinations(range(5), 2))).T  # the strictly upper entries, row-major
+    wedges = field.add_array(mul(u[..., i], w[..., j]), field.neg_array(mul(u[..., j], w[..., i])))
+    conn = [x for x in _vertex_set(wedges, q) if x]
     return _cayley_graph(
-        field.p, field.s * 10, wedges, alternating_params(q), f"alternating forms graph (q={q})"
+        field.p, field.s * 10, conn, alternating_params(q), f"alternating forms graph (q={q})"
     )
 
 

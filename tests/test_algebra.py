@@ -140,6 +140,103 @@ def test_composite_characteristic_has_no_primitive_element(p, s, modulus):
         algebra.FiniteField(p, s, modulus)
 
 
+# ---------------------------------------------------------------------------
+# make_field against the search it replaced: trial division for the
+# modulus and a walk of every candidate's cycle for the generator.  The
+# cyclotomic recipes of the catalogue's TABLE rows are written in terms of
+# this modulus, generator and exp table.
+
+
+def _reference_modulus(p, s):
+    """The first monic polynomial of degree s, its low coefficients in
+    itertools.product order, that no monic polynomial of degree <= s/2
+    divides."""
+    for low in product(range(p), repeat=s):
+        if algebra._is_irreducible([*low, 1], p):
+            return (*low, 1)
+    raise AssertionError(f"no irreducible polynomial of degree {s} over GF({p})")
+
+
+def _reference_times(p, s, modulus, a):
+    """Multiplication by a as a table over all p**s indices: column j of
+    the map holds the digits of a * x**j."""
+    col = [a // p**k % p for k in range(s)]
+    cols = [col]
+    for _ in range(1, s):
+        lead = col[-1]
+        col = [(-lead * modulus[0]) % p] + [(col[k - 1] - lead * modulus[k]) % p for k in range(1, s)]
+        cols.append(col)
+    powers = p ** np.arange(s)
+    digits = np.arange(p**s)[:, None] // powers % p
+    return (digits @ np.array(cols) % p @ powers).tolist()
+
+
+def _reference_walk(p, s, modulus):
+    """The least a whose walk 1, a, a**2, ... first returns to 1 after
+    q - 1 steps, and that walk."""
+    q = p**s
+    for a in range(1, q):
+        times = _reference_times(p, s, modulus, a)
+        exp, x = [1], times[1]
+        while x != 1 and len(exp) < q - 1:
+            exp.append(x)
+            x = times[x]
+        if x == 1 and len(exp) == q - 1:
+            return a, tuple(exp)
+    raise AssertionError(f"no primitive element in GF({q})")
+
+
+FIELD_ORDERS = [algebra.is_prime_power(q) for q in range(2, algebra.FIELD_CAP + 1) if algebra.is_prime_power(q)]
+
+
+def test_field_orders_are_every_prime_power_to_the_cap():
+    assert sum(s == 1 for _, s in FIELD_ORDERS) == 564
+    assert sum(s > 1 for _, s in FIELD_ORDERS) == 40
+
+
+@pytest.mark.parametrize("p,s", FIELD_ORDERS, ids=[f"GF({p}^{s})" for p, s in FIELD_ORDERS])
+def test_make_field_matches_the_reference_search(p, s):
+    f = algebra.make_field(p, s)
+    modulus = _reference_modulus(p, s)
+    assert f.modulus == modulus
+    assert (f.generator, f._exp) == _reference_walk(p, s, modulus)
+    log = dict(zip(f._exp, range(f.q - 1)))
+    assert f._log == (0, *(log[x] for x in range(1, f.q)))
+
+
+@pytest.mark.parametrize("p,s", FIELD_ORDERS, ids=[f"{p}^{s}" for p, s in FIELD_ORDERS])
+def test_sieve_agrees_with_trial_division(p, s):
+    expected = [algebra._is_irreducible([*low, 1], p) for low in product(range(p), repeat=s)]
+    assert algebra._irreducible_mask(p, s).tolist() == expected
+
+
+def test_make_field_proves_its_modulus_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(algebra, "_is_irreducible", lambda coeffs, p: calls.append(coeffs) or True)
+    assert algebra.make_field(2, 10).modulus == (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)
+    assert calls == []
+    algebra.FiniteField(2, 10, (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1))  # a direct call still checks
+    assert calls == [[1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 49, 64, 653, 729, 1024])
+def test_array_arithmetic_matches_the_scalar_arithmetic(q):
+    f = algebra.make_field(*algebra.is_prime_power(q))
+    rng = np.random.default_rng(q)
+    if q <= 64:
+        a, b = np.divmod(np.arange(q * q), q)
+    else:
+        a, b = rng.integers(0, q, 5000), rng.integers(0, q, 5000)
+    a[:3], b[:3] = (0, 0, 1), (0, 1, 0)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert f.add_array(a, b).tolist() == [f.add(x, y) for x, y in pairs]
+    assert f.mul_array(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
+    assert f.neg_array(a).tolist() == [f.neg(x) for x in a.tolist()]
+    # broadcast against a scalar and across a new axis
+    assert f.mul_array(a[:5, None], b[None, :5]).tolist() == [[f.mul(x, y) for y in b[:5].tolist()] for x in a[:5].tolist()]
+    assert f.mul_array(1, a).tolist() == a.tolist()
+
+
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
 def test_nth_powers_match_the_powers(q):
     f = algebra.make_field(*algebra.is_prime_power(q))

@@ -1469,6 +1469,33 @@ def test_an_array_group_retains_one_table():
     assert retained > table_bytes // 2 and g.table is rows and rows == tuple(map(tuple, map(map, [tuple] * 61, g._array.tolist())))
 
 
+def test_loads_keeps_the_array_it_reads(monkeypatch):
+    # core.loads hands the group the int64 array _int_array allocated,
+    # uncopied and read-only; an array from any other caller is copied.
+    text = core.dumps(multiplier_coset(181, 3))
+    read = []
+
+    def spy(*args, real=core._int_array):
+        read.append(real(*args))
+        return read[-1]
+
+    monkeypatch.setattr(core, "_int_array", spy)
+    g = core.loads(text)
+    assert g.order == 61 and g._array is read[0][0] and not g._array.flags.writeable
+    data = core.parse_json(text, "table")
+    table = data["table"]
+    for h in (core.from_json_dict(data), core.MultivaluedGroup(g.n, g.identity, g.star, table)):
+        assert h == g and not np.shares_memory(h._array, table) and not h._array.flags.writeable
+    assert table.flags.writeable
+    table[0, 0, 0] += 1  # the caller's array is still the caller's
+    assert h == g
+    # the checks still run on the reader's array
+    at = text.index('"table"')
+    broken = text[:at] + text[at:].replace("3,", "4,", 1)  # entry (0, 0, 0)
+    with pytest.raises(InputError, match=r"row sum of m\[0\]\[0\] is 4"):
+        core.loads(broken)
+
+
 def _value_slots(value):
     return [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
 

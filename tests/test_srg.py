@@ -1110,6 +1110,55 @@ def test_kept_certificate_equals_every_other_proof(build, params):
         assert srg._pair_counts_blocked(shuffled.rows) == (params.lam, params.mu)
 
 
+def _defined_connection_set(name, args):
+    """Row 0 of a family graph as its definition selects it, one vector
+    at a time: the zeros of _quadratic_form, the matrices of
+    _rank_one_matrices and _rank_two_alternating, the nonzero c-th powers,
+    the rest of a clique, a grid cell's row and column."""
+    if name == "clique_union":
+        p, t, _ = args
+        return set(range(1, p**t))
+    if name == "grid_graph":
+        (q,) = args
+        return {y for y in range(1, q * q) if y < q or y % q == 0}
+    if name == "vanlint_schrijver":
+        p, c, t = args
+        field = algebra.make_field(p, (c - 1) * t)
+        return {field.pow(x, c) for x in range(1, field.q)}
+    q, dim = {
+        "affine_polar": lambda q, e, eps: (q, 2 * e),
+        "affine_polar_plus_complement": lambda e: (2, 2 * e),
+        "bilinear_forms_graph": lambda q, e: (q, 2 * e),
+        "alternating_forms_graph": lambda q: (q, 10),
+    }[name](*args)
+    field = _field(q)
+    if name == "affine_polar":
+        form = _quadratic_form(field, args[1], args[2])
+        selected = {vec for vec in _vectors(q, dim) if any(vec) and form(vec) == 0}
+    elif name == "affine_polar_plus_complement":
+        form = _quadratic_form(field, args[0], 1)
+        selected = {vec for vec in _vectors(q, dim) if form(vec) != 0}
+    elif name == "bilinear_forms_graph":
+        selected = _rank_one_matrices(field, args[1])
+    else:
+        selected = _rank_two_alternating(field)
+    return {x for x, vec in enumerate(_vectors(q, dim)) if vec in selected}
+
+
+_ROW_ZERO_CASES = [
+    *((name, args) for name, args, _ in _FAMILIES_WORKLOAD),
+    *(("affine_polar", (q, e, eps)) for q, e in ((4, 2), (4, 3), (8, 2)) for eps in (1, -1)),
+    ("bilinear_forms_graph", (4, 3)),
+    *(("affine_polar_plus_complement", (e,)) for e in range(2, 7)),
+]
+
+
+@pytest.mark.parametrize("name,args", _ROW_ZERO_CASES, ids=[f"{name}{args}" for name, args in _ROW_ZERO_CASES])
+def test_builder_row_zero_is_the_defined_connection_set(name, args):
+    graph = getattr(srg, name)(*args)
+    assert set(srg._set_bits(graph.rows[0])) == _defined_connection_set(name, args)
+
+
 @pytest.fixture
 def proof_calls(monkeypatch):
     """The names of srg_check's counting paths, in the order they run."""
