@@ -29,14 +29,21 @@ from .errors import AxiomError, CapError, InputError
 
 MVG_FORMAT = "mvg-v1"
 
-# Past this order a group keeps its table as one int64 array, and the
-# associativity proof and scan use vectorised int64 arithmetic; the scan
-# runs it as float64 BLAS products while n**2 < 2**53 (see
-# _assoc_failures).  Up to it, which covers every order-3 table, nested
-# tuples and plain loops are faster; they are also the exact path once
-# o * n**2 >= 2**62, where int64 sums of products would overflow.  A
-# 1-valued table is scanned with one numpy gather at every order.
-_NUMPY_ORDER_THRESHOLD = 6
+# Below this order verify_axioms proves associativity by the full scan,
+# which also lists every witness, and from it up by _assoc_generators.
+# Timed on valid coset tables on a 2-core host with numpy's bundled
+# OpenBLAS, the full scan took 8 us at order 3 against 61 us for the
+# generator proof, and 210 us against 275 us at order 14, but 540-630 us
+# against 340-350 us at order 15.
+_FULL_SCAN_ORDER = 15
+
+# From this order the associativity scan multiplies in float64 through
+# BLAS while n**2 < 2**53 (see _assoc_failures).  Below it numpy's own
+# int64 product is as fast (8.7 against 9.0 us at order 3, timeit, same
+# host) and skips BLAS's first call after other work, which costs about
+# 20 us in each classify job of the catalogue benchmark; at order 4 BLAS
+# is faster, 9.7 against 12.2 us.
+_BLAS_ORDER = 4
 
 # The prime of the rank certificate in _assoc_generators.
 _SPAN_PRIME = 2**26 - 5
@@ -121,18 +128,19 @@ class MultivaluedGroup(_Frozen):
     the stored report, do not take part in equality.
 
     The table may be an order**3 integer array, checked in one array
-    pass (_table_array) and copied, unless it is the array core.loads has
-    just read, or nested lists or tuples, checked by the entry loop
-    (_table_rows).  Past _NUMPY_ORDER_THRESHOLD, while
-    o * n**2 < 2**62, the group keeps its table as one read-only int64
-    array and nothing else, and the checks take the array path exactly
-    when it is set.  Every other group keeps nested tuples of Python
-    ints.  Either way every value handed out is a Python int, and .table
-    reads as nested tuples: an array-backed group builds them on the
-    first read of .table and keeps them, and core never reads them.
+    pass (_table_array), or nested lists or tuples (or an array of other
+    entries), checked by the entry loop (_table_rows) and converted with
+    one np.array call; the entry loop also names the first bad entry of
+    an array the pass refuses.  The group keeps one read-only array and
+    nothing else: int64 while o * n**2 < 2**62, so that no sum of
+    products in the checks can overflow, and Python ints in a
+    dtype=object array past that.  An integer array is copied, unless it
+    is the array core.loads has just read.  Every value handed out is a
+    Python int, and .table reads as nested tuples, built on its first
+    read and kept; core never reads them.
     """
 
-    __slots__ = ("order", "n", "identity", "star", "names", "_array", "_rows", "_report")
+    __slots__ = ("order", "n", "identity", "star", "names", "_array", "_nested", "_report")
 
     def __init__(self, n, identity, star, table, names=None, *, _owned=False):
         order = len(table)
@@ -145,21 +153,13 @@ class MultivaluedGroup(_Frozen):
         if not isinstance(identity, int) or not 0 <= identity < order:
             raise InputError(f"identity index {identity!r} out of range for order {order}")
 
-        array = rows = None
-        if isinstance(table, _np.ndarray):
-            array = _table_array(table, order, n, _owned)
-            if array is None:
-                table = table.tolist()  # messages hold Python ints
+        dtype = _np.int64 if order * n * n < 2**62 else object
+        array = _table_array(table, order, n, dtype, _owned) if isinstance(table, _np.ndarray) else None
         if array is None:
-            rows = _table_rows(table, order, n)
-        if order <= _NUMPY_ORDER_THRESHOLD or order * n * n >= 2**62:
-            if rows is None:
-                rows = _tuples(array.tolist())
-            array = None
-        elif array is None:
-            array = _np.array(rows, dtype=_np.int64)
+            rows = table.tolist() if isinstance(table, _np.ndarray) else table  # messages hold Python ints
+            _table_rows(rows, order, n)
+            array = _np.array(rows, dtype=dtype)
             array.flags.writeable = False
-            rows = None
 
         star = tuple(star)
         if any(isinstance(s, bool) or not isinstance(s, int) for s in star):
@@ -186,29 +186,27 @@ class MultivaluedGroup(_Frozen):
         init(self, "star", star)
         init(self, "names", names)
         init(self, "_array", array)
-        init(self, "_rows", rows)
+        init(self, "_nested", None)
         init(self, "_report", None)
 
     @property
     def table(self):
         """m[x][y][z] as nested tuples of Python ints."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows", _tuples(self._array.tolist()))
-        return self._rows
+        if self._nested is None:
+            nested = tuple(tuple(map(tuple, plane)) for plane in self._array.tolist())
+            object.__setattr__(self, "_nested", nested)
+        return self._nested
 
     def product(self, x: int, y: int) -> Multiset:
         """The n-multiset x*y, read off the multiplicity table."""
         if not (0 <= x < self.order and 0 <= y < self.order):
             raise InputError(f"element index out of range: ({x}, {y})")
-        row = self.table[x][y] if self._array is None else self._array[x, y].tolist()
-        return Multiset({z: m for z, m in enumerate(row) if m})
+        return Multiset({z: m for z, m in enumerate(self._array[x, y].tolist()) if m})
 
     def m(self, x: int) -> int:
         """Diagonal multiplicity of the identity in x * star(x)."""
         if not 0 <= x < self.order:
             raise InputError(f"element index out of range: {x}")
-        if self._array is None:
-            return self.table[x][self.star[x]][self.identity]
         return self._array.item(x, self.star[x], self.identity)
 
     def __eq__(self, other):
@@ -216,43 +214,31 @@ class MultivaluedGroup(_Frozen):
             return NotImplemented
         if (self.n, self.identity, self.star) != (other.n, other.identity, other.star):
             return False
-        if self._array is not None and other._array is not None:
-            return _np.array_equal(self._array, other._array)
-        return self.table == other.table
+        return _np.array_equal(self._array, other._array)
 
     def __hash__(self):
-        # Equal groups have equal order and n, so both keep an array or neither does.
-        table = self.table if self._array is None else self._array.tobytes()
+        # Equal groups have equal order and n, so equal dtypes.  An object
+        # array's bytes are pointers, so its entries are hashed by value.
+        a = self._array
+        table = a.tobytes() if a.dtype == _np.int64 else tuple(a.ravel().tolist())
         return hash((self.n, self.identity, self.star, table))
 
     def __repr__(self):
         return f"MultivaluedGroup(order={self.order}, n={self.n})"
 
 
-def _tuples(table):
-    """A nested list table as nested tuples."""
-    return tuple(tuple(map(tuple, plane)) for plane in table)
-
-
-def _rows(g):
-    """g's table as nested lists or tuples of Python ints, without
-    keeping a copy on g."""
-    return g.table if g._array is None else g._array.tolist()
-
-
-def _table_array(table, order, n, owned):
-    """The integer array table as a read-only int64 array, checked in one
-    array pass: shape order**3, every entry nonnegative and every row
-    summing to n; else None, and the entry loop names the error.  The
-    int64 row sums are exact while o * n < 2**63; past that the array is
-    refused too, and the entry loop decides.  The array is a copy unless
-    owned says that table is an int64 array that nothing else holds (the
-    one core.loads reads), which is then kept as it is."""
-    if table.shape != (order,) * 3 or table.dtype.kind not in "iu" or order * n >= 2**63:
+def _table_array(table, order, n, dtype, owned):
+    """The integer array table as the group's read-only table of dtype,
+    checked in one array pass: shape order**3, every entry nonnegative
+    and at most n, and every row summing to n; else None, and the entry
+    loop names the error.  The row sums are exact: in int64 while
+    o * n**2 < 2**62, and in Python ints past that, where dtype is
+    object.  The array is a copy unless owned says that table is an
+    array of dtype that nothing else holds (the int64 array core.loads
+    reads), which is then kept as it is."""
+    if table.shape != (order,) * 3 or table.dtype.kind not in "iu" or table.min() < 0 or int(table.max()) > n:
         return None
-    if table.min() < 0 or table.max() > n:
-        return None
-    array = table if owned and table.dtype == _np.int64 else table.astype(_np.int64)
+    array = table if owned and table.dtype == dtype else table.astype(dtype)
     if (array.sum(axis=2) != n).any():
         return None
     array.flags.writeable = False
@@ -260,15 +246,15 @@ def _table_array(table, order, n, owned):
 
 
 def _table_rows(table, order, n):
-    """The table as tuples after checking every entry in order; each
-    error names the first bad block, row or entry."""
-    rows = []
+    """Check a nested list table entry by entry, in order, and raise an
+    InputError that names the first bad block, row or entry.  On Python
+    ints this loop costs less than converting the lists to an array to
+    check them there, at order 3 as at order 61."""
     for x, plane in enumerate(table):
         if not isinstance(plane, (list, tuple)):
             raise InputError(f"table row block {x} is not a list")
         if len(plane) != order:
             raise InputError(f"table row block {x} has length {len(plane)}, expected {order}")
-        plane_rows = []
         for y, row in enumerate(plane):
             if not isinstance(row, (list, tuple)):
                 raise InputError(f"table row ({x},{y}) is not a list")
@@ -281,9 +267,6 @@ def _table_rows(table, order, n):
                 total += mult
             if total != n:
                 raise InputError(f"row sum of m[{x}][{y}] is {total}, expected the valency {n}")
-            plane_rows.append(tuple(row))
-        rows.append(tuple(plane_rows))
-    return tuple(rows)
 
 
 @dataclass
@@ -294,7 +277,8 @@ class AxiomReport:
     is False exactly when at least one counterexample carrying its axiom
     name is listed.  assoc_generators records how associativity was
     decided: the generating set that proved it, or None when the full
-    scan did (or associativity was not examined).
+    scan did, as it always does below _FULL_SCAN_ORDER (or when
+    associativity was not examined).
     """
 
     associative: bool | None = None
@@ -347,64 +331,54 @@ def _assoc_failures(g, ys=None):
     every element.
 
     Over every y this full scan lists every witness.  verify_axioms runs
-    it only when _assoc_generators cannot prove the law, and it is the
-    oracle the proof is tested against.  Over a generating set it is
-    that proof (Light's test, see _assoc_generators).
+    it below _FULL_SCAN_ORDER, and past it only when _assoc_generators
+    cannot prove the law; it is the oracle the proof is tested against.
+    Over a generating set it is that proof (Light's test, see
+    _assoc_generators).
 
     A 1-valued table is a product map, and its witnesses are (x, y, z,
     (xy)z) wherever (xy)z != x(yz), read from one gather.  Otherwise the
     scan compares, for each x, lhs[y,z,t] = sum_w m[x][y][w] m[w][z][t]
     with rhs[y,z,t] = sum_w m[y][z][w] m[x][w][t], as matrix products
     over blocks of x.  They run in float64, which numpy hands to BLAS,
-    while n**2 < 2**53, and in int64 past that.  The float sums are
-    exact: a table is only built with nonnegative integer entries and
+    from _BLAS_ORDER while n**2 < 2**53, and otherwise on the table's own
+    dtype: int64, whose sums cannot overflow while o * n**2 < 2**62, or
+    Python ints in a dtype=object table, which numpy multiplies exactly.
+    The float sums
+    are exact: a table is only built with nonnegative integer entries and
     every row summing to n, so each product m[x][y][w] m[w][z][t] is an
     integer at most n * m[x][y][w], and the sum of any subset of them,
     which is every partial sum of the classical product in whatever
     order and grouping BLAS (fused or not) adds them, is an integer at
     most n * sum_w m[x][y][w] = n**2.  The same bound holds for rhs, with
     m[y][z][w] in place of m[x][y][w], and for any ys.  Every integer up
-    to 2**53 is a float64, so no step rounds.  Tables that keep no int64
-    array (see MultivaluedGroup) take plain loops.
+    to 2**53 is a float64, so no step rounds.
     """
     o, n, a = g.order, g.n, g._array
-    ys = list(range(o) if ys is None else ys)
+    ys = range(o) if ys is None else list(ys)
     if not ys:
         return []
     if n == 1:
-        prod = (_np.array(g.table) if a is None else a).argmax(2)  # prod[x, y] = xy
+        prod = a.argmax(2)  # prod[x, y] = xy
         left = prod[prod[:, ys]]  # (xy)z
         right = prod[_np.arange(o)[:, None, None], prod[ys][None]]  # x(yz)
         diff = left != right
         x, y, z = _np.nonzero(diff)
         return list(zip(x.tolist(), _np.take(ys, y).tolist(), z.tolist(), left[diff].tolist()))
 
-    if a is not None:
-        f = a.astype(_np.float64) if n * n < 2**53 else a
-        flat = f.reshape(o, o * o)  # w -> (z, t)
-        middle = (f if len(ys) == o else f[ys]).reshape(-1, o)  # (y, z) -> w
-        block = max(1, _BLOCK_ENTRIES // (len(ys) * o * o))
-        fails = []
-        for x0 in range(0, o, block):
-            fx = f[x0 : x0 + block]
-            lhs = _np.matmul(fx[:, ys].reshape(-1, o), flat).reshape(-1, len(ys), o, o)
-            rhs = _np.matmul(middle, fx).reshape(-1, len(ys), o, o)
-            x, y, z, tt = _np.nonzero(lhs != rhs)  # in lexicographic order
-            fails += zip((x + x0).tolist(), _np.take(ys, y).tolist(), z.tolist(), tt.tolist())
-        return fails
-
+    f = a.astype(_np.float64) if n * n < 2**53 and o >= _BLAS_ORDER else a
+    flat = f.reshape(o, o * o)  # w -> (z, t)
+    every = len(ys) == o
+    middle = (f if every else f[ys]).reshape(-1, o)  # (y, z) -> w
+    block = max(1, _BLOCK_ENTRIES // (len(ys) * o * o))
     fails = []
-    t, rng = g.table, range(o)
-    for x in rng:
-        tx = t[x]
-        for y in ys:
-            txy = tx[y]
-            for z in rng:
-                for tt in rng:
-                    lhs = sum(txy[w] * t[w][z][tt] for w in rng)
-                    rhs = sum(t[y][z][w] * tx[w][tt] for w in rng)
-                    if lhs != rhs:
-                        fails.append((x, y, z, tt))
+    for x0 in range(0, o, block):
+        fx = f[x0 : x0 + block]
+        lhs = _np.matmul((fx if every else fx[:, ys]).reshape(-1, o), flat)  # [(x, y), (z, t)]
+        diff = lhs != _np.matmul(middle, fx).reshape(lhs.shape)
+        if diff.any():
+            x, y, z, tt = _np.nonzero(diff.reshape(-1, len(ys), o, o))  # in lexicographic order
+            fails += zip((x + x0).tolist(), (y if every else _np.take(ys, y)).tolist(), z.tolist(), tt.tolist())
     return fails
 
 
@@ -433,11 +407,7 @@ def _assoc_generators(g):
     in S fails; the caller then runs the full scan.
     """
     o = g.order
-    t = g._array
-    if t is not None and o * (_SPAN_PRIME - 1) ** 2 < 2**63:
-        span = _ArraySpan(t, g.identity)
-    else:
-        span = _ListSpan(_rows(g), g.identity)
+    span = _Span(g._array, g.identity)
     gens = []
     done = 0  # span.vectors[:done] have been multiplied by every generator
     while span.rank < o:
@@ -454,71 +424,20 @@ def _assoc_generators(g):
     return None if _assoc_failures(g, sorted(gens)) else tuple(gens)
 
 
-class _ListSpan:
+class _Span:
     """A subspace of F_P^o (P = _SPAN_PRIME) in reduced row echelon form,
     grown from e_identity, with right multiplication by e_a taken from
-    the table.  Python ints throughout."""
-
-    def __init__(self, table, identity):
-        self.table = table
-        self.rows = []  # rows[i] is 1 at pivots[i] and 0 at every other pivot
-        self.pivots = []
-        self.vectors = []  # every vector inserted, in order; they span the space
-        self.insert(self._unit(identity))
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def _unit(self, a):
-        v = [0] * len(self.table)
-        v[a] = 1
-        return v
-
-    def _reduce(self, v):
-        for c, row in zip(self.pivots, self.rows):
-            f = v[c]
-            if f:
-                v = [(x - f * r) % _SPAN_PRIME for x, r in zip(v, row)]
-        return v
-
-    def insert(self, v) -> None:
-        v = self._reduce(v)
-        c = next((i for i, x in enumerate(v) if x), None)
-        if c is None:
-            return
-        inv = pow(v[c], -1, _SPAN_PRIME)
-        v = [x * inv % _SPAN_PRIME for x in v]
-        for i, row in enumerate(self.rows):
-            f = row[c]
-            if f:
-                self.rows[i] = [(x - f * y) % _SPAN_PRIME for x, y in zip(row, v)]
-        self.rows.append(v)
-        self.pivots.append(c)
-        self.vectors.append(v)
-
-    def holds_unit(self, a) -> bool:
-        return not any(self._reduce(self._unit(a)))
-
-    def times(self, v, a):
-        """v * e_a."""
-        out = [0] * len(self.table)
-        for w, c in enumerate(v):
-            if c:
-                out = [x + c * y for x, y in zip(out, self.table[w][a])]
-        return [x % _SPAN_PRIME for x in out]
-
-
-class _ArraySpan:
-    """_ListSpan over int64 arrays.  Entries stay below P, so a dot
-    product of length o is exact while o * (P - 1)**2 < 2**63."""
+    the table; int64 arrays throughout, the table's entries reduced mod P
+    first.  Entries stay below P, so a dot product of length o is exact
+    while o * (P - 1)**2 < 2**63, which holds below order 2048: a table
+    that large would have 8.6e9 entries."""
 
     def __init__(self, table, identity):
         o = table.shape[0]
-        self.right = table % _SPAN_PRIME
-        self.rows = _np.zeros((o, o), dtype=_np.int64)
+        self.right = (table % _SPAN_PRIME).astype(_np.int64, copy=False)
+        self.rows = _np.zeros((o, o), dtype=_np.int64)  # rows[i] is 1 at pivots[i] and 0 at every other pivot
         self.pivots = []
-        self.vectors = []
+        self.vectors = []  # every vector inserted, in order; they span the space
         self.insert(self._unit(identity))
 
     @property
@@ -562,61 +481,38 @@ def verify_axioms(g: MultivaluedGroup) -> AxiomReport:
     Associativity is the convolution identity
     ``sum_w m[x][y][w]*m[w][z][t] == sum_w m[y][z][w]*m[x][w][t]``
     for all quadruples, i.e. equality of the two n^2-multiset triple
-    products.  When the identity axiom holds it is first proved exactly
-    from a generating set (_assoc_generators), and the report keeps
-    that set in assoc_generators.  Otherwise, or when that proof does
-    not go through, the full scan decides it and every failing witness
-    is listed in the report.
+    products.  From _FULL_SCAN_ORDER up, when the identity axiom holds,
+    it is first proved exactly from a generating set (_assoc_generators),
+    and the report keeps that set in assoc_generators.  Below that order,
+    or when the identity axiom fails or the proof does not go through,
+    the full scan decides it and every failing witness is listed in the
+    report.
     """
-    report = AxiomReport()
-    e, o, n = g.identity, g.order, g.n
-    if g._array is not None:
-        identity_fails, inverse_fails = _unit_failures_array(g._array, e, n, g.star)
-    else:
-        t = g.table
-        identity_fails = []
-        for x in range(o):
-            for z in range(o):
-                want = n if z == x else 0
-                if t[e][x][z] != want:
-                    identity_fails.append(("identity", (e, x, z)))
-                if t[x][e][z] != want:
-                    identity_fails.append(("identity", (x, e, z)))
-        inverse_fails = []
-        for x in range(o):
-            sx = g.star[x]
-            if t[x][sx][e] <= 0 or t[sx][x][e] <= 0:
-                inverse_fails.append(("inverse", (x,)))
-    report.has_identity = not identity_fails
-    report.has_inverses = not inverse_fails
-
-    report.assoc_generators = None if identity_fails else _assoc_generators(g)
-    if report.assoc_generators is None:
-        assoc_fails = [("associative", quad) for quad in _assoc_failures(g)]
-    else:
-        assoc_fails = []
-    report.associative = not assoc_fails
-
-    report.counterexamples = identity_fails + inverse_fails + assoc_fails
-    return report
-
-
-def _unit_failures_array(t, e, n, star):
-    """verify_axioms' identity and inverse witnesses from array
-    comparisons, in the order of its loops; only a failing (x, z) is
-    looked at again, to name its witnesses."""
-    o = t.shape[0]
-    want = n * _np.eye(o, dtype=_np.int64)
-    left, right = t[e] != want, t[:, e] != want  # [x, z]: e*x and x*e
+    t, e, n, o, star = g._array, g.identity, g.n, g.order, g.star
+    m = t.item
+    # Rows sum to n with no entry negative, so e is an identity exactly
+    # when every m[e][x][x] and m[x][e][x] is n; the rows are compared
+    # whole only to name the witnesses.
     identity_fails = []
-    for x, z in _np.argwhere(left | right).tolist():
-        if left[x, z]:
-            identity_fails.append(("identity", (e, x, z)))
-        if right[x, z]:
-            identity_fails.append(("identity", (x, e, z)))
-    ar, star = _np.arange(o), _np.array(star)
-    inverse = (t[ar, star, e] <= 0) | (t[star, ar, e] <= 0)
-    return identity_fails, [("inverse", (x,)) for x in _np.flatnonzero(inverse).tolist()]
+    if any(m(e, x, x) != n or m(x, e, x) != n for x in range(o)):
+        want = _np.eye(o, dtype=t.dtype) * n
+        left, right = t[e] != want, t[:, e] != want  # [x, z]: e*x and x*e
+        for x, z in _np.argwhere(left | right).tolist():
+            if left[x, z]:
+                identity_fails.append(("identity", (e, x, z)))
+            if right[x, z]:
+                identity_fails.append(("identity", (x, e, z)))
+    inverse_fails = [("inverse", (x,)) for x, sx in enumerate(star) if m(x, sx, e) <= 0 or m(sx, x, e) <= 0]
+
+    gens = None if identity_fails or g.order < _FULL_SCAN_ORDER else _assoc_generators(g)
+    assoc_fails = [] if gens is not None else [("associative", quad) for quad in _assoc_failures(g)]
+    return AxiomReport(
+        associative=not assoc_fails,
+        has_identity=not identity_fails,
+        has_inverses=not inverse_fails,
+        counterexamples=identity_fails + inverse_fails + assoc_fails,
+        assoc_generators=gens,
+    )
 
 
 def verify_involutive(g: MultivaluedGroup) -> AxiomReport:
@@ -626,44 +522,26 @@ def verify_involutive(g: MultivaluedGroup) -> AxiomReport:
     (b) the diagonal multiplicities satisfy m(x) = m(star(x));
     (c) star is an anti-automorphism: m[x][y][z] equals
         m[star(y)][star(x)][star(z)] for every triple.
+
+    (a) holds exactly when every m(x) = m[x][star(x)][e] is positive and
+    each x's column m[x][.][e] sums to m(x): no entry is negative.  (c)
+    compares the table with the transposed table taken at star along
+    each axis.  Only a failing condition names its witnesses, (a) and
+    (c) by argwhere in C order, which is the order of (x, y, z).
     """
-    array = g._array
-    if array is not None:
-        fails = _involutive_failures_array(array, g.identity, g.star)
-        return AxiomReport(involutive=not fails, counterexamples=fails)
-    report = AxiomReport()
-    e, o, t, star = g.identity, g.order, g.table, g.star
+    t, e, o, star = g._array, g.identity, g.order, g.star
+    s = _np.array(star)
+    diag = [t.item(x, sx, e) for x, sx in enumerate(star)]  # m(x)
     fails = []
-    for x in range(o):
-        for y in range(o):
-            if (t[x][y][e] > 0) != (y == star[x]):
-                fails.append(("involutive", (x, y)))
-    for x in range(o):
-        if g.m(x) != g.m(star[x]):
-            fails.append(("involutive", (x,)))
-    for x in range(o):
-        for y in range(o):
-            for z in range(o):
-                if t[x][y][z] != t[star[y]][star[x]][star[z]]:
-                    fails.append(("involutive", (x, y, z)))
-    report.involutive = not fails
-    report.counterexamples = fails
-    return report
-
-
-def _involutive_failures_array(t, e, star):
-    """verify_involutive's witnesses from array identities.  argwhere
-    lists them in C order, which is the order of the loops."""
-    o = t.shape[0]
-    star = _np.array(star)
-    diag = t[_np.arange(o), star, e]
-    cases = (
-        (t[:, :, e] > 0) != (_np.arange(o) == star[:, None]),  # (a)
-        diag != diag[star],  # (b)
-        t != t[_np.ix_(star, star, star)].transpose(1, 0, 2),  # (c)
-    )
-    # tolist gives Python ints: an int64 would print and serialise differently
-    return [("involutive", tuple(w)) for bad in cases if bad.any() for w in _np.argwhere(bad).tolist()]
+    if not all(diag) or list(map(sum, t[:, :, e].tolist())) != diag:
+        bad = (t[:, :, e] > 0) != (_np.arange(o) == s[:, None])
+        fails += [("involutive", (x, y)) for x, y in _np.argwhere(bad).tolist()]
+    fails += [("involutive", (x,)) for x in range(o) if diag[x] != diag[star[x]]]
+    bad = t != t.transpose(1, 0, 2).take(s, 0).take(s, 1).take(s, 2)  # (c)
+    if bad.any():
+        # tolist gives Python ints: an int64 would print and serialise differently
+        fails += [("involutive", tuple(w)) for w in _np.argwhere(bad).tolist()]
+    return AxiomReport(involutive=not fails, counterexamples=fails)
 
 
 def check_reciprocity(g: MultivaluedGroup) -> bool:
@@ -674,21 +552,11 @@ def check_reciprocity(g: MultivaluedGroup) -> bool:
     """
     if not validate(g).involutive:
         raise InputError("reciprocity is only defined for involutive groups")
-    array = g._array
-    if array is not None:
-        star = _np.array(g.star)
-        diag = array[_np.arange(g.order), star, g.identity]
-        at_star = array[:, :, star]  # [y, z, x] -> m[y][z][star(x)]
-        # [y, z, x] -> m(x) m[y][z][star(x)] and m(y) m[z][x][star(y)]
-        return _np.array_equal(at_star * diag, at_star.transpose(2, 0, 1) * diag[:, None, None])
-    t, star, o = g.table, g.star, g.order
-    diag = [g.m(x) for x in range(o)]
-    for x in range(o):
-        for y in range(o):
-            for z in range(o):
-                if diag[x] * t[y][z][star[x]] != diag[y] * t[z][x][star[y]]:
-                    return False
-    return True
+    t, star = g._array, _np.array(g.star)
+    diag = t[_np.arange(g.order), star, g.identity]
+    at_star = t[:, :, star]  # [y, z, x] -> m[y][z][star(x)]
+    # [y, z, x] -> m(x) m[y][z][star(x)] and m(y) m[z][x][star(y)]
+    return not (at_star * diag != at_star.transpose(2, 0, 1) * diag[:, None, None]).any()
 
 
 def validate(g: MultivaluedGroup) -> AxiomReport:
@@ -820,10 +688,9 @@ def scale(g: MultivaluedGroup, factor: int) -> MultivaluedGroup:
     """Multiply every multiplicity by a positive integer factor."""
     if not isinstance(factor, int) or factor < 1:
         raise InputError("scale factor must be a positive integer")
-    table = tuple(
-        tuple(tuple(m * factor for m in row) for row in plane) for plane in _rows(g)
-    )
-    return MultivaluedGroup(g.n * factor, g.identity, g.star, table, names=g.names)
+    # every entry is at most n, so int64 products are exact while n * factor fits
+    table = g._array if g.n * factor < 2**63 else g._array.astype(object)
+    return MultivaluedGroup(g.n * factor, g.identity, g.star, table * factor, names=g.names)
 
 
 def signature(g: MultivaluedGroup) -> Signature:
@@ -838,21 +705,21 @@ def signature(g: MultivaluedGroup) -> Signature:
         raise InputError("signatures are defined for groups of order 3 only")
     if not validate(g).involutive:
         raise InputError("signatures are defined for involutive groups only")
-    e, n, t = g.identity, g.n, g.table
+    e, n, t = g.identity, g.n, g._array
     x, y = (i for i in range(3) if i != e)
     if g.star[x] == y:
-        return Signature(SWAP_STAR, (Fraction(t[x][x][x], n),))
+        return Signature(SWAP_STAR, (Fraction(t.item(x, x, x), n),))
 
     def sort_key(i):
-        return (Fraction(t[i][i][e], n), Fraction(t[i][i][i], n))
+        return (Fraction(t.item(i, i, e), n), Fraction(t.item(i, i, i), n))
 
     first, second = sorted((x, y), key=sort_key, reverse=True)
     return Signature(
         SYMMETRIC_STAR,
         (
-            Fraction(t[first][first][e], n),
-            Fraction(t[second][second][e], n),
-            Fraction(t[first][first][first], n),
+            Fraction(t.item(first, first, e), n),
+            Fraction(t.item(second, second, e), n),
+            Fraction(t.item(first, first, first), n),
         ),
     )
 
@@ -873,7 +740,7 @@ def are_isomorphic(g1: MultivaluedGroup, g2: MultivaluedGroup):
     if g1.order != g2.order:
         return None
     o, n1, n2 = g1.order, g1.n, g2.n
-    t1, t2 = _rows(g1), _rows(g2)
+    t1, t2 = g1._array.tolist(), g2._array.tolist()
     e1, e2 = g1.identity, g2.identity
     rest = [a for a in range(o) if a != e1]
     f = [None] * o
@@ -952,10 +819,7 @@ def _json_header(g: MultivaluedGroup) -> dict:
 
 def to_json_dict(g: MultivaluedGroup) -> dict:
     data = _json_header(g)
-    if g._array is None:
-        data["table"] = [[list(row) for row in plane] for plane in g.table]
-    else:
-        data["table"] = g._array.tolist()
+    data["table"] = g._array.tolist()
     return data
 
 
@@ -967,7 +831,7 @@ def dumps(g: MultivaluedGroup) -> str:
     with int.__repr__, as json prints an int or an int subclass, and the
     rows are joined with indent=2's fixed separators."""
     header = json.dumps(_json_header(g), indent=2)
-    table = _rows(g)
+    table = g._array.tolist()
     entries = set(chain.from_iterable(chain.from_iterable(table)))
     text = dict(zip(entries, map(int.__repr__, entries))).__getitem__
     planes = [
@@ -1188,5 +1052,5 @@ def parse_json(text: str, array_field: str | None = None):
 def loads(text: str) -> MultivaluedGroup:
     """The group of an mvg-v1 document.  The int64 array that
     _int_array allocates for its table becomes the group's table,
-    uncopied."""
+    uncopied, while o * n**2 < 2**62."""
     return from_json_dict(parse_json(text, "table"), _owned=True)
