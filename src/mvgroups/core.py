@@ -37,14 +37,6 @@ MVG_FORMAT = "mvg-v1"
 # against 340-350 us at order 15.
 _FULL_SCAN_ORDER = 15
 
-# From this order the associativity scan multiplies in float64 through
-# BLAS while n**2 < 2**53 (see _assoc_failures).  Below it numpy's own
-# int64 product is as fast (8.7 against 9.0 us at order 3, timeit, same
-# host) and skips BLAS's first call after other work, which costs about
-# 20 us in each classify job of the catalogue benchmark; at order 4 BLAS
-# is faster, 9.7 against 12.2 us.
-_BLAS_ORDER = 4
-
 # The prime of the rank certificate in _assoc_generators.
 _SPAN_PRIME = 2**26 - 5
 
@@ -341,10 +333,9 @@ def _assoc_failures(g, ys=None):
     scan compares, for each x, lhs[y,z,t] = sum_w m[x][y][w] m[w][z][t]
     with rhs[y,z,t] = sum_w m[y][z][w] m[x][w][t], as matrix products
     over blocks of x.  They run in float64, which numpy hands to BLAS,
-    from _BLAS_ORDER while n**2 < 2**53, and otherwise on the table's own
-    dtype: int64, whose sums cannot overflow while o * n**2 < 2**62, or
-    Python ints in a dtype=object table, which numpy multiplies exactly.
-    The float sums
+    while n**2 < 2**53, and otherwise on the table's own dtype: int64,
+    whose sums cannot overflow while o * n**2 < 2**62, or Python ints in
+    a dtype=object table, which numpy multiplies exactly.  The float sums
     are exact: a table is only built with nonnegative integer entries and
     every row summing to n, so each product m[x][y][w] m[w][z][t] is an
     integer at most n * m[x][y][w], and the sum of any subset of them,
@@ -366,7 +357,7 @@ def _assoc_failures(g, ys=None):
         x, y, z = _np.nonzero(diff)
         return list(zip(x.tolist(), _np.take(ys, y).tolist(), z.tolist(), left[diff].tolist()))
 
-    f = a.astype(_np.float64) if n * n < 2**53 and o >= _BLAS_ORDER else a
+    f = a.astype(_np.float64) if n * n < 2**53 else a
     flat = f.reshape(o, o * o)  # w -> (z, t)
     every = len(ys) == o
     middle = (f if every else f[ys]).reshape(-1, o)  # (y, z) -> w

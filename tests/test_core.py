@@ -721,7 +721,7 @@ def large_valency_tables(rng):
 
 def scan_dtype(g):
     """The dtype _assoc_failures multiplies g's table in."""
-    if g.n**2 < 2**53 and g.order >= core._BLAS_ORDER:
+    if g.n**2 < 2**53:
         return "float64"
     return "int64" if g.order * g.n**2 < 2**62 else "object"
 
@@ -757,6 +757,9 @@ def test_full_scan_paths_agree_with_a_plain_oracle(monkeypatch):
     cases += [("order 1", core.MultivaluedGroup(5, 0, [0], [[[5]]]))]
     one_valued_tables = [(label, g) for label, g in assoc_test_tables() if g.n == 1]
     cases += past_int64([(label, g) for label, g in cases + one_valued_tables if g.order <= 6])
+    # int64 products at orders 1-6: small tables scaled to n**2 >= 2**53
+    cases += [(f"{label} scaled", core.scale(g, 94906266)) for label, g in cases + one_valued_tables
+              if g.order <= 6 and g.order * (g.n * 94906266) ** 2 < 2**62]
     cases += large_valency_tables(rng)
     want = {label: assoc_oracle(g) for label, g in cases}
     seen = set()
@@ -770,7 +773,7 @@ def test_full_scan_paths_agree_with_a_plain_oracle(monkeypatch):
             assert dtypes == {path}, label
             seen.add((path, g.order > 6, want[label] == []))
     # every path, with and without witnesses: float64 on both sides of
-    # order 6, int64 below _BLAS_ORDER and past n**2 = 2**53, and object
+    # order 6, int64 past n**2 = 2**53 on both sides of it, and object
     # tables up to order 6
     paths = (("float64", False), ("float64", True), ("int64", False), ("int64", True), ("object", False))
     assert {(path, big, empty) for path, big in paths for empty in (True, False)} <= seen
