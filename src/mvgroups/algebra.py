@@ -12,19 +12,22 @@ GF(q) multiplies through discrete log tables, which are the powers of
 the least primitive element, found by an order test and computed by
 doubling with the linear map that multiplication by it is on base-p
 digit vectors; that construction proves the field laws, so FiniteField
-samples no check (see its docstring).  make_field takes the least
-irreducible modulus from one sieve over all monic polynomials.
+samples no check (see its docstring).  The tables are one pair of
+read-only arrays, which the scalar and the array arithmetic both read.
+make_field takes the least irreducible modulus from one sieve over all
+monic polynomials, and the direct constructor looks its modulus up in
+the same sieve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, product
+from itertools import chain, compress
 from math import gcd, isqrt
 
 import numpy as _np
 
-from .core import _BLOCK_ENTRIES, MultivaluedGroup, _Frozen, parse_json, validate
+from .core import _BLOCK_ENTRIES, MultivaluedGroup, _Frozen, _past_digit_limit, parse_json, validate
 from .errors import CapError, InputError, InternalError
 
 GROUP_CAP = 4096
@@ -116,38 +119,25 @@ def is_sum_of_two_squares(v: int) -> bool:
     return False
 
 
+def _check_size(what: str, base: int, exponent: int, cap: int, size=None) -> None:
+    """Refuse base**exponent elements above the cap with CapError, by bit
+    length first: the power is at least 2**((bits(base) - 1) * exponent),
+    and an exponent of 10**12 would ask for a 10**12-bit integer.  An
+    exponent of 1 is compared as it is, so a negative count passes on to
+    its own check.  The message names size, by default the power while it
+    prints and base**exponent past that (2**17200 has more than 4300
+    digits, the default limit of str)."""
+    floor_bits = (base.bit_length() - 1) * exponent
+    if (exponent == 1 or floor_bits < cap.bit_length()) and base**exponent <= cap:
+        return
+    if size is None:
+        past = floor_bits >= 4 * 4300 or _past_digit_limit(base**exponent)
+        size = f"{base}**{exponent}" if past else base**exponent
+    raise CapError(f"{what} size {size} exceeds the cap {cap}")
+
+
 # ---------------------------------------------------------------------------
 # Finite fields
-
-
-def _poly_trim(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mod(a, modulus, p):
-    a = list(a)
-    dm = len(modulus) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        shift = len(a) - 1 - dm
-        if lead:
-            for i, c in enumerate(modulus):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _is_irreducible(coeffs, p):
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(coeffs) - 1
-    for d in range(1, deg // 2 + 1):
-        for low in product(range(p), repeat=d):
-            divisor = list(low) + [1]
-            if not _poly_mod(coeffs, divisor, p):
-                return False
-    return True
 
 
 def _monic(p, d):
@@ -198,6 +188,8 @@ class FiniteField:
     base-p digits (low degree first), so 0 is zero and 1 is one.
     Multiplication goes through discrete log tables built from the least
     primitive element, which makes the whole construction reproducible.
+    The constructor refuses a composite p and a modulus that is not monic
+    of degree s over range(p) or that _irreducible_mask finds reducible.
 
     The tables come from one map.  For an element a, T_a is
     multiplication by a modulo the modulus, a GF(p)-linear map on the
@@ -216,24 +208,32 @@ class FiniteField:
     Z_(q-1) and the nonzero elements.  mul adds logs modulo q - 1, so it
     is associative and commutative, with inverses.  Multiplication by
     exp[i] is T**i for T = T_generator, which is linear, so mul
-    distributes over add.  A ring that is not a field (p composite) has
-    fewer than q - 1 units, so no element qualifies and construction
-    fails.
+    distributes over add.  A ring that is not a field has fewer than
+    q - 1 units, so no element would qualify; construction then fails
+    with InternalError, a self-check the input checks make unreachable.
 
-    add, neg, sub and mul take indices and read the exp and log tuples.
-    add_array, neg_array and mul_array act elementwise on integer arrays
-    of indices: mul_array is one gather from numpy copies of the same
-    tables, and add_array and neg_array work on base-p digits, so no
-    q x q table is built.
+    The tables are two read-only int64 arrays: _exp holds exp twice, then
+    2q - 1 zeros, and _log sends 0 past both copies, so mul_array is one
+    gather with no test for 0.  add_array and neg_array act on base-p
+    digits, with no q x q table.  The scalar forms call the array forms
+    or read one entry, and return Python ints.
     """
 
-    __slots__ = ("p", "s", "q", "modulus", "generator", "_exp", "_log", "_powers", "_exp_array", "_log_array")
+    __slots__ = ("p", "s", "q", "modulus", "generator", "_powers", "_exp", "_log")
 
     def __init__(self, p, s, modulus):
         modulus = tuple(modulus)
+        if not is_prime(p):
+            raise InputError(f"{p} is not prime")
+        if s < 1:
+            raise InputError("the extension degree must be at least 1")
         if len(modulus) != s + 1 or modulus[-1] != 1:
             raise InputError(f"modulus must be monic of degree {s}")
-        if s > 1 and not _is_irreducible(list(modulus), p):
+        if not all(type(c) is int and 0 <= c < p for c in modulus):
+            raise InputError(f"modulus {modulus} has a coefficient that is not an integer in range({p})")
+        # the rank make_field decodes: the digits below x**s, low degree most significant
+        rank = sum(c * p ** (s - 1 - k) for k, c in enumerate(modulus[:s]))
+        if not _irreducible_mask(p, s)[rank]:
             raise InputError(f"modulus {modulus} is reducible over GF({p})")
         self._build(p, s, modulus)
 
@@ -267,34 +267,17 @@ class FiniteField:
             times = times @ times % p
             k *= 2
         exp = digits @ self._powers
-        log = _np.zeros(q, dtype=_np.int64)
+        log = _np.full(q, 2 * (q - 1), dtype=_np.int64)  # 0's log, past both copies of exp
         log[exp] = _np.arange(q - 1)
         self.generator = cand
-        self._exp = tuple(exp.tolist())
-        self._log = tuple(log.tolist())
-        # mul_array's log sends 0 past both copies of exp, into zeros
-        log[0] = 2 * (q - 1)
-        self._log_array = log
-        self._exp_array = _np.concatenate([exp, exp, _np.zeros(2 * q - 1, dtype=_np.int64)])
-
-    # encoding helpers -----------------------------------------------------
-    def _decode(self, idx):
-        digits = []
-        for _ in range(self.s):
-            idx, r = divmod(idx, self.p)
-            digits.append(r)
-        return digits
-
-    def _encode(self, digits):
-        idx = 0
-        for c in reversed(digits):
-            idx = idx * self.p + c
-        return idx
+        self._exp = _np.concatenate([exp, exp, _np.zeros(2 * q - 1, dtype=_np.int64)])
+        self._log = log
+        self._exp.flags.writeable = self._log.flags.writeable = False
 
     def _times(self, a):
         """T_a: row j holds the digits of a * x**j."""
         p, m = self.p, self.modulus
-        row = self._decode(a)
+        row = (a // self._powers % p).tolist()
         rows = [row]
         for _ in range(1, self.s):
             # a * x**j from a * x**(j-1): shift up, reduce by the modulus
@@ -329,32 +312,22 @@ class FiniteField:
         return range(self.q)
 
     def add(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        da, db = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
+        return int(self.add_array(a, b))
 
     def neg(self, a: int) -> int:
-        if self.s == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        return self._encode([(-x) % self.p for x in self._decode(a)])
+        return int(self.neg_array(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return int(self.mul_array(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise InputError("zero has no multiplicative inverse")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        # exp's second copy starts at q - 1
+        return self._exp.item(self.q - 1 - self._log.item(a))
 
     def pow(self, a: int, k: int) -> int:
         if a == 0:
@@ -363,7 +336,7 @@ class FiniteField:
             if k < 0:
                 raise InputError("zero has no negative powers")
             return 0
-        return self._exp[(self._log[a] * k) % (self.q - 1)]
+        return self._exp.item(self._log.item(a) * k % (self.q - 1))
 
     def add_array(self, a, b):
         """add elementwise on integer arrays of indices, broadcast together."""
@@ -384,12 +357,12 @@ class FiniteField:
 
     def mul_array(self, a, b):
         """mul elementwise on integer arrays of indices, broadcast together."""
-        return self._exp_array[self._log_array[a] + self._log_array[b]]
+        return self._exp[self._log[a] + self._log[b]]
 
     def nth_powers(self, n: int) -> frozenset:
         """The set of nonzero n-th powers: the subgroup of index
         gcd(n, q - 1) of the cyclic group exp enumerates."""
-        return frozenset(self._exp[:: gcd(n, self.q - 1)])
+        return frozenset(self._exp[: self.q - 1 : gcd(n, self.q - 1)].tolist())
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, s={self.s})"
@@ -404,8 +377,7 @@ def make_field(p: int, s: int, cap: int = FIELD_CAP) -> FiniteField:
         raise InputError(f"{p} is not prime")
     if s < 1:
         raise InputError("the extension degree must be at least 1")
-    if p**s > cap:
-        raise CapError(f"field size {p**s} exceeds the cap {cap}")
+    _check_size("field", p, s, cap)
     ranks = _np.flatnonzero(_irreducible_mask(p, s))
     if not ranks.size:
         raise InternalError(f"no irreducible polynomial of degree {s} over GF({p})")
@@ -589,8 +561,7 @@ def cyclic_group(m: int, cap: int = GROUP_CAP) -> FiniteGroup:
     """The integers modulo m under addition."""
     if m < 1:
         raise InputError("the order must be positive")
-    if m > cap:
-        raise CapError(f"group size {m} exceeds the cap {cap}")
+    _check_size("group", m, 1, cap)
     elements = _np.arange(m, dtype=_np.min_scalar_type(2 * m - 2))
     return FiniteGroup(_np.add.outer(elements, elements) % m)
 
@@ -601,10 +572,8 @@ def make_elementary_abelian(p: int, d: int, cap: int = GROUP_CAP) -> FiniteGroup
         raise InputError(f"{p} is not prime")
     if d < 1:
         raise InputError("the dimension must be at least 1")
-    size = p**d
-    if size > cap:
-        raise CapError(f"group size {size} exceeds the cap {cap}")
-    cyclic = ((_np.arange(p)[:, None] + _np.arange(p)) % p).astype(_np.min_scalar_type(size - 1))
+    _check_size("group", p, d, cap)
+    cyclic = ((_np.arange(p)[:, None] + _np.arange(p)) % p).astype(_np.min_scalar_type(p**d - 1))
     table = _np.zeros((1, 1), dtype=cyclic.dtype)
     for k in range(d):
         # digit k becomes the high digit of both indices
@@ -671,7 +640,7 @@ def multiplier_automorphism(field: FiniteField, u: int) -> Automorphism:
     additive group."""
     if not 0 < u < field.q:
         raise InputError(f"multiplier {u} out of range")
-    return Automorphism(tuple(field.mul(u, g) for g in range(field.q)))
+    return Automorphism(tuple(field.mul_array(u, _np.arange(field.q)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -775,7 +744,8 @@ def coset_group(
     (x, y, a), counted per (x, y).  check_representatives runs the same
     count for every g in each orbit x against every h, and names the
     first pair that differs in (x, y, g, h) order.  MultivaluedGroup
-    takes the int64 count array as it is.
+    checks the int64 count array in one array pass and keeps a
+    read-only copy of it.
     """
     part = orbits(group, action)
     count = len(part.orbits)
@@ -845,8 +815,7 @@ def group_from_json_dict(data, cap: int = GROUP_CAP) -> FiniteGroup:
         raise InputError('"op" must be a list of rows')
     if len(op) != size:
         raise InputError("op table size does not match the declared size")
-    if size > cap:
-        raise CapError(f"group size {size} exceeds the cap {cap}")
+    _check_size("group", size, 1, cap)
     return FiniteGroup(op)
 
 

@@ -37,9 +37,9 @@ from math import isqrt, lcm
 
 import numpy as _np
 
-from .algebra import FiniteField, FiniteGroup, is_prime, is_prime_power, make_field, mult_order
+from .algebra import FiniteField, FiniteGroup, _check_size, is_prime, is_prime_power, make_field, mult_order
 from .core import MultivaluedGroup, _Frozen, parse_json, printable, validate
-from .errors import CapError, InputError, InternalError
+from .errors import InputError, InternalError
 
 GRAPH_CAP = 4096
 GRAPH_FORMAT = "graph-v1"
@@ -689,13 +689,9 @@ def halfspin_params(q: int) -> SrgParams:
 
 def _check_graph_size(base: int, cap: int, exponent: int = 1) -> None:
     """Refuse base**exponent vertices above the cap before any row is
-    allocated.  The power is at least 2**((bits(base) - 1) * exponent), so
-    one past the cap by that bound is refused unbuilt: an exponent of
-    10**12 would ask for a 10**12-bit integer."""
-    floor_bits = (base.bit_length() - 1) * exponent
-    if exponent > 1 and floor_bits >= cap.bit_length() or base**exponent > cap:
-        size = base if exponent == 1 else f"{base}**{exponent}"
-        raise CapError(f"graph size {size} exceeds the cap {cap}")
+    allocated, by _check_size's bit-length test; the size is named as
+    base**exponent."""
+    _check_size("graph", base, exponent, cap, base if exponent == 1 else f"{base}**{exponent}")
 
 
 def graph_field(q: int, dim: int = 1, cap: int = GRAPH_CAP) -> FiniteField:

@@ -41,8 +41,26 @@ def test_make_field_rejects_composite():
 
 
 def test_make_field_cap():
-    with pytest.raises(CapError):
+    with pytest.raises(CapError, match="^field size 8192 exceeds the cap 4096$"):
         algebra.make_field(2, 13)
+
+
+@pytest.mark.parametrize("s", [10**6, 10**12])
+def test_caps_refuse_a_huge_power_before_forming_it(s):
+    # p**s is refused by its bit length: the power has more digits than
+    # str() prints, and at s = 10**12 would take a terabit integer
+    with pytest.raises(CapError, match=rf"^field size 2\*\*{s} exceeds the cap 4096$"):
+        algebra.make_field(2, s)
+    with pytest.raises(CapError, match=rf"^group size 2\*\*{s} exceeds the cap 4096$"):
+        algebra.make_elementary_abelian(2, s)
+
+
+def test_cap_messages_print_the_size_while_it_prints():
+    for s in (9000, 9020):  # 3**9000 has 4295 digits, 3**9020 has 4304
+        size = str(3**s) if s == 9000 else f"3**{s}"
+        with pytest.raises(CapError) as caught:
+            algebra.make_field(3, s)
+        assert str(caught.value) == f"field size {size} exceeds the cap 4096"
 
 
 def test_make_field_modulus_deterministic():
@@ -92,19 +110,44 @@ def test_nth_powers():
     assert len(f16.nth_powers(5)) == 3  # index-5 subgroup of a 15-element group
 
 
+def _decode(field, idx):
+    """The s base-p digits of an element index, low degree first."""
+    digits = []
+    for _ in range(field.s):
+        idx, r = divmod(idx, field.p)
+        digits.append(r)
+    return digits
+
+
+def _encode(field, digits):
+    idx = 0
+    for c in reversed(digits):
+        idx = idx * field.p + c
+    return idx
+
+
+def _digit_add(field, a, b):
+    """a + b digit by digit: the oracle for add."""
+    return _encode(field, [(x + y) % field.p for x, y in zip(_decode(field, a), _decode(field, b))])
+
+
+def _digit_neg(field, a):
+    return _encode(field, [(-x) % field.p for x in _decode(field, a)])
+
+
 def _schoolbook_mul(field, a, b):
     """a * b as the polynomial product of the digit vectors, reduced
     modulo the modulus: the oracle for the log tables."""
     p, s, m = field.p, field.s, field.modulus
     prod = [0] * (2 * s - 1)
-    for i, x in enumerate(field._decode(a)):
-        for j, y in enumerate(field._decode(b)):
+    for i, x in enumerate(_decode(field, a)):
+        for j, y in enumerate(_decode(field, b)):
             prod[i + j] = (prod[i + j] + x * y) % p
     for top in range(2 * s - 2, s - 1, -1):
         lead = prod[top]
         for k in range(s + 1):
             prod[top - s + k] = (prod[top - s + k] - lead * m[k]) % p
-    return field._encode(prod[:s])
+    return _encode(field, prod[:s])
 
 
 def _schoolbook_order(field, a):
@@ -126,18 +169,48 @@ def test_log_tables_match_the_schoolbook_product(p, s):
     # the least element of order q - 1: every smaller one has a smaller
     # order, and exp below shows that gen has order q - 1
     assert all(_schoolbook_order(f, a) < q - 1 for a in range(1, gen))
-    assert len(f._exp) == q - 1 and f._exp[0] == 1
-    for i, x in enumerate(f._exp):
-        assert _schoolbook_mul(f, x, gen) == f._exp[(i + 1) % (q - 1)]
-    assert sorted(f._exp) == list(range(1, q))
-    assert f._log[0] == 0 and all(f._log[x] == i for i, x in enumerate(f._exp))
+    # exp twice, then zeros; the log of 0 points past both copies
+    exp, log = f._exp.tolist(), f._log.tolist()
+    assert len(exp) == 4 * q - 3 and exp[: q - 1] == exp[q - 1 : 2 * q - 2] and not any(exp[2 * q - 2 :])
+    exp = exp[: q - 1]
+    assert exp[0] == 1
+    for i, x in enumerate(exp):
+        assert _schoolbook_mul(f, x, gen) == exp[(i + 1) % (q - 1)]
+    assert sorted(exp) == list(range(1, q))
+    assert log[0] == 2 * (q - 1) and all(log[x] == i for i, x in enumerate(exp))
+    assert not f._exp.flags.writeable and not f._log.flags.writeable
 
 
 @pytest.mark.parametrize("p,s,modulus", [(4, 1, (0, 1)), (6, 1, (0, 1)), (9, 1, (0, 1)), (4, 2, (1, 1, 1))])
 def test_composite_characteristic_has_no_primitive_element(p, s, modulus):
-    # in Z_4, 2 walks 1 -> 2 -> 0 -> 0 ...: the walk must stop at q - 1 steps
-    with pytest.raises(InternalError, match="no primitive element"):
+    # the constructor refuses a composite p before building a table
+    with pytest.raises(InputError, match=f"^{p} is not prime$"):
         algebra.FiniteField(p, s, modulus)
+    # past that check, the order test finds no generator: in Z_4, 2 walks
+    # 1 -> 2 -> 0 -> 0 ..., so the walk must stop at q - 1 steps
+    with pytest.raises(InternalError, match="no primitive element"):
+        algebra.FiniteField._from_irreducible(p, s, modulus)
+
+
+@pytest.mark.parametrize(
+    "p,s,modulus,message",
+    [
+        (4, 1, (0, 1), "4 is not prime"),
+        (2, 0, (1,), "the extension degree must be at least 1"),
+        (2, 2, (2, 0, 1), "a coefficient that is not an integer in range(2)"),  # x**2, misjudged by trial division
+        (2, 2, (3, 1, 1), "a coefficient that is not an integer in range(2)"),
+        (2, 2, (-1, 1, 1), "a coefficient that is not an integer in range(2)"),
+        (2, 2, (True, 1, 1), "a coefficient that is not an integer in range(2)"),
+        (3, 2, (1.0, 0, 1), "a coefficient that is not an integer in range(3)"),
+        (3, 2, (1, 0, 2), "monic"),
+        (2, 2, (0, 0, 1), "reducible"),
+    ],
+)
+def test_field_refuses_bad_input_before_building(monkeypatch, p, s, modulus, message):
+    monkeypatch.setattr(algebra.FiniteField, "_build", lambda *args: pytest.fail("a table was built"))
+    with pytest.raises(InputError) as caught:
+        algebra.FiniteField(p, s, modulus)
+    assert message in str(caught.value)
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +220,42 @@ def test_composite_characteristic_has_no_primitive_element(p, s, modulus):
 # this modulus, generator and exp table.
 
 
+def _poly_trim(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_mod(a, modulus, p):
+    a = list(a)
+    dm = len(modulus) - 1
+    while len(a) - 1 >= dm and a:
+        lead = a[-1]
+        shift = len(a) - 1 - dm
+        if lead:
+            for i, c in enumerate(modulus):
+                a[shift + i] = (a[shift + i] - lead * c) % p
+        a.pop()
+    return _poly_trim(a)
+
+
+def _is_irreducible(coeffs, p):
+    """Trial division by every monic polynomial of degree <= deg/2."""
+    deg = len(coeffs) - 1
+    for d in range(1, deg // 2 + 1):
+        for low in product(range(p), repeat=d):
+            divisor = list(low) + [1]
+            if not _poly_mod(coeffs, divisor, p):
+                return False
+    return True
+
+
 def _reference_modulus(p, s):
     """The first monic polynomial of degree s, its low coefficients in
     itertools.product order, that no monic polynomial of degree <= s/2
     divides."""
     for low in product(range(p), repeat=s):
-        if algebra._is_irreducible([*low, 1], p):
+        if _is_irreducible([*low, 1], p):
             return (*low, 1)
     raise AssertionError(f"no irreducible polynomial of degree {s} over GF({p})")
 
@@ -199,24 +302,25 @@ def test_make_field_matches_the_reference_search(p, s):
     f = algebra.make_field(p, s)
     modulus = _reference_modulus(p, s)
     assert f.modulus == modulus
-    assert (f.generator, f._exp) == _reference_walk(p, s, modulus)
-    log = dict(zip(f._exp, range(f.q - 1)))
-    assert f._log == (0, *(log[x] for x in range(1, f.q)))
+    exp = tuple(f._exp[: f.q - 1].tolist())
+    assert (f.generator, exp) == _reference_walk(p, s, modulus)
+    log = dict(zip(exp, range(f.q - 1)))
+    assert f._log.tolist() == [2 * (f.q - 1), *(log[x] for x in range(1, f.q))]
 
 
 @pytest.mark.parametrize("p,s", FIELD_ORDERS, ids=[f"{p}^{s}" for p, s in FIELD_ORDERS])
 def test_sieve_agrees_with_trial_division(p, s):
-    expected = [algebra._is_irreducible([*low, 1], p) for low in product(range(p), repeat=s)]
+    expected = [_is_irreducible([*low, 1], p) for low in product(range(p), repeat=s)]
     assert algebra._irreducible_mask(p, s).tolist() == expected
 
 
 def test_make_field_proves_its_modulus_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(algebra, "_is_irreducible", lambda coeffs, p: calls.append(coeffs) or True)
+    calls, sieve = [], algebra._irreducible_mask
+    monkeypatch.setattr(algebra, "_irreducible_mask", lambda p, s: calls.append((p, s)) or sieve(p, s))
     assert algebra.make_field(2, 10).modulus == (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)
-    assert calls == []
-    algebra.FiniteField(2, 10, (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1))  # a direct call still checks
-    assert calls == [[1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1]]
+    assert calls == [(2, 10)]
+    algebra.FiniteField(2, 10, (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1))  # a direct call looks it up
+    assert calls == [(2, 10), (2, 10)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 49, 64, 653, 729, 1024])
@@ -229,9 +333,17 @@ def test_array_arithmetic_matches_the_scalar_arithmetic(q):
         a, b = rng.integers(0, q, 5000), rng.integers(0, q, 5000)
     a[:3], b[:3] = (0, 0, 1), (0, 1, 0)
     pairs = list(zip(a.tolist(), b.tolist()))
-    assert f.add_array(a, b).tolist() == [f.add(x, y) for x, y in pairs]
-    assert f.mul_array(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
-    assert f.neg_array(a).tolist() == [f.neg(x) for x in a.tolist()]
+    # the scalar forms call the array forms, so both meet oracles: the
+    # digit-by-digit loop for add and neg, the schoolbook product for mul
+    add = [_digit_add(f, x, y) for x, y in pairs]
+    mul = [_schoolbook_mul(f, x, y) for x, y in pairs]
+    neg = [_digit_neg(f, x) for x in a.tolist()]
+    assert f.add_array(a, b).tolist() == add == [f.add(x, y) for x, y in pairs]
+    assert f.mul_array(a, b).tolist() == mul == [f.mul(x, y) for x, y in pairs]
+    assert f.neg_array(a).tolist() == neg == [f.neg(x) for x in a.tolist()]
+    assert [f.sub(x, y) for x, y in pairs] == [_digit_add(f, x, _digit_neg(f, y)) for x, y in pairs]
+    scalars = [f.add(x, y) for x, y in pairs[:9]] + [f.mul(x, y) for x, y in pairs[:9]] + [f.neg(x) for x in a[:9].tolist()]
+    assert {type(x) for x in scalars} == {int}
     # broadcast against a scalar and across a new axis
     assert f.mul_array(a[:5, None], b[None, :5]).tolist() == [[f.mul(x, y) for y in b[:5].tolist()] for x in a[:5].tolist()]
     assert f.mul_array(1, a).tolist() == a.tolist()

@@ -911,6 +911,17 @@ def test_generator_proof_needs_the_identity_axiom(monkeypatch):
     assert [w for axiom, w in report.counterexamples if axiom == "associative"] == core._assoc_failures(g) != []
 
 
+@pytest.mark.parametrize("p,order,generators", [(27, 14, None), (29, 15, (1,))])
+def test_full_scan_bound_is_order_15(p, order, generators):
+    # Z_p under x -> -x has (p + 1) / 2 orbits and n = 2: literal cases on
+    # both sides of the bound, so moving _FULL_SCAN_ORDER fails here.
+    # Below it the full scan proves associativity, from it one generator.
+    group = algebra.cyclic_group(p)
+    g = algebra.coset_group(group, algebra.close_action(group, [[-x % p for x in range(p)]]))
+    assert (g.order, g.n) == (order, 2)
+    assert core.validate(g).assoc_generators == generators
+
+
 def test_validate_reports_the_proof_but_verify_output_omits_it(petersen_group, capsys, tmp_path):
     # Z97 under its order-3 multipliers has order 33, past the full-scan
     # bound, and is proved from one generator; the order-3 Petersen group
