@@ -6,6 +6,8 @@ and decide for order-3 groups whether they arise (up to isomorphism)
 from a coset construction.
 """
 
+from types import ModuleType as _Module
+
 from .algebra import (
     ActionGroup,
     Automorphism,
@@ -76,68 +78,5 @@ from .srg import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionGroup",
-    "Automorphism",
-    "AxiomError",
-    "AxiomReport",
-    "CapError",
-    "DirectedGraph",
-    "FamilyDescriptor",
-    "FiniteField",
-    "FiniteGroup",
-    "Graph",
-    "InputError",
-    "InternalError",
-    "IntersectionNumbers",
-    "Multiset",
-    "MultivaluedGroup",
-    "MvgError",
-    "OrbitPartition",
-    "Signature",
-    "SrgParams",
-    "Verdict",
-    "additive_group",
-    "affine_polar",
-    "affine_polar_plus_complement",
-    "alternating_forms_graph",
-    "are_isomorphic",
-    "bilinear_forms_graph",
-    "build_type1",
-    "build_type2",
-    "build_xk",
-    "cayley_graph",
-    "check_reciprocity",
-    "classify_order3",
-    "clique_union",
-    "close_action",
-    "collisions",
-    "complement",
-    "complement_params",
-    "coset_group",
-    "cyclic_group",
-    "derive_params",
-    "enumerate_families",
-    "grid_graph",
-    "intersection_numbers",
-    "is_prime_power",
-    "is_sum_of_two_squares",
-    "iter_catalogue",
-    "make_elementary_abelian",
-    "make_field",
-    "match_params",
-    "mult_order",
-    "multiplier_automorphism",
-    "mvgroup_from_params",
-    "orbits",
-    "paley_graph",
-    "paley_tournament",
-    "scale",
-    "signature",
-    "srg_check",
-    "validate",
-    "vanlint_schrijver",
-    "verify_all",
-    "verify_axioms",
-    "verify_involutive",
-]
+# The public names: every name imported above but the submodules.
+__all__ = sorted(name for name, value in dict(globals()).items() if name[0] != "_" and not isinstance(value, _Module))

@@ -27,7 +27,7 @@ from math import gcd, isqrt
 
 import numpy as _np
 
-from .core import _BLOCK_ENTRIES, MultivaluedGroup, _Frozen, _past_digit_limit, parse_json, validate
+from .core import _BLOCK_ENTRIES, MultivaluedGroup, _Frozen, _past_digit_limit, parse_json, printable, validate
 from .errors import CapError, InputError, InternalError
 
 GROUP_CAP = 4096
@@ -124,15 +124,16 @@ def _check_size(what: str, base: int, exponent: int, cap: int, size=None) -> Non
     length first: the power is at least 2**((bits(base) - 1) * exponent),
     and an exponent of 10**12 would ask for a 10**12-bit integer.  An
     exponent of 1 is compared as it is, so a negative count passes on to
-    its own check.  The message names size, by default the power while it
-    prints and base**exponent past that (2**17200 has more than 4300
-    digits, the default limit of str)."""
+    its own check, as does an exponent below 1.  The message names size,
+    by default the power while it prints and base**exponent past that
+    (2**17200 has more than 4300 digits, the default limit of str), each
+    number as core.printable writes it."""
     floor_bits = (base.bit_length() - 1) * exponent
-    if (exponent == 1 or floor_bits < cap.bit_length()) and base**exponent <= cap:
+    if exponent < 1 or (exponent == 1 or floor_bits < cap.bit_length()) and base**exponent <= cap:
         return
     if size is None:
-        past = floor_bits >= 4 * 4300 or _past_digit_limit(base**exponent)
-        size = f"{base}**{exponent}" if past else base**exponent
+        past = exponent > 1 and (floor_bits >= 4 * 4300 or _past_digit_limit(base**exponent))
+        size = f"{printable(base)}**{exponent}" if past else printable(base**exponent)
     raise CapError(f"{what} size {size} exceeds the cap {cap}")
 
 
@@ -373,11 +374,11 @@ def make_field(p: int, s: int, cap: int = FIELD_CAP) -> FiniteField:
     (coefficients compared low degree first), so identical across runs.
     The modulus is the first survivor of _irreducible_mask's sieve, and
     is not proved irreducible a second time."""
+    _check_size("field", p, s, cap)
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     if s < 1:
         raise InputError("the extension degree must be at least 1")
-    _check_size("field", p, s, cap)
     ranks = _np.flatnonzero(_irreducible_mask(p, s))
     if not ranks.size:
         raise InternalError(f"no irreducible polynomial of degree {s} over GF({p})")
@@ -568,11 +569,11 @@ def cyclic_group(m: int, cap: int = GROUP_CAP) -> FiniteGroup:
 
 def make_elementary_abelian(p: int, d: int, cap: int = GROUP_CAP) -> FiniteGroup:
     """Additive group of d-vectors over GF(p), indexed base-p."""
+    _check_size("group", p, d, cap)
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     if d < 1:
         raise InputError("the dimension must be at least 1")
-    _check_size("group", p, d, cap)
     cyclic = ((_np.arange(p)[:, None] + _np.arange(p)) % p).astype(_np.min_scalar_type(p**d - 1))
     table = _np.zeros((1, 1), dtype=cyclic.dtype)
     for k in range(d):

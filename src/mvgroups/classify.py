@@ -19,22 +19,26 @@ of the odd numbers, then the sorted rows of the next power.
 `enumerate` writes the runs in batches of rows, each batch as byte
 buffers of the row template repeated with the digits stored as
 four-digit ASCII words (write_blocks), and each power's rows with one
-%-template per family (format_rows).  iter_catalogue expands the runs
-through _family_rows, one v at a time.  Equal parameters imply equal v,
-so collisions are found within one power's rows, and `enumerate` writes
-the catalogue as it walks it without holding it.
+%-template per family (format_rows).  Its three formats, JSON, CSV
+and the table, are the entries of _FORMATS, which write_catalogue
+writes.  iter_catalogue expands the runs through _family_rows, one v at
+a time.  Equal parameters imply equal v, so collisions are found within
+one power's rows, and `enumerate` writes the catalogue as it walks it
+without holding it.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import chain, compress, groupby
 from math import isqrt
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -622,33 +626,90 @@ def verdict_to_json_dict(verdict: Verdict) -> dict:
     return data
 
 
-def _csv_template(family: str) -> str:
-    """The CSV row of the family: the witness is quoted where its values
-    are joined by commas, as csv.writer quotes it."""
+def _json_row(family: str) -> str:
+    """The bytes of json.dumps of the family's row dict, as a %-template."""
+    witness = witness_template(family, '"{}": %d', '"{}": "%s"', ", ")
+    return f'{{"v": %d, "k": %d, "lambda": %d, "mu": %d, "family": "{family}", "witness": {{{witness}}}}}'
+
+
+def _csv_row(family: str) -> str:
+    """The family's CSV row: the witness is quoted where its values are
+    joined by commas, as csv.writer quotes it."""
     witness = witness_template(family)
     if "," in witness:
         witness = f'"{witness}"'
     return f"%d,%d,%d,%d,{family},{witness}\n"
 
 
-_CSV_ROWS = {family: _csv_template(family) for family in FAMILIES}
-_CSV_RUN_ROW = _CSV_ROWS["III"]  # the row of a prime v
+def _table_row(family: str) -> str:
+    return f"%7d %6d %6d %6d  {family:<6}  {witness_template(family)}\n"
 
 
-def _csv_rows(descriptors) -> str:
-    return format_rows(descriptors, _CSV_ROWS)
+def _json_collisions(found) -> str:
+    report = [{"params": list(params), "families": list(fams)} for params, fams in found]
+    return ', "collisions": ' + json.dumps(report)
 
 
-def write_catalogue_csv(out, blocks) -> None:
+def _csv_collisions(found) -> str:
+    return "".join(["# collision {}: {}\n".format(params, "/".join(fams)) for params, fams in found])
+
+
+def _table_collisions(found) -> str:
+    return "\ncollisions:\n" + ("".join([f"  {params}: {'/'.join(fams)}\n" for params, fams in found]) or "  none\n")
+
+
+class _Format(NamedTuple):
+    """One format of `enumerate`: the text before the rows, the row of
+    each family as a %-template over (v, k, lambda, mu, *witness values),
+    the text between two rows, the text after the last one, the
+    collision report of a list of (params, families), and the end."""
+
+    head: str
+    rows: dict
+    sep: str
+    close: str
+    collisions: Callable
+    end: str
+
+    def block(self, rows) -> str:
+        return format_rows(rows, self.rows, self.sep)
+
+
+_TABLE_HEAD = "      v      k lambda     mu  family  witness\n" + "-" * 45 + "\n"
+_FORMATS = {  # JSON rows are joined by ", ", as json.dumps joins a list's items
+    "json": _Format('{"families": [', {f: _json_row(f) for f in FAMILIES}, ", ", "]", _json_collisions, "}\n"),
+    "csv": _Format("v,k,lambda,mu,family,witness\n", {f: _csv_row(f) for f in FAMILIES}, "", "", _csv_collisions, ""),
+    "table": _Format(_TABLE_HEAD, {f: _table_row(f) for f in FAMILIES}, "", "", _table_collisions, ""),
+}
+
+
+def _noting_collisions(blocks, found: list):
+    """Pass blocks through, appending the collisions of each list of rows
+    to found; a run of primes has one row per v and cannot collide."""
+    for block in blocks:
+        if isinstance(block, list):
+            found += block_collisions(block)
+        yield block
+
+
+def write_catalogue(out, blocks, form: str, with_collisions: bool = False) -> None:
     """Write catalogue blocks (see _catalogue_blocks) to the text stream
-    out as CSV with the header v,k,lambda,mu,family,witness, one block at
-    a time."""
-    out.write("v,k,lambda,mu,family,witness\n")
-    write_blocks(out, blocks, _csv_rows, _CSV_RUN_ROW)
+    out in the format _FORMATS[form] ("json", "csv" or "table"), the rows
+    by write_blocks, then the collision report if with_collisions."""
+    fmt = _FORMATS[form]
+    found = []  # (params, families) of each collision, in params order
+    if with_collisions:
+        blocks = _noting_collisions(blocks, found)
+    out.write(fmt.head)
+    write_blocks(out, blocks, fmt.block, fmt.rows["III"], fmt.sep)  # a prime v's row is family III's
+    out.write(fmt.close)
+    if with_collisions:
+        out.write(fmt.collisions(found))
+    out.write(fmt.end)
 
 
 def catalogue_csv(descriptors) -> str:
     """CSV export of a descriptor list: v,k,lambda,mu,family,witness."""
     buf = io.StringIO()
-    write_catalogue_csv(buf, [descriptors])
+    write_catalogue(buf, [descriptors], "csv")
     return buf.getvalue()

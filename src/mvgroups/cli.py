@@ -307,71 +307,12 @@ def _cmd_classify(args, cap) -> int:
     return 0 if verdict.coset else 1
 
 
-def _json_template(family: str) -> str:
-    witness = classify.witness_template(family, '"{}": %d', '"{}": "%s"', ", ")
-    return f'{{"v": %d, "k": %d, "lambda": %d, "mu": %d, "family": "{family}", "witness": {{{witness}}}}}'
-
-
-# The row of each family in the JSON and table formats of enumerate,
-# over (v, k, lambda, mu, *witness values): the bytes of json.dumps of
-# the row's dict, and of the table's f-string columns.
-_JSON_ROWS = {family: _json_template(family) for family in classify.FAMILIES}
-_TABLE_ROWS = {
-    family: f"%7d %6d %6d %6d  {family:<6}  {classify.witness_template(family)}\n" for family in classify.FAMILIES
-}
-_JSON_RUN_ROW, _TABLE_RUN_ROW = _JSON_ROWS["III"], _TABLE_ROWS["III"]  # the rows of a prime v
-
-
-def _json_block(rows) -> str:
-    """The rows as json.dumps writes them in a list, without its
-    brackets: a list's dump joins its items' dumps with ", ", so blocks
-    joined by ", " give the bytes of a single call."""
-    return classify.format_rows(rows, _JSON_ROWS, ", ")
-
-
-def _table_block(rows) -> str:
-    return classify.format_rows(rows, _TABLE_ROWS)
-
-
-def _noting_collisions(blocks, found: list):
-    """Pass blocks through, appending the collisions of each list of rows
-    to found; a run of primes has one row per v and cannot collide."""
-    for block in blocks:
-        if isinstance(block, list):
-            found += classify.block_collisions(block)
-        yield block
-
-
 def _cmd_enumerate(args, cap) -> int:
     cap = cap if cap is not None else classify.ENUMERATE_CAP
-    blocks = classify._catalogue_blocks(args.vmax, cap)
-    found = []  # (params, families) of each collision, in params order
-    if args.collisions:
-        blocks = _noting_collisions(blocks, found)
+    blocks = classify._catalogue_blocks(args.vmax, cap)  # refuses before the output is opened
+    form = "json" if args.json else "csv" if args.csv else "table"
     with _output(args.output) as out:
-        if args.json:
-            out.write('{"families": [')
-            classify.write_blocks(out, blocks, _json_block, _JSON_RUN_ROW, ", ")
-            out.write("]")
-            if args.collisions:
-                report = [{"params": list(params), "families": list(fams)} for params, fams in found]
-                out.write(', "collisions": ' + json.dumps(report))
-            out.write("}\n")
-        elif args.csv:
-            classify.write_catalogue_csv(out, blocks)
-            if args.collisions:
-                for params, fams in found:
-                    out.write("# collision {}: {}\n".format(params, "/".join(fams)))
-        else:
-            header = f"{'v':>7} {'k':>6} {'lambda':>6} {'mu':>6}  family  witness"
-            out.write(f"{header}\n{'-' * len(header)}\n")
-            classify.write_blocks(out, blocks, _table_block, _TABLE_RUN_ROW)
-            if args.collisions:
-                out.write("\ncollisions:\n")
-                if not found:
-                    out.write("  none\n")
-                for params, fams in found:
-                    out.write(f"  {params}: {'/'.join(fams)}\n")
+        classify.write_catalogue(out, blocks, form, args.collisions)
     return 0
 
 

@@ -50,7 +50,7 @@ _BLOCK_ENTRIES = 1 << 16
 class Multiset:
     """Multiset of element indices with positive integer multiplicities."""
 
-    __slots__ = ("counts", "total")
+    __slots__ = ("counts",)
 
     def __init__(self, counts):
         items = counts.items() if isinstance(counts, dict) else counts
@@ -61,7 +61,6 @@ class Multiset:
             if mult:
                 clean[idx] = mult
         self.counts = clean
-        self.total = sum(clean.values())
 
     def __getitem__(self, idx: int) -> int:
         return self.counts.get(idx, 0)
@@ -81,10 +80,6 @@ class Multiset:
 
     def __repr__(self):
         return f"Multiset({self.counts})"
-
-    def format(self, names) -> str:
-        parts = [f"{names[idx]}:{mult}" for idx, mult in self.counts.items()]
-        return "{" + ", ".join(parts) + "}"
 
 
 class _Frozen:
@@ -293,6 +288,10 @@ class AxiomReport:
         return all(f is not False for f in flags)
 
 
+SYMMETRIC_STAR = "symmetric-star"
+SWAP_STAR = "swap-star"
+
+
 @dataclass(frozen=True)
 class Signature:
     """Isomorphism invariant of an involutive order-3 group.
@@ -306,15 +305,11 @@ class Signature:
     ratios: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.kind not in ("symmetric-star", "swap-star"):
+        if self.kind not in (SYMMETRIC_STAR, SWAP_STAR):
             raise InputError(f"unknown signature kind {self.kind!r}")
         for r in self.ratios:
             if not 0 <= r <= 1:
                 raise InputError(f"signature ratio {r} outside [0, 1]")
-
-
-SYMMETRIC_STAR = "symmetric-star"
-SWAP_STAR = "swap-star"
 
 
 def _assoc_failures(g, ys=None):
@@ -613,6 +608,12 @@ def build_type1(n: int, m1: int, m2: int, a: int) -> MultivaluedGroup:
     result is fully re-verified; parameters whose forced entries are
     non-integral or negative are rejected.
     """
+    return _type1(n, m1, m2, a)
+
+
+def _type1(n: int, m1: int, m2: int, a: int, names=None) -> MultivaluedGroup:
+    """build_type1's group, its elements named names (by default e, x1,
+    x2): srg.mvgroup_from_params builds its group here too."""
     if n < 1 or m1 < 1 or m2 < 1 or a < 0:
         raise InputError("need n >= 1, m1 >= 1, m2 >= 1, a >= 0")
     r = Fraction(m2, m1)
@@ -642,7 +643,7 @@ def build_type1(n: int, m1: int, m2: int, a: int) -> MultivaluedGroup:
             (m2, yy_x, n - m2 - yy_x),
         )
     )
-    g = MultivaluedGroup(n, 0, (0, 1, 2), table)
+    g = MultivaluedGroup(n, 0, (0, 1, 2), table, names)
     return _require_valid(g, "type-1", n=n, m1=m1, m2=m2, a=a)
 
 

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, compress, count, product, repeat
+from itertools import combinations, compress, count, repeat
 from math import isqrt, lcm
 
 import numpy as _np
 
 from .algebra import FiniteField, FiniteGroup, _check_size, is_prime, is_prime_power, make_field, mult_order
-from .core import MultivaluedGroup, _Frozen, parse_json, printable, validate
+from .core import MultivaluedGroup, _Frozen, _type1, parse_json, printable
 from .errors import InputError, InternalError
 
 GRAPH_CAP = 4096
@@ -256,7 +256,7 @@ class SrgParams:
 
     def __post_init__(self):
         for name, value in (("v", self.v), ("k", self.k), ("lambda", self.lam), ("mu", self.mu)):
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):  # a bool is an int
                 raise InputError(f"parameter {name} = {value!r} must be a nonnegative integer")
             if value < 0:
                 raise InputError(f"parameter {name} = {printable(value)} must be a nonnegative integer")
@@ -488,33 +488,19 @@ def intersection_numbers(p: SrgParams) -> IntersectionNumbers:
 
 def mvgroup_from_params(p: SrgParams) -> MultivaluedGroup:
     """The n-valued involutive group on {x0, x1, x2} attached to a
-    strongly regular parameter set, with n = lcm(k, kbar) and
-    m[r][s][t] = n * c[r][s][t] * d[t] / (d[r] d[s]).
-
-    Every entry is integral for valid parameters; a non-integral entry
-    or an axiom failure indicates a bug and raises InternalError.
+    strongly regular parameter set, m[r][s][t] = n * c[r][s][t] * d[t] /
+    (d[r] d[s]) over the intersection numbers: the type-1 group with
+    n = lcm(k, kbar), m1 = n/k, m2 = n/kbar and a = n*lambda/k, which
+    classify.derive_params inverts.  Parameters without a valid
+    complement are refused; for the others a group that fails to build
+    or validate indicates a bug and raises InternalError.
     """
-    ins = intersection_numbers(p)
+    complement_params(p)
     n = lcm(p.k, p.kbar)
-    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for r, s, t in product(range(3), repeat=3):
-        num, den = n * ins.c[r][s][t] * ins.d[t], ins.d[r] * ins.d[s]
-        if num % den:
-            raise InternalError(
-                f"non-integral multiplicity at ({r}, {s}, {t}) for parameters {p.as_tuple()}"
-            )
-        table[r][s][t] = num // den
     try:
-        g = MultivaluedGroup(n, 0, (0, 1, 2), table, names=("x0", "x1", "x2"))
+        return _type1(n, n // p.k, n // p.kbar, n * p.lam // p.k, ("x0", "x1", "x2"))
     except InputError as exc:
         raise InternalError(f"parameter table failed validation: {exc}") from exc
-    report = validate(g)
-    if not report.ok:
-        raise InternalError(
-            f"parameters {p.as_tuple()} produced an invalid group; "
-            f"witnesses: {report.counterexamples[:3]}"
-        )
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +677,7 @@ def _check_graph_size(base: int, cap: int, exponent: int = 1) -> None:
     """Refuse base**exponent vertices above the cap before any row is
     allocated, by _check_size's bit-length test; the size is named as
     base**exponent."""
-    _check_size("graph", base, exponent, cap, base if exponent == 1 else f"{base}**{exponent}")
+    _check_size("graph", base, exponent, cap, None if exponent == 1 else f"{printable(base)}**{exponent}")
 
 
 def graph_field(q: int, dim: int = 1, cap: int = GRAPH_CAP) -> FiniteField:

@@ -63,6 +63,38 @@ def test_cap_messages_print_the_size_while_it_prints():
         assert str(caught.value) == f"field size {size} exceeds the cap 4096"
 
 
+def test_caps_refuse_before_testing_primality(monkeypatch):
+    # p is trial-divided only within the cap: with is_prime first, a
+    # prime near 10**14 took 0.4 s to refuse
+    def unreachable(n):
+        raise AssertionError(f"{n} was factored")
+
+    monkeypatch.setattr(algebra, "_least_prime_factor", unreachable)
+    p = 10**14 + 31
+    with pytest.raises(CapError, match=rf"^field size {p} exceeds the cap 4096$"):
+        algebra.make_field(p, 1)
+    with pytest.raises(CapError, match=rf"^group size {p} exceeds the cap 4096$"):
+        algebra.make_elementary_abelian(p, 1)
+    with pytest.raises(CapError, match=r"^field size 3\*\*9020 exceeds the cap 4096$"):
+        algebra.make_field(3, 9020)
+
+
+@pytest.mark.parametrize(
+    "p, s, message",
+    [(4, 0, "4 is not prime"), (0, -1, "0 is not prime"), (4097, 1, "4097 is not prime"), (2, 0, "at least 1")],
+)
+def test_within_the_cap_the_messages_keep_their_order(p, s, message):
+    for build in (algebra.make_field, algebra.make_elementary_abelian):
+        with pytest.raises(InputError, match=message):
+            build(p, s, cap=5000)
+
+
+def test_cap_message_of_a_count_past_the_digit_limit():
+    # str(10**5000) fails on Python's 4300-digit limit
+    with pytest.raises(CapError, match=r"^group size <more than \d+ digits> exceeds the cap 4096$"):
+        algebra.cyclic_group(10**5000)
+
+
 def test_make_field_modulus_deterministic():
     assert algebra.make_field(2, 2).modulus == (1, 1, 1)
     assert algebra.make_field(3, 2).modulus == (1, 0, 1)

@@ -705,7 +705,7 @@ def _field_edges():
 
 FIELD_EDGES = _field_edges()
 INT64_TOP = 2**63 - 3  # the largest v = 1 (mod 4) below 2**63
-RUN_TEMPLATES = [(cli._TABLE_RUN_ROW, ""), (cli._JSON_RUN_ROW, ", "), (classify._CSV_RUN_ROW, "")]
+RUN_TEMPLATES = [(f.rows["III"], f.sep) for f in map(classify._FORMATS.get, ("table", "json", "csv"))]
 
 
 def _percent_rows(run, template):
@@ -799,9 +799,21 @@ def test_row_templates_match_the_old_writers():
     blocks += [classify._family_rows(v, 1, None) for v in (5, 13, 9973, 1000033, 9999973)]
     for rows in blocks:
         assert rows
-        assert cli._json_block(rows) == _dumps_block(rows)
-        assert classify._csv_rows(rows) == _csv_writer_rows(rows)
-        assert cli._table_block(rows) == _fstring_lines(rows)
+        assert classify._FORMATS["json"].block(rows) == _dumps_block(rows)
+        assert classify._FORMATS["csv"].block(rows) == _csv_writer_rows(rows)
+        assert classify._FORMATS["table"].block(rows) == _fstring_lines(rows)
+
+
+def test_collision_reports_without_a_collision():
+    # Every catalogue from v = 4 on has the collision (4, 1, 0, 0) of I
+    # and II, so enumerate never reports none; the writer can.
+    reports = {"json": ', "collisions": []', "csv": "", "table": "\ncollisions:\n  none\n"}
+    for form, report in reports.items():
+        fmt = classify._FORMATS[form]
+        out = io.StringIO()
+        classify.write_catalogue(out, [np.array([5, 13], np.int64)], form, True)
+        rows = fmt.sep.join(_percent_rows([5, 13], fmt.rows["III"]))
+        assert out.getvalue() == fmt.head + rows + fmt.close + report + fmt.end
 
 
 @pytest.mark.parametrize("v_max", [10**23, 2**63 - 1])

@@ -5,14 +5,15 @@ import json
 import random
 import re
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, seed, settings
 from hypothesis import strategies as st
 
-from mvgroups import algebra, core, srg
+from mvgroups import algebra, classify, core, srg
 from mvgroups.errors import CapError, InputError, InternalError
 
 from conftest import (
@@ -55,6 +56,26 @@ def test_srg_params_validation():
         srg.SrgParams(10, 3, 1, 1)
     with pytest.raises(InputError):
         srg.SrgParams(10, 9, 8, 0)  # complete
+
+
+@pytest.mark.parametrize("field, name", enumerate(["v", "k", "lambda", "mu"]))
+def test_srg_params_refuse_a_bool(field, name):
+    # A bool is an int: SrgParams(5, 2, 0, True) was accepted, and
+    # match_params(5, 2, 0, True) found it in family III.
+    params = [5, 2, 0, 1]
+    params[field] = bool(params[field])
+    message = f"^parameter {name} = {params[field]} must be a nonnegative integer$"
+    with pytest.raises(InputError, match=message):
+        srg.SrgParams(*params)
+    with pytest.raises(InputError, match=message):
+        classify.match_params(*params)
+
+
+@pytest.mark.parametrize("dim, power", [(1, ""), (2, r"\*\*2")])
+def test_graph_cap_message_of_a_size_past_the_digit_limit(dim, power):
+    # str(10**5000) fails on Python's 4300-digit limit
+    with pytest.raises(CapError, match=rf"^graph size <more than \d+ digits>{power} exceeds the cap 4096$"):
+        srg.graph_field(10**5000, dim)
 
 
 @pytest.mark.parametrize(
@@ -162,6 +183,37 @@ def test_mvgroup_integrality_over_catalogue():
         assert g.m(2) == n // p.kbar and g.m(2) * p.kbar == n
         assert g.table[1][1][1] * p.k == n * p.lam
         assert core.verify_all(g).ok
+
+
+def _intersection_table(p):
+    """n = lcm(k, kbar) and the table m[r][s][t] = n * c[r][s][t] * d[t]
+    / (d[r] d[s]) over the intersection numbers of p, every entry checked
+    to be integral: the group attached to p, by its definition."""
+    ins = srg.intersection_numbers(p)
+    n = lcm(p.k, p.kbar)
+    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for r, s, t in product(range(3), repeat=3):
+        num, den = n * ins.c[r][s][t] * ins.d[t], ins.d[r] * ins.d[s]
+        assert num % den == 0, (p, r, s, t)
+        table[r][s][t] = num // den
+    return n, table
+
+
+def test_mvgroup_from_params_is_the_intersection_number_table():
+    # Every catalogue row up to the graph cap in both orientations, and
+    # the Petersen and Clebsch parameters.
+    rows = classify.enumerate_families(srg.GRAPH_CAP)
+    assert len(rows) == 512
+    params = [srg.SrgParams(10, 3, 0, 1), srg.SrgParams(16, 5, 0, 2)]
+    for desc in rows:
+        p = srg.SrgParams(*desc.params)
+        params += [p, srg.complement_params(p)]
+    for p in params:
+        n, table = _intersection_table(p)
+        g = srg.mvgroup_from_params(p)
+        assert g == core.MultivaluedGroup(n, 0, (0, 1, 2), table), p
+        assert g.names == ("x0", "x1", "x2")
+        assert core.validate(g).ok
 
 
 def test_complement_duality_iso():
