@@ -19,7 +19,6 @@ from .algebra import (
     coset_group,
     cyclic_group,
     is_prime_power,
-    is_sum_of_two_squares,
     make_elementary_abelian,
     make_field,
     mult_order,

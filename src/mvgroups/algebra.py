@@ -109,16 +109,6 @@ def mult_order(p: int, m: int) -> int:
     return t
 
 
-def is_sum_of_two_squares(v: int) -> bool:
-    if v < 0:
-        raise InputError("expected a nonnegative integer")
-    for a in range(isqrt(v) + 1):
-        b = isqrt(v - a * a)
-        if a * a + b * b == v:
-            return True
-    return False
-
-
 def _check_size(what: str, base: int, exponent: int, cap: int, size=None) -> None:
     """Refuse base**exponent elements above the cap with CapError, by bit
     length first: the power is at least 2**((bits(base) - 1) * exponent),

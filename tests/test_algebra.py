@@ -868,13 +868,6 @@ def test_mult_order():
         algebra.mult_order(6, 3)
 
 
-def test_is_sum_of_two_squares():
-    assert algebra.is_sum_of_two_squares(13)
-    assert not algebra.is_sum_of_two_squares(21)
-    assert algebra.is_sum_of_two_squares(0)
-    assert algebra.is_sum_of_two_squares(25)
-
-
 def test_group_json_round_trip():
     z6 = algebra.cyclic_group(6)
     text_dict = algebra.group_to_json_dict(z6)
