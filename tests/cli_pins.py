@@ -10,8 +10,10 @@ is kept for the rows after it.  Rows run in table order.
     python tests/cli_pins.py
 
 runs every row through the installed ``mvgroups`` console script and
-exits 1 after listing each row that does not match.  tests/test_cli_pins.py
-runs the same rows through cli.main in process.
+exits 1 after listing each row that does not match.  In process, through
+cli.main, tests/test_cli.py runs the enumerate rows and the rows on each
+group of GROUPS under names of their own, and tests/test_cli_pins.py runs
+the other rows.
 """
 
 import hashlib
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mvgroups import algebra, core
+from mvgroups import algebra, cli, core
 
 TABLE = Path(__file__).with_name("cli_pins.json")
 
@@ -40,6 +42,28 @@ GROUPS = ((97, 35, False), (181, 48, False), (193, 85, True))
 
 def load_rows():
     return json.loads(TABLE.read_text(encoding="utf-8"))
+
+
+def enumerate_rows():
+    """The enumerate rows, each keyed by its arguments after --vmax with
+    the dashes dropped: "70000-csv" for enumerate --vmax 70000 --csv."""
+    return {
+        "-".join(row["argv"].split()[2:]).replace("--", ""): row
+        for row in load_rows()
+        if row["argv"].startswith("enumerate --vmax ")
+    }
+
+
+def group_rows():
+    """The rows that read the fixtures of each group of GROUPS, keyed
+    Zp-d, d the order of u, with -corrupt for the corrupted group."""
+    named = {}
+    for p, u, corrupt in GROUPS:
+        d = next(k for k in range(1, p) if pow(u, k, p) == 1)
+        named[f"Z{p}-{d}{'-corrupt' * corrupt}"] = [
+            row for row in load_rows() if f"@Z{p}." in row["argv"] or f"@Z{p}-" in row["argv"]
+        ]
+    return named
 
 
 def _relabelled(data):
@@ -73,13 +97,13 @@ def write_fixtures(work: Path) -> None:
         (work / f"{stem}.copy.json").write_text(_relabelled(data))
 
 
-def check(launch, work: Path) -> list:
-    """Write the fixtures into work, run every row through launch(argv),
-    which returns (exit code, stdout bytes, stderr text), and return one
-    line for each row that does not match."""
+def check(launch, work: Path, rows=None) -> list:
+    """Write the fixtures into work, run rows (every row when None)
+    through launch(argv), which returns (exit code, stdout bytes, stderr
+    text), and return one line for each row that does not match."""
     write_fixtures(work)
     mismatches = []
-    for row in load_rows():
+    for row in load_rows() if rows is None else rows:
         argv = [str(work / arg[1:]) if arg.startswith("@") else arg for arg in row["argv"].split()]
         code, out, err = launch(argv)
         if "save" in row:
@@ -92,6 +116,18 @@ def check(launch, work: Path) -> list:
         if code != row["exit"] or digest != row["sha256"] or not err_ok:
             mismatches.append(f"{row['argv']}: exit {code}, sha256 {digest}, stderr {err!r}")
     return mismatches
+
+
+def in_process(capsys):
+    """A launcher that runs argv through cli.main and reads its output
+    from capsys."""
+
+    def launch(argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out.encode("utf-8"), captured.err
+
+    return launch
 
 
 def launch_console_script(argv):

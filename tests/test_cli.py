@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from mvgroups import algebra, classify, cli, core, srg
 
+import cli_pins
 from conftest import multiplier_coset, relabel
 
 
@@ -514,6 +515,14 @@ def test_enumerate_vmax_too_small(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--vmax", "3")
     assert code == 3
     assert "v_max" in err
+
+
+@pytest.mark.parametrize("key", sorted(cli_pins.enumerate_rows()))
+def test_enumerate_output_digest(capsys, tmp_path, key):
+    # The catalogue must stay byte-identical whatever the enumeration
+    # does inside: each pin is an enumerate row of cli_pins.json.
+    row = cli_pins.enumerate_rows()[key]
+    assert cli_pins.check(cli_pins.in_process(capsys), tmp_path, [row]) == []
 
 
 def test_enumerate_cap(capsys, monkeypatch):
@@ -1137,3 +1146,13 @@ def test_short_numbers_in_classify_messages_are_printed(capsys):
     assert run_cli(capsys, "classify", "--sym", "6", "1", "1", "5")[2] == (
         "error: derived multiplicity of y in y*y is -1, negative\n"
     )
+
+
+@pytest.mark.parametrize("key", sorted(cli_pins.group_rows()))
+def test_array_group_output_digest(capsys, tmp_path, key):
+    # verify, verify --json, iso against a relabelled, doubled copy, and
+    # build coset on groups past order 6, which keep their table as one
+    # int64 array: the rows of cli_pins.json that read the group's files.
+    rows = cli_pins.group_rows()[key]
+    assert len(rows) == 4
+    assert cli_pins.check(cli_pins.in_process(capsys), tmp_path, rows) == []
