@@ -32,7 +32,6 @@ from .classify import (
     collisions,
     derive_params,
     enumerate_families,
-    iter_catalogue,
     match_params,
 )
 from .core import (

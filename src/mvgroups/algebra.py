@@ -22,7 +22,7 @@ the same sieve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from math import gcd, isqrt
 
 import numpy as _np
@@ -38,28 +38,22 @@ GRP_FORMAT = "grp-v1"
 ACT_FORMAT = "act-v1"
 
 
-# Entries of the prime-power table built by _prime_power_table.
-PRIME, PROPER_POWER = 1, 2
-
-
-def _prime_power_table(limit: int) -> bytearray:
-    """Sieve of Eratosthenes up to limit >= 1: entry n is PRIME for a
-    prime, PROPER_POWER for p**d with d >= 2, and 0 otherwise."""
-    table = bytearray([PRIME]) * (limit + 1)
-    table[0] = table[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if table[p] != PRIME:
-            continue
-        table[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-        power = p * p
-        while power <= limit:
-            table[power] = PROPER_POWER
-            power *= p
-    return table
+def _odd_sieve(limit: int) -> _np.ndarray:
+    """Sieve of Eratosthenes over the odd numbers up to limit >= 1: a
+    bool array whose entry i is True when 2i + 1 is prime.  An odd
+    prime p crosses out its odd multiples from p*p, the entries p apart
+    from (p*p - 1)/2."""
+    sieve = _np.ones((limit + 1) // 2, bool)
+    sieve[0] = False
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = False
+    return sieve
 
 
 # The primes below 2**12, the first divisors of _least_prime_factor.
-_SMALL_PRIMES = tuple(compress(range(2**12), [entry == PRIME for entry in _prime_power_table(2**12 - 1)]))
+_SMALL_PRIMES = (2, *(2 * _np.flatnonzero(_odd_sieve(2**12 - 1)) + 1).tolist())
 
 
 def _least_prime_factor(n: int) -> int:
@@ -179,8 +173,9 @@ class FiniteField:
     base-p digits (low degree first), so 0 is zero and 1 is one.
     Multiplication goes through discrete log tables built from the least
     primitive element, which makes the whole construction reproducible.
-    The constructor refuses a composite p and a modulus that is not monic
-    of degree s over range(p) or that _irreducible_mask finds reducible.
+    The constructor refuses, in this order, a degree s below 1 (before p
+    is trial-divided), a composite p, and a modulus that is not monic of
+    degree s over range(p) or that _irreducible_mask finds reducible.
 
     The tables come from one map.  For an element a, T_a is
     multiplication by a modulo the modulus, a GF(p)-linear map on the
@@ -214,10 +209,10 @@ class FiniteField:
 
     def __init__(self, p, s, modulus):
         modulus = tuple(modulus)
-        if not is_prime(p):
-            raise InputError(f"{p} is not prime")
         if s < 1:
             raise InputError("the extension degree must be at least 1")
+        if not is_prime(p):
+            raise InputError(f"{p} is not prime")
         if len(modulus) != s + 1 or modulus[-1] != 1:
             raise InputError(f"modulus must be monic of degree {s}")
         if not all(type(c) is int and 0 <= c < p for c in modulus):
@@ -365,10 +360,10 @@ def make_field(p: int, s: int, cap: int = FIELD_CAP) -> FiniteField:
     The modulus is the first survivor of _irreducible_mask's sieve, and
     is not proved irreducible a second time."""
     _check_size("field", p, s, cap)
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
     if s < 1:
         raise InputError("the extension degree must be at least 1")
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
     ranks = _np.flatnonzero(_irreducible_mask(p, s))
     if not ranks.size:
         raise InternalError(f"no irreducible polynomial of degree {s} over GF({p})")
@@ -560,10 +555,10 @@ def cyclic_group(m: int, cap: int = GROUP_CAP) -> FiniteGroup:
 def make_elementary_abelian(p: int, d: int, cap: int = GROUP_CAP) -> FiniteGroup:
     """Additive group of d-vectors over GF(p), indexed base-p."""
     _check_size("group", p, d, cap)
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
     if d < 1:
         raise InputError("the dimension must be at least 1")
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
     cyclic = ((_np.arange(p)[:, None] + _np.arange(p)) % p).astype(_np.min_scalar_type(p**d - 1))
     table = _np.zeros((1, 1), dtype=cyclic.dtype)
     for k in range(d):

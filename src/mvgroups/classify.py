@@ -14,17 +14,19 @@ Every catalogue row has v = p**d for a prime p, and _family_rows(p, d)
 is the one encoding of the families: match_params factors v and keeps
 its rows with equal parameters.  A prime v has one row, family III, so
 the walk of the catalogue (_catalogue_blocks) yields runs: the primes
-= 1 (mod 4) between two proper powers as one array, read from a sieve
-of the odd numbers, then the sorted rows of the next power.
+= 1 (mod 4) between two proper powers as one array, then the sorted
+rows of the next power.  One sieve of the odd numbers (algebra's, the
+package's only sieve) gives both the primes = 1 (mod 4) and the bases
+of the proper powers.
 `enumerate` writes the runs in batches of rows, each batch as byte
 buffers of the row template repeated with the digits stored as
 four-digit ASCII words (write_blocks), and each power's rows with one
 %-template per family (format_rows).  Its three formats, JSON, CSV
 and the table, are the entries of _FORMATS, which write_catalogue
-writes.  iter_catalogue expands the runs through _family_rows, one v at
-a time.  Equal parameters imply equal v, so collisions are found within
-one power's rows, and `enumerate` writes the catalogue as it walks it
-without holding it.
+writes.  enumerate_families expands the runs through _family_rows,
+one v at a time.  Equal parameters imply equal v, so collisions are
+found within one power's rows, and `enumerate` writes the catalogue as
+it walks it without holding it.
 """
 
 from __future__ import annotations
@@ -35,14 +37,14 @@ import re
 import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import chain, compress, groupby
+from itertools import chain, groupby
 from math import isqrt
 from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import PRIME, _prime_power_table, is_prime_power, mult_order
+from .algebra import _odd_sieve, is_prime_power, mult_order
 from .core import (
     SWAP_STAR,
     SYMMETRIC_STAR,
@@ -175,8 +177,10 @@ def _admissible_vls_params(p, c, t) -> SrgParams | None:
     else None: primitive-root condition, the published exclusions, and
     mu > 0 (the two tuples with mu = 0, (2,3,1) and (2,5,1), are disjoint
     clique unions already produced by family I; the exclusion list exists
-    precisely to avoid such duplicates)."""
-    if p % c == 0 or mult_order(p, c) != c - 1:
+    precisely to avoid such duplicates).  p is prime and c >= 3 any
+    integer: the primitive-root condition holds only for a prime c, since
+    p has order at most phi(c) < c - 1 modulo a composite c prime to p."""
+    if c % p == 0 or mult_order(p, c) != c - 1:
         return None
     if (p, c, t) in VLS_EXCLUSIONS:
         return None
@@ -184,12 +188,12 @@ def _admissible_vls_params(p, c, t) -> SrgParams | None:
     return params if params.mu > 0 else None
 
 
-def _family_rows(p: int, d: int, table) -> list[FamilyDescriptor]:
-    """Every catalogue row with v = p**d, in FAMILIES order.  table is a
-    _prime_power_table covering d + 1, for the prime moduli c of family
-    IV; it is not read when d == 1.  Only family III has prime v (every
-    SPORADIC_TABLE v is a proper power), so for d == 1 the list ends
-    there, and for d > 1 it holds family I at least."""
+def _family_rows(p: int, d: int) -> list[FamilyDescriptor]:
+    """Every catalogue row with v = p**d, in FAMILIES order.  Only family
+    III has prime v (every SPORADIC_TABLE v is a proper power), so for
+    d == 1 the list ends there, and for d > 1 it holds family I at
+    least.  Family IV's modulus c is tried at every c - 1 dividing d;
+    _admissible_vls_params refuses a composite c without factoring it."""
     v = p**d
     rows = []
     if d > 1:
@@ -209,7 +213,7 @@ def _family_rows(p: int, d: int, table) -> list[FamilyDescriptor]:
         return rows
     for c in range(3, d + 2):
         t, rem = divmod(d, c - 1)
-        if rem == 0 and table[c] == PRIME and (params := _admissible_vls_params(p, c, t)) is not None:
+        if rem == 0 and (params := _admissible_vls_params(p, c, t)) is not None:
             rows.append(_descriptor("IV", params, (("p", p), ("c", c), ("t", t))))
     # (q, e) with q**(2e) = v and e >= 2: the forms of families V and VI
     forms = [(p ** (d // (2 * e)), e) for e in range(2, d // 2 + 1) if d % (2 * e) == 0]
@@ -251,20 +255,6 @@ def _sort_rows(rows: list[FamilyDescriptor]) -> None:
         )
 
 
-def _odd_sieve(limit: int) -> np.ndarray:
-    """Sieve of Eratosthenes over the odd numbers up to limit >= 1: a
-    bool array whose entry i is True when 2i + 1 is prime.  An odd
-    prime p crosses out its odd multiples from p*p, the entries p apart
-    from (p*p - 1)/2."""
-    sieve = np.ones((limit + 1) // 2, bool)
-    sieve[0] = False
-    for i in range(1, (isqrt(limit) + 1) // 2):
-        if sieve[i]:
-            p = 2 * i + 1
-            sieve[p * p // 2 :: p] = False
-    return sieve
-
-
 def _catalogue_blocks(v_max: int, cap: int) -> Iterator:
     """The catalogue with v <= v_max as blocks in ascending v: an int64
     array of the primes = 1 (mod 4) between two proper powers (a run,
@@ -273,13 +263,12 @@ def _catalogue_blocks(v_max: int, cap: int) -> Iterator:
     (v, 2t, t-1, t) of family III with t = (v-1)/4.
 
     v_max is checked against cap and sys.maxsize before anything is
-    allocated.  The primes = 1 (mod 4) come from a sieve of the odd
-    numbers up to v_max (one bool per odd number, freed before this
-    returns), and the proper powers and family IV's prime moduli from a
-    _prime_power_table up to isqrt(v_max) (and up to the bit length of
-    v_max, which bounds d + 1).  The blocks are then made as the iterator
-    is consumed, each run a view of one array of every prime = 1 (mod 4)
-    up to v_max."""
+    allocated.  One sieve of the odd numbers up to v_max (one bool per
+    odd number, freed before this returns) gives both the primes
+    = 1 (mod 4) and the bases of the proper powers, the primes up to
+    isqrt(v_max).  The blocks are then made as the iterator is consumed,
+    each run a view of one array of every prime = 1 (mod 4) up to
+    v_max."""
     if v_max < 4:
         raise InputError("v_max must be at least 4")
     if v_max > cap:
@@ -291,18 +280,17 @@ def _catalogue_blocks(v_max: int, cap: int) -> Iterator:
     except MemoryError:
         size = (v_max + 1) // 2
         raise CapError(f"v_max {printable(v_max)} is too large to sieve: {size} bytes cannot be allocated") from None
+    bases = [2, *(2 * np.flatnonzero(sieve[: (isqrt(v_max) + 1) // 2]) + 1).tolist()]
     primes = np.flatnonzero(sieve[::2])  # entry j of sieve[::2] is 4j + 1
     del sieve
     primes *= 4  # in place: 8 bytes per prime, held through the walk
     primes += 1
-    table = _prime_power_table(max(isqrt(v_max), v_max.bit_length()))
     proper_powers = []
-    for p in compress(range(isqrt(v_max) + 1), table):
-        if table[p] == PRIME:
-            power, d = p * p, 2
-            while power <= v_max:
-                proper_powers.append((power, p, d))
-                power, d = power * p, d + 1
+    for p in bases:
+        power, d = p * p, 2
+        while power <= v_max:
+            proper_powers.append((power, p, d))
+            power, d = power * p, d + 1
     proper_powers.sort()
     cuts = np.searchsorted(primes, [v for v, _, _ in proper_powers]).tolist()
 
@@ -311,7 +299,7 @@ def _catalogue_blocks(v_max: int, cap: int) -> Iterator:
         for (_, p, d), cut in zip(proper_powers, cuts):
             if cut > low:
                 yield primes[low:cut]
-            rows = _family_rows(p, d, table)
+            rows = _family_rows(p, d)
             _sort_rows(rows)
             yield rows
             low = cut
@@ -448,28 +436,19 @@ def write_blocks(out, blocks, rows_text, run_row: str, sep: str = "") -> None:
         flush()
 
 
-def iter_catalogue(v_max: int, cap: int = ENUMERATE_CAP) -> Iterator[list[FamilyDescriptor]]:
-    """The catalogue rows with v <= v_max, one non-empty list per v in
-    ascending v, each sorted by (params, family, witness) and in the
-    lower-valency orientation: the blocks of _catalogue_blocks, with
-    each run expanded through _family_rows.
-
-    v_max is checked against cap and sys.maxsize, and the prime-power
-    table up to v_max is built, before this returns; the rows are then
-    made as the iterator is consumed."""
-    blocks = _catalogue_blocks(v_max, cap)
-    return chain.from_iterable(
-        [block] if isinstance(block, list) else (_family_rows(v, 1, None) for v in block.tolist())
-        for block in blocks
-    )
-
-
 def enumerate_families(v_max: int, cap: int = ENUMERATE_CAP) -> list[FamilyDescriptor]:
     """Every attainable descriptor with v <= v_max, in the lower-valency
-    orientation, sorted by (params, family, witness): the rows of
-    iter_catalogue in one list.  Parameter sets hit by several families
-    are all emitted; see collisions()."""
-    return list(chain.from_iterable(iter_catalogue(v_max, cap)))
+    orientation, sorted by (params, family, witness): the blocks of
+    _catalogue_blocks in one list, each run expanded through
+    _family_rows.  Parameter sets hit by several families are all
+    emitted; see collisions()."""
+    rows = []
+    for block in _catalogue_blocks(v_max, cap):
+        if isinstance(block, list):
+            rows += block
+        else:
+            rows += chain.from_iterable(_family_rows(v, 1) for v in block.tolist())
+    return rows
 
 
 def block_collisions(rows) -> list[tuple[tuple[int, int, int, int], tuple[str, ...]]]:
@@ -503,7 +482,7 @@ def match_params(v: int, k: int, lam: int, mu: int, cap: int = CLASSIFY_CAP) -> 
     if pp is None:
         return []
     p, d = pp
-    return [row for row in _family_rows(p, d, _prime_power_table(d + 1)) if row.params == target]
+    return [row for row in _family_rows(p, d) if row.params == target]
 
 
 def derive_params(sig: Signature):

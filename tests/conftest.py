@@ -10,6 +10,7 @@ exponentiation.
 
 from collections import Counter
 from itertools import combinations, permutations
+from math import isqrt
 
 import pytest
 
@@ -163,6 +164,31 @@ def naive_prime_power(v: int) -> bool:
         if p > v:
             break
     return False
+
+
+def prime_flags(limit: int) -> bytearray:
+    """Entry n is 1 when n <= limit is prime, for limit >= 1: a sieve of
+    Eratosthenes over every integer, one byte each, not the package's
+    odd sieve."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return flags
+
+
+def proper_powers(limit: int) -> dict:
+    """{p**d: (p, d)} for each prime p and d >= 2 with p**d <= limit,
+    in ascending p**d."""
+    flags = prime_flags(isqrt(limit))
+    found = {}
+    for p in range(2, isqrt(limit) + 1):
+        d = 2
+        while flags[p] and p**d <= limit:
+            found[p**d] = (p, d)
+            d += 1
+    return dict(sorted(found.items()))
 
 
 def swap_coset_oracle(a: int, n: int, kmax: int = 2000) -> bool:

@@ -81,12 +81,28 @@ def test_caps_refuse_before_testing_primality(monkeypatch):
 
 @pytest.mark.parametrize(
     "p, s, message",
-    [(4, 0, "4 is not prime"), (0, -1, "0 is not prime"), (4097, 1, "4097 is not prime"), (2, 0, "at least 1")],
+    [(4, 0, "at least 1"), (0, -1, "at least 1"), (4097, 1, "4097 is not prime"), (2, 0, "at least 1")],
 )
 def test_within_the_cap_the_messages_keep_their_order(p, s, message):
+    # the exponent is checked before p is trial-divided
     for build in (algebra.make_field, algebra.make_elementary_abelian):
         with pytest.raises(InputError, match=message):
             build(p, s, cap=5000)
+
+
+def test_a_bad_exponent_is_refused_before_trial_division(monkeypatch):
+    # each of these spent 0.5 s trial-dividing p before naming the exponent
+    def unreachable(n):
+        raise AssertionError(f"{n} was factored")
+
+    monkeypatch.setattr(algebra, "_least_prime_factor", unreachable)
+    p = 10**14 + 31
+    with pytest.raises(InputError, match="^the extension degree must be at least 1$"):
+        algebra.make_field(p, 0)
+    with pytest.raises(InputError, match="^the dimension must be at least 1$"):
+        algebra.make_elementary_abelian(p, 0)
+    with pytest.raises(InputError, match="^the extension degree must be at least 1$"):
+        algebra.FiniteField(p, 0, (1,))
 
 
 def test_cap_message_of_a_count_past_the_digit_limit():
@@ -835,6 +851,13 @@ MERSENNE_61 = 2**61 - 1  # a prime
 def test_small_primes_are_the_primes_below_2_12():
     assert algebra._SMALL_PRIMES == tuple(n for n in range(2, 2**12) if _odd_trial_division(n) == n)
     assert algebra._SMALL_PRIMES[-1] == 4093
+
+
+def test_odd_sieve_matches_trial_division():
+    sieve = algebra._odd_sieve(10**5)
+    assert sieve.dtype == bool and sieve.size == (10**5 + 1) // 2
+    for i, n in enumerate(range(1, 10**5 + 1, 2)):
+        assert sieve[i] == (n > 1 and _odd_trial_division(n) == n), n
 
 
 def test_least_prime_factor_matches_odd_trial_division():

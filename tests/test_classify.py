@@ -11,7 +11,7 @@ import pytest
 from mvgroups import algebra, classify, core, srg
 from mvgroups.errors import CapError, InputError
 
-from conftest import naive_prime_power, swap_coset_oracle
+from conftest import naive_prime_power, prime_flags, proper_powers, swap_coset_oracle
 
 
 def families_of(descriptors, params):
@@ -412,15 +412,13 @@ def _trial_division_catalogue(v_max):
     return found
 
 
-def test_prime_power_table_matches_trial_division():
-    table = classify._prime_power_table(10**5)
-    assert len(table) == 10**5 + 1 and table[0] == table[1] == 0
-    for n in range(2, 10**5 + 1):
-        pp = algebra.is_prime_power(n)
-        if pp is None:
-            assert table[n] == 0, n
-        else:
-            assert table[n] == (classify.PRIME if pp[1] == 1 else algebra.PROPER_POWER), n
+def test_vls_params_refuse_a_composite_modulus():
+    # _family_rows tries every c with c - 1 dividing d; the primitive-root
+    # condition alone keeps a composite c out
+    for p in (2, 3, 5, 7, 11, 13, 61):
+        for c in range(4, 65):
+            if any(c % f == 0 for f in range(2, c)):
+                assert classify._admissible_vls_params(p, c, 1) is None, (p, c)
 
 
 @pytest.mark.parametrize("v_max", [4, 5, 8, 9, 13, 16, 25, 27, 32, 49, 64, 1024, 4096, 4097, 10**5])
@@ -472,20 +470,17 @@ def test_catalogue_sort_builds_no_witness_text(monkeypatch):
 
 
 def _full_table_blocks(v_max):
-    """_catalogue_blocks as it was written over one _prime_power_table up
-    to v_max (one byte per integer), kept as the oracle for the odd sieve
-    and the small table: the primes = 1 (mod 4) from the table's entries
-    4j + 1, the proper powers from its PROPER_POWER entries."""
-    table = classify._prime_power_table(v_max)
-    entries = np.frombuffer(table, np.uint8)
-    primes = np.flatnonzero(entries[1::4] == algebra.PRIME) * 4 + 1
-    powers = np.flatnonzero(entries == algebra.PROPER_POWER).tolist()
+    """_catalogue_blocks as it was written over one table of every
+    integer up to v_max, kept as the oracle for the odd sieve: the
+    primes = 1 (mod 4) from a test-local sieve's entries 4j + 1, the
+    proper powers from its primes."""
+    primes = np.flatnonzero(np.frombuffer(prime_flags(v_max), np.uint8)[1::4]) * 4 + 1
+    powers = proper_powers(v_max)
     blocks, low = [], 0
-    for v, cut in zip(powers, np.searchsorted(primes, powers).tolist()):
+    for (p, d), cut in zip(powers.values(), np.searchsorted(primes, list(powers)).tolist()):
         if cut > low:
             blocks.append(primes[low:cut])
-        p, d = algebra.is_prime_power(v)
-        blocks.append(sorted(classify._family_rows(p, d, table), key=_full_row_key))
+        blocks.append(sorted(classify._family_rows(p, d), key=_full_row_key))
         low = cut
     if low < primes.size:
         blocks.append(primes[low:])
@@ -559,27 +554,18 @@ def test_trusted_rows_pass_the_validating_constructor():
         assert name == "t" and row.params == srg.conference_params(t).as_tuple(), row
 
 
-def test_iter_catalogue_yields_the_rows_of_each_v(monkeypatch):
-    blocks = list(classify.iter_catalogue(5000))
-    assert [row for rows in blocks for row in rows] == classify.enumerate_families(5000)
-    vs = [rows[0].params[0] for rows in blocks]
-    assert vs == sorted(set(vs))
-    for rows in blocks:
-        assert rows and {row.params[0] for row in rows} == {rows[0].params[0]}
-
-    # The cap and the sieves are dealt with when the iterator is made,
-    # not when it is first read.
+def test_catalogue_blocks_check_the_cap_and_sieve_when_made(monkeypatch):
+    # The cap and the sieve are dealt with when the walk is made, not
+    # when it is first read.
     with pytest.raises(CapError):
-        classify.iter_catalogue(2000, cap=1000)
+        classify._catalogue_blocks(2000, 1000)
 
     def unreachable(limit):
         raise AssertionError(f"sieve of {limit} allocated")
 
-    for sieve in ("_odd_sieve", "_prime_power_table"):
-        with monkeypatch.context() as patch:
-            patch.setattr(classify, sieve, unreachable)
-            with pytest.raises(AssertionError, match="sieve"):
-                classify.iter_catalogue(2000)
+    monkeypatch.setattr(classify, "_odd_sieve", unreachable)
+    with pytest.raises(AssertionError, match="sieve"):
+        classify._catalogue_blocks(2000, 2000)
 
 
 def test_match_params_checks_the_cap_before_the_parameters():

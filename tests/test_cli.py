@@ -8,7 +8,6 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 from mvgroups import algebra, classify, cli, core, srg
 
 import cli_pins
-from conftest import multiplier_coset, relabel
+from conftest import multiplier_coset, prime_flags, proper_powers, relabel
 
 
 def run_cli(capsys, *argv, stdin_text=None, monkeypatch=None):
@@ -534,10 +533,9 @@ def test_enumerate_cap(capsys, monkeypatch):
     def unreachable(limit):
         raise AssertionError(f"sieve of {limit} allocated")
 
-    # The default cap rejects before either sieve is allocated and admits
+    # The default cap rejects before the sieve is allocated and admits
     # v_max up to and including itself.
     monkeypatch.setattr(classify, "_odd_sieve", unreachable)
-    monkeypatch.setattr(classify, "_prime_power_table", unreachable)
     code, _, err = run_cli(capsys, "enumerate", "--vmax", str(classify.ENUMERATE_CAP + 1))
     assert code == 4 and "cap" in err
     with pytest.raises(AssertionError, match="sieve"):
@@ -579,13 +577,13 @@ def test_enumerate_streams_every_format(tmp_path, flags):
 def _oracle_rows(v_max):
     """The catalogue as the per-v walk made it: the rows of every prime
     power v <= v_max in ascending v, each v's rows sorted."""
-    table = classify._prime_power_table(v_max)
+    flags, powers = prime_flags(v_max), proper_powers(v_max)
     rows = []
     for v in range(v_max + 1):
-        if table[v] == classify.PRIME:
-            rows += classify._family_rows(v, 1, table)
-        elif table[v] == algebra.PROPER_POWER:
-            rows += sorted(classify._family_rows(*algebra.is_prime_power(v), table), key=classify._row_key)
+        if flags[v]:
+            rows += classify._family_rows(v, 1)
+        elif v in powers:
+            rows += sorted(classify._family_rows(*powers[v]), key=classify._row_key)
     return rows
 
 
@@ -630,8 +628,8 @@ def _catalogue_oracle(v_max, flags, with_collisions):
 
 def _run_primes(v_max):
     """The primes = 1 (mod 4) up to v_max: the rows of the walk's runs."""
-    table = classify._prime_power_table(v_max)
-    return [v for v in range(5, v_max + 1, 4) if table[v] == classify.PRIME]
+    flags = prime_flags(v_max)
+    return [v for v in range(5, v_max + 1, 4) if flags[v]]
 
 
 # v_max at the edges of the stretches between proper powers: a proper
@@ -761,14 +759,7 @@ def _fstring_lines(rows):
 
 def _proper_power_rows(limit):
     """The sorted rows of each proper power up to limit, one list each."""
-    table = classify._prime_power_table(limit.bit_length() + isqrt(limit))
-    return [
-        sorted(classify._family_rows(p, d, table), key=classify._row_key)
-        for p in range(2, isqrt(limit) + 1)
-        if table[p] == classify.PRIME
-        for d in range(2, limit.bit_length())
-        if p**d <= limit
-    ]
+    return [sorted(classify._family_rows(p, d), key=classify._row_key) for p, d in proper_powers(limit).values()]
 
 
 def test_row_templates_match_the_old_writers():
@@ -778,7 +769,7 @@ def test_row_templates_match_the_old_writers():
     assert len(blocks) == 555
     assert {row.family for rows in blocks for row in rows} == set(classify.FAMILIES)
     assert {row.witness[-1] for rows in blocks for row in rows if row.family == "VI"} == {("eps", "+"), ("eps", "-")}
-    blocks += [classify._family_rows(v, 1, None) for v in (5, 13, 9973, 1000033, 9999973)]
+    blocks += [classify._family_rows(v, 1) for v in (5, 13, 9973, 1000033, 9999973)]
     for rows in blocks:
         assert rows
         assert classify._FORMATS["json"].block(rows) == _dumps_block(rows)
@@ -804,7 +795,6 @@ def test_enumerate_refuses_a_vmax_past_the_sieve(capsys, monkeypatch, v_max):
         raise AssertionError(f"sieve of {limit} allocated")
 
     monkeypatch.setattr(classify, "_odd_sieve", unreachable)
-    monkeypatch.setattr(classify, "_prime_power_table", unreachable)
     code, out, err = run_cli(capsys, "enumerate", "--vmax", str(v_max), "--cap", str(v_max))
     assert code == 4 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "too large to sieve" in err
@@ -814,13 +804,9 @@ def test_enumerate_maps_a_failed_sieve_allocation_to_the_cap_exit(capsys, monkey
     def exhausted(limit):
         raise MemoryError
 
-    def unreachable(limit):
-        raise AssertionError(f"sieve of {limit} allocated")
-
-    # The odd sieve, one bool per odd number up to 5000, is allocated
-    # first, and the message names its size.
+    # The odd sieve, one bool per odd number up to 5000, is the walk's
+    # one allocation, and the message names its size.
     monkeypatch.setattr(classify, "_odd_sieve", exhausted)
-    monkeypatch.setattr(classify, "_prime_power_table", unreachable)
     code, out, err = run_cli(capsys, "enumerate", "--vmax", "5000")
     assert code == 4 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and ": 2500 bytes cannot be allocated" in err

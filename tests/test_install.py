@@ -28,7 +28,7 @@ def test_star_import_binds_exactly_all():
     exec("from mvgroups import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == mvgroups.__all__
-    assert len(mvgroups.__all__) == 62
+    assert len(mvgroups.__all__) == 61
     assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
     assert {"algebra", "classify", "core", "errors", "srg"}.isdisjoint(namespace)
 
